@@ -16,21 +16,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError, SizeCapExceeded
-from .interventions import (
-    InterventionMap,
-    enumerate_interventions,
-    natural_leq,
-    natural_lt,
-)
+from .interventions import InterventionMap, enumerate_interventions, resolve_interventions
 from .maps import StateMap, materialize_state_map
-from .model import Assignment, CausalModel, VariableDecl, enumerate_states
+from .model import Assignment, CausalModel, VariableDecl, check_intervention, enumerate_states
 from .report import CheckReport
 from .transform import find_compatible_tau_u
 
-EMPTY = Assignment()
+
+def _product(decls: Sequence[VariableDecl], partial: Assignment) -> Iterable[tuple[int, ...]]:
+    return itertools.product(
+        *(((partial[d.name],) if d.name in partial else d.domain) for d in decls)
+    )
 
 
 def rst(decls: Sequence[VariableDecl], partial: Assignment) -> list[Assignment]:
@@ -40,41 +40,75 @@ def rst(decls: Sequence[VariableDecl], partial: Assignment) -> list[Assignment]:
     unknown = [v for v in partial if v not in names]
     if unknown:
         raise InputError(f"assignment mentions variables outside the set: {unknown}")
-    options = []
     for d in decls:
-        if d.name in partial:
-            value = partial[d.name]
-            if value not in d.domain:
-                raise InputError(f"{d.name}={value} is outside the declared domain")
-            options.append((value,))
-        else:
-            options.append(d.domain)
-    return [Assignment(zip(names, combo)) for combo in itertools.product(*options)]
+        if d.name in partial and partial[d.name] not in d.domain:
+            raise InputError(f"{d.name}={partial[d.name]} is outside the declared domain")
+    return [Assignment(zip(names, combo)) for combo in _product(decls, partial)]
 
 
-def _tuple_space(decls: Sequence[VariableDecl]) -> list[tuple[int, ...]]:
-    return list(itertools.product(*(d.domain for d in decls)))
+class _TauTable:
+    """tau materialized once for a whole check.
 
+    `by_state` maps each low state, in enumeration order, to its image;
+    `by_values` holds the same images keyed by low-state value tuples in
+    declaration order, which is what restriction-set products yield.
+    """
 
-def _tau_tuple_table(
-    m_low: CausalModel, m_high: CausalModel, tau: StateMap, cap: int | None
-) -> dict[tuple[int, ...], Assignment]:
-    """tau as a dict keyed by low-state value tuples in declaration order."""
-    low_sig, high_sig = m_low.signature, m_high.signature
-    table = materialize_state_map(tau, low_sig, high_sig, cap)
-    names = low_sig.endo_names
-    return {
-        tuple(state[n] for n in names): image for state, image in table.items()
-    }
+    def __init__(self, m_low: CausalModel, m_high: CausalModel, tau: StateMap, cap: int | None):
+        self.low, self.high = m_low.signature, m_high.signature
+        self.by_state = materialize_state_map(tau, self.low, self.high, cap)
+        names = self.low.endo_names
+        self.by_values = {
+            tuple(state[n] for n in names): image for state, image in self.by_state.items()
+        }
 
+    @cached_property
+    def as_map(self) -> StateMap:
+        """The table as a state map, for the layers that apply tau."""
+        return StateMap.from_table(self.by_state.items())
 
-def _rst_tuples(
-    decls: Sequence[VariableDecl], partial: Assignment
-) -> Iterable[tuple[int, ...]]:
-    options = [
-        ((partial[d.name],) if d.name in partial else d.domain) for d in decls
-    ]
-    return itertools.product(*options)
+    def induced(self, intervention: Assignment) -> Assignment | None:
+        """Image of one low intervention under the induced map, or None.
+
+        The tau-image S of the low restriction set fixes some high
+        coordinates; any valid high intervention must set exactly those (up
+        to variables with one-value domains, which are dropped), so the
+        candidate is unique and it remains to verify that S is exactly the
+        candidate's restriction set.
+        """
+        images = {self.by_values[t] for t in _product(self.low.endogenous, intervention)}
+
+        # A variable whose whole domain is a single value is constant in
+        # every restriction set; leaving it out keeps the candidate minimal
+        # and the empty intervention's image empty.
+        fixed: dict[str, int] = {}
+        size = 1
+        for d in self.high.endogenous:
+            if len(d.domain) == 1:
+                continue
+            values = {state[d.name] for state in images}
+            if len(values) == 1:
+                fixed[d.name] = next(iter(values))
+            else:
+                size *= len(d.domain)
+        candidate = Assignment(fixed)
+        if size == len(images) and images == set(rst(self.high.endogenous, candidate)):
+            return candidate
+        return None
+
+    def induced_sets(
+        self, cap: int | None
+    ) -> tuple[list[tuple[Assignment, Assignment]], tuple[Assignment, ...]]:
+        """Every low intervention with a defined image, paired with it, and
+        the image set, both in deterministic order."""
+        defined: list[tuple[Assignment, Assignment]] = []
+        image_order: dict[Assignment, None] = {}
+        for i in enumerate_interventions(self.low, cap):
+            img = self.induced(i)
+            if img is not None:
+                defined.append((i, img))
+                image_order.setdefault(img)
+        return defined, tuple(image_order)
 
 
 def derive_omega_tau(
@@ -82,67 +116,11 @@ def derive_omega_tau(
     m_high: CausalModel,
     tau: StateMap,
     intervention: Assignment,
-    check_all_candidates: bool = False,
     cap: int | None = None,
-    _table: dict[tuple[int, ...], Assignment] | None = None,
 ) -> Assignment | None:
-    """Image of one low intervention under the induced map, or None.
-
-    The tau-image S of the low restriction set fixes some high coordinates;
-    any valid high intervention must set exactly those (up to variables
-    with one-value domains, which are dropped), so the candidate is unique
-    and it remains to verify that S is exactly the candidate's restriction
-    set. `check_all_candidates` re-derives the answer by brute force over
-    every high intervention, guarding the shortcut.
-    """
-    low_sig, high_sig = m_low.signature, m_high.signature
-    table = _table if _table is not None else _tau_tuple_table(m_low, m_high, tau, cap)
-    images = {table[t] for t in _rst_tuples(low_sig.endogenous, intervention)}
-
-    # A variable whose whole domain is a single value is constant in every
-    # restriction set; leaving it out keeps the candidate minimal and the
-    # empty intervention's image empty.
-    fixed: dict[str, int] = {}
-    for d in high_sig.endogenous:
-        if len(d.domain) == 1:
-            continue
-        values = {state[d.name] for state in images}
-        if len(values) == 1:
-            fixed[d.name] = next(iter(values))
-    candidate = Assignment(fixed)
-
-    size = 1
-    for d in high_sig.endogenous:
-        if d.name not in fixed:
-            size *= len(d.domain)
-    result: Assignment | None = None
-    if size == len(images):
-        target = set(rst(high_sig.endogenous, candidate))
-        if images == target:
-            result = candidate
-
-    if check_all_candidates:
-        hits = [
-            cand
-            for cand in enumerate_interventions(high_sig, cap)
-            if set(rst(high_sig.endogenous, cand)) == images
-        ]
-        if (result is None) != (not hits):
-            raise AssertionError(
-                f"constant-coordinate candidate {result!r} disagrees with brute force {hits}"
-            )
-        # Candidates satisfying the set equation can differ only in
-        # variables whose whole domain is one value; the returned image is
-        # the minimal representative.
-        if hits and result not in hits:
-            raise AssertionError(f"canonical image {result!r} not among {hits}")
-        for hit in hits:
-            extra = set(hit) - set(result)
-            if set(result) - set(hit) or any(
-                len(high_sig.domains[v]) > 1 for v in extra
-            ):
-                raise AssertionError(f"induced image is not unique: {hits}")
-    return result
+    """Image of one low intervention under the induced map, or None."""
+    check_intervention(m_low, intervention)
+    return _TauTable(m_low, m_high, tau, cap).induced(intervention)
 
 
 def compute_induced_sets(
@@ -153,20 +131,8 @@ def compute_induced_sets(
 ) -> tuple[tuple[Assignment, ...], tuple[Assignment, ...], InterventionMap]:
     """The set of low interventions with a defined induced image, the image
     set, and the explicit induced map, all in deterministic order."""
-    table = _tau_tuple_table(m_low, m_high, tau, cap)
-    defined: list[tuple[Assignment, Assignment]] = []
-    image_order: dict[Assignment, None] = {}
-    for i in enumerate_interventions(m_low, cap):
-        img = derive_omega_tau(m_low, m_high, tau, i, cap=cap, _table=table)
-        if img is not None:
-            defined.append((i, img))
-            image_order.setdefault(img)
-    omega_tau = InterventionMap.from_pairs(defined)
-    return (
-        tuple(i for i, _ in defined),
-        tuple(image_order),
-        omega_tau,
-    )
+    defined, images = _TauTable(m_low, m_high, tau, cap).induced_sets(cap)
+    return tuple(i for i, _ in defined), images, InterventionMap.from_pairs(defined)
 
 
 def check_tau_abstraction(
@@ -189,13 +155,12 @@ def check_tau_abstraction(
     otherwise the check fails at (c) naming the offending intervention.
     The report identifies the first failing part.
     """
-    low_list = _resolve(m_low, i_low, cap)
-    high_list = _resolve(m_high, i_high, cap)
-    table = _tau_tuple_table(m_low, m_high, tau, cap)
-
+    low_list = resolve_interventions(m_low, i_low, cap)
+    high_list = resolve_interventions(m_high, i_high, cap)
+    table = _TauTable(m_low, m_high, tau, cap)
     pairs = []
     for i in low_list:
-        img = derive_omega_tau(m_low, m_high, tau, i, cap=cap, _table=table)
+        img = table.induced(i)
         if img is None:
             return CheckReport(
                 False,
@@ -203,9 +168,21 @@ def check_tau_abstraction(
                 counterexample={"intervention": i},
             )
         pairs.append((i, img))
-    omega_tau = InterventionMap.from_pairs(pairs)
+    return _tau_abstraction(m_low, m_high, table, pairs, high_list, cap)
 
-    image = set(table.values())
+
+def _tau_abstraction(
+    m_low: CausalModel,
+    m_high: CausalModel,
+    table: _TauTable,
+    pairs: list[tuple[Assignment, Assignment]],
+    high_list: Sequence[Assignment],
+    cap: int | None,
+) -> CheckReport:
+    """Parts (a) to (c) of check_tau_abstraction, given every low
+    intervention paired with its induced image."""
+    omega_tau = InterventionMap.from_pairs(pairs)
+    image = set(table.by_state.values())
     for state in enumerate_states(m_high, cap):
         if state not in image:
             return CheckReport(
@@ -217,9 +194,9 @@ def check_tau_abstraction(
     inner = find_compatible_tau_u(
         m_low,
         m_high,
-        tau,
+        table.as_map,
         omega_tau,
-        i_low=low_list,
+        i_low=[i for i, _ in pairs],
         require_surjective=True,
         cap=cap,
     )
@@ -247,14 +224,6 @@ def check_tau_abstraction(
     )
 
 
-def _resolve(model: CausalModel, interventions, cap) -> tuple[Assignment, ...]:
-    if interventions is not None:
-        return tuple(interventions)
-    if isinstance(model.allowed_interventions, str):
-        return tuple(enumerate_interventions(model, cap))
-    return model.allowed_interventions
-
-
 def check_strong_abstraction(
     m_low: CausalModel,
     m_high: CausalModel,
@@ -263,7 +232,14 @@ def check_strong_abstraction(
 ) -> CheckReport:
     """Strong abstraction: every high intervention is induced, and the
     tau-abstraction check holds between the induced sets."""
-    i_low_tau, i_high_tau, _ = compute_induced_sets(m_low, m_high, tau, cap)
+    return _strong(m_low, m_high, _TauTable(m_low, m_high, tau, cap), cap)
+
+
+def _strong(
+    m_low: CausalModel, m_high: CausalModel, table: _TauTable, cap: int | None
+) -> CheckReport:
+    """check_strong_abstraction on a table its caller already built."""
+    defined, i_high_tau = table.induced_sets(cap)
     all_high = enumerate_interventions(m_high, cap)
     induced = set(i_high_tau)
     missing = [h for h in all_high if h not in induced]
@@ -278,7 +254,7 @@ def check_strong_abstraction(
                 "first_missing_single": first_single,
             },
         )
-    inner = check_tau_abstraction(m_low, m_high, tau, i_low_tau, i_high_tau, cap)
+    inner = _tau_abstraction(m_low, m_high, table, defined, i_high_tau, cap)
     if not inner.verdict:
         return CheckReport(
             False,
@@ -413,7 +389,8 @@ def check_constructive(
     concatenation of per-cell maps, and the strong abstraction check holds.
     When `comps` is omitted the per-cell maps are derived by projection."""
     _check_partition_shape(partition, m_low, m_high)
-    derived, failure = derive_component_maps(m_low, m_high, tau, partition, cap)
+    table = _TauTable(m_low, m_high, tau, cap)
+    derived, failure = derive_component_maps(m_low, m_high, table.as_map, partition, cap)
     if derived is None:
         return CheckReport(
             False,
@@ -434,7 +411,7 @@ def check_constructive(
                     detail=f"supplied component map for {high_var} disagrees with tau",
                     counterexample={"high_var": high_var, "cell_values": mismatch},
                 )
-    strong = check_strong_abstraction(m_low, m_high, tau, cap)
+    strong = _strong(m_low, m_high, table, cap)
     if not strong.verdict:
         return CheckReport(
             False,
@@ -448,27 +425,23 @@ def check_constructive(
     )
 
 
-def _semantic_supports(
-    m_low: CausalModel, m_high: CausalModel, tau: StateMap, cap: int | None
-) -> dict[str, set[str]]:
+def _semantic_supports(table: _TauTable) -> dict[str, set[str]]:
     """For each high variable, the low variables its tau-component actually
     reads: v is in the support when two low states differing only at v map
     to different values of that component."""
-    low_sig, high_sig = m_low.signature, m_high.signature
-    table = _tau_tuple_table(m_low, m_high, tau, cap)
-    names = low_sig.endo_names
-    supports: dict[str, set[str]] = {h: set() for h in high_sig.endo_names}
-    for idx, var in enumerate(names):
+    high_names = table.high.endo_names
+    supports: dict[str, set[str]] = {h: set() for h in high_names}
+    for idx, var in enumerate(table.low.endo_names):
         buckets: dict[tuple, list[tuple[int, ...]]] = {}
-        for t in table:
+        for t in table.by_values:
             buckets.setdefault(t[:idx] + t[idx + 1 :], []).append(t)
         for group in buckets.values():
             if len(group) < 2:
                 continue
-            for high_var in high_sig.endo_names:
-                if high_var in supports and var in supports[high_var]:
+            for high_var in high_names:
+                if var in supports[high_var]:
                     continue
-                values = {table[t][high_var] for t in group}
+                values = {table.by_values[t][high_var] for t in group}
                 if len(values) > 1:
                     supports[high_var].add(var)
     return supports
@@ -488,11 +461,14 @@ def search_constructive_partition(
     supports are pairwise disjoint, so the canonical candidate assigns each
     high variable its support (padded from the unused low variables when a
     component is constant, in declaration order) and marginalizes the rest.
+    The candidate is well formed by construction, and its component maps
+    are the projections of tau, so what remains is the strong check.
     """
     low_names = m_low.signature.endo_names
     if len(low_names) > max_low_vars:
         raise SizeCapExceeded("low variable set", len(low_names), max_low_vars)
-    supports = _semantic_supports(m_low, m_high, tau, cap)
+    table = _TauTable(m_low, m_high, tau, cap)
+    supports = _semantic_supports(table)
     used: set[str] = set()
     for high_var, support in supports.items():
         if used & support:
@@ -508,32 +484,9 @@ def search_constructive_partition(
             support = {unused.pop(0)}
         cells.append((d.name, tuple(v for v in low_names if v in support)))
     partition = Partition(tuple(cells), tuple(unused))
-    comps, failure = derive_component_maps(m_low, m_high, tau, partition, cap)
+    comps, failure = derive_component_maps(m_low, m_high, table.as_map, partition, cap)
     if comps is None:
         raise AssertionError(f"disjoint supports must factor, got {failure}")
-    verdict = check_constructive(m_low, m_high, tau, partition, comps, cap)
-    if not verdict.verdict:
+    if not _strong(m_low, m_high, table, cap).verdict:
         return None
     return partition, comps
-
-
-def omega_tau_order_preserving(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    tau: StateMap,
-    cap: int | None = None,
-) -> CheckReport:
-    """Exhaustive order preservation (monotonicity over strictly comparable
-    pairs) of the induced map on its domain of definition."""
-    i_low_tau, _, omega_tau = compute_induced_sets(m_low, m_high, tau, cap)
-    for i1 in i_low_tau:
-        for i2 in i_low_tau:
-            if natural_lt(i1, i2) and not natural_leq(
-                omega_tau.apply(i1), omega_tau.apply(i2)
-            ):
-                return CheckReport(
-                    False,
-                    detail="induced map breaks the strict order",
-                    counterexample={"pair": (i1, i2)},
-                )
-    return CheckReport(True, detail="induced map preserves the strict order")

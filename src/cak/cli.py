@@ -2,13 +2,15 @@
 
 Machine-readable JSON reports go to stdout, human summaries to stderr
 (suppressed by --quiet). Exit codes: 0 the check holds (or the command
-succeeded), 1 the check fails, 2 input error. Reports are byte-identical
-across runs for identical inputs except for the timing_ms field.
+succeeded), 1 the check fails, 2 any library error (a CakError). Reports
+are byte-identical across runs for identical inputs except for the
+timing_ms field.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import os
 import sys
@@ -25,7 +27,7 @@ from .abstraction import (
     search_constructive_partition,
 )
 from .corpus import all_bundles, get_bundle
-from .errors import ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS, InputError
+from .errors import ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS, CakError, InputError
 from .model import EMPTY, check_context, check_intervention, solve_under, validate
 from .prob import equivalent, to_uev
 from .report import CheckReport
@@ -51,6 +53,14 @@ def _load_model(path: str):
             + "; ".join(d.message for d in diagnostics)
         )
     return model
+
+
+def _load_tau(path: str, low):
+    tau = serialize.state_map_from_obj(_load(path))
+    unknown = sorted(tau.referenced() - set(low.signature.endo_names))
+    if unknown:
+        raise InputError(f"{path} reads variables that are not low endogenous: {unknown}")
+    return tau
 
 
 def _emit(report: dict, started: float, quiet: bool, summary: str) -> None:
@@ -85,7 +95,7 @@ def _cmd_solve(args) -> int:
 def _run_check(args) -> CheckReport:
     low = _load_model(args.low)
     high = _load_model(args.high)
-    tau = serialize.state_map_from_obj(_load(args.tau))
+    tau = _load_tau(args.tau, low)
     kind = args.kind
     if kind == "exact":
         if not args.omega or not args.dists:
@@ -145,7 +155,7 @@ def _cmd_derive_omega(args) -> int:
     started = time.monotonic()
     low = _load_model(args.low)
     high = _load_model(args.high)
-    tau = serialize.state_map_from_obj(_load(args.tau))
+    tau = _load_tau(args.tau, low)
     inputs = {args.low: _digest(args.low), args.high: _digest(args.high), args.tau: _digest(args.tau)}
     if args.intervention:
         intervention = serialize.assignment_from_obj(serialize.loads(args.intervention))
@@ -293,21 +303,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _caps(args):
+    """The --max-* flags as environment caps for one invocation; the
+    previous environment is restored afterwards."""
+    caps = {ENV_MAX_INTERVENTIONS: args.max_interventions, ENV_MAX_CONTEXTS: args.max_contexts}
+    saved = {name: os.environ.get(name) for name, value in caps.items() if value is not None}
+    os.environ.update({name: str(caps[name]) for name in saved})
+    try:
+        yield
+    finally:
+        for name, old in saved.items():
+            if old is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = old
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_interventions is not None:
-        os.environ[ENV_MAX_INTERVENTIONS] = str(args.max_interventions)
-    if args.max_contexts is not None:
-        os.environ[ENV_MAX_CONTEXTS] = str(args.max_contexts)
     if getattr(args, "command", None) == "corpus" and args.action == "emit" and not args.name:
         parser.error("corpus emit needs a bundle name")
-    try:
-        return args.func(args)
-    except InputError as exc:
-        sys.stdout.write(serialize.dumps({"command": args.command, "error": str(exc)}))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with _caps(args):
+        try:
+            return args.func(args)
+        except CakError as exc:
+            sys.stdout.write(serialize.dumps({"command": args.command, "error": str(exc)}))
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

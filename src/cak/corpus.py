@@ -13,11 +13,9 @@ from .errors import InputError
 from .expr import Table, parse_expr
 from .interventions import InterventionMap
 from .maps import ContextMap, StateMap
-from .model import ALL, Assignment, CausalModel, Signature, VariableDecl
+from .model import ALL, EMPTY, Assignment, CausalModel, Signature, VariableDecl
 from .prob import RationalDist, context_pushforward
 from .report import CheckReport
-
-EMPTY = Assignment()
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, SizeCapExceeded, interventions_cap
-from .model import Assignment
+from .model import Assignment, CausalModel
 from .report import CheckReport
 
 
@@ -45,6 +45,20 @@ def enumerate_interventions(model_or_sig, cap: int | None = None) -> list[Assign
     return out
 
 
+def resolve_interventions(
+    model: CausalModel,
+    interventions: Iterable[Assignment] | None = None,
+    cap: int | None = None,
+) -> tuple[Assignment, ...]:
+    """`interventions` when given, else the model's allowed set, with
+    "all" enumerated."""
+    if interventions is not None:
+        return tuple(interventions)
+    if isinstance(model.allowed_interventions, str):
+        return tuple(enumerate_interventions(model, cap))
+    return model.allowed_interventions
+
+
 @dataclass(frozen=True)
 class InterventionMap:
     """An explicit finite table from low-level to high-level interventions."""
@@ -78,18 +92,11 @@ class InterventionMap:
         except KeyError:
             raise InputError(f"intervention map is undefined on {i!r}") from None
 
-    def domain(self) -> tuple[Assignment, ...]:
-        return tuple(src for src, _ in self.entries)
-
     def image(self) -> tuple[Assignment, ...]:
         seen: dict[Assignment, None] = {}
         for _, dst in self.entries:
             seen.setdefault(dst)
         return tuple(seen)
-
-    def restricted(self, interventions: Iterable[Assignment]) -> "InterventionMap":
-        keep = set(interventions)
-        return InterventionMap(tuple((a, b) for a, b in self.entries if a in keep))
 
 
 def check_omega(

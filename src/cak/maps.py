@@ -11,6 +11,11 @@ from .expr import Expr, compile_expr, variables
 from .model import Assignment, Signature, enumerate_states
 
 
+def _shared(mapping) -> Assignment:
+    # Assignments are immutable, so a table shares them instead of copying.
+    return mapping if isinstance(mapping, Assignment) else Assignment(mapping)
+
+
 @dataclass(frozen=True)
 class StateMap:
     """Total map from low endogenous states to high endogenous states.
@@ -28,7 +33,7 @@ class StateMap:
         if (self.entries is None) == (self.exprs is None):
             raise InputError("a state map is backed by exactly one of a table or expressions")
         if self.entries is not None:
-            canon = tuple(sorted((Assignment(a), Assignment(b)) for a, b in self.entries))
+            canon = tuple(sorted((_shared(a), _shared(b)) for a, b in self.entries))
             if len({a for a, _ in canon}) != len(canon):
                 raise InputError("duplicate state-map entry")
             object.__setattr__(self, "entries", canon)
@@ -50,7 +55,7 @@ class StateMap:
         return StateMap.from_exprs({d.name: Var(d.name) for d in signature.endogenous})
 
     @cached_property
-    def _table(self) -> dict[Assignment, Assignment] | None:
+    def _lookup(self) -> dict[Assignment, Assignment] | None:
         return dict(self.entries) if self.entries is not None else None
 
     @cached_property
@@ -62,9 +67,9 @@ class StateMap:
         )
 
     def apply(self, state: Assignment) -> Assignment:
-        if self._table is not None:
+        if self._lookup is not None:
             try:
-                return self._table[state]
+                return self._lookup[state]
             except KeyError:
                 raise InputError(f"state map is undefined on {state!r}") from None
         env = state._dict  # read-only use by the compiled closures

@@ -145,11 +145,6 @@ class Assignment(Mapping[str, int]):
         return Assignment({k: v for k, v in self._items if k in keep})
 
 
-# Aliases documenting intent at call sites.
-Context = Assignment
-EndoState = Assignment
-Intervention = Assignment
-
 EMPTY = Assignment()
 
 

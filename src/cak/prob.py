@@ -15,6 +15,7 @@ from .errors import InputError, SizeCapExceeded, contexts_cap
 from .interventions import enumerate_interventions
 from .maps import ContextMap, StateMap
 from .model import (
+    EMPTY,
     Assignment,
     CausalModel,
     Signature,
@@ -26,8 +27,6 @@ from .model import (
 )
 from .expr import Expr, Table, Var
 from .report import CheckReport
-
-EMPTY = Assignment()
 
 
 @dataclass(frozen=True)
@@ -112,11 +111,6 @@ class RationalDist:
         for k, p in other._nonzero.items():
             out[k] = out.get(k, Fraction(0)) + (1 - weight) * p
         return RationalDist(tuple(out.items()))
-
-
-# The two roles a RationalDist plays; the names document intent.
-RationalDistribution = RationalDist
-StateDistribution = RationalDist
 
 
 def check_distribution(model: CausalModel, d: RationalDist) -> None:

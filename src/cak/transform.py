@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .interventions import InterventionMap, check_omega
+from .interventions import InterventionMap, check_omega, resolve_interventions
 from .maps import ContextMap, StateMap, compose_intervention_maps, compose_state_maps
 from .model import Assignment, CausalModel, enumerate_contexts, solve_under
 from .prob import (
@@ -28,14 +28,6 @@ from .prob import (
     tau_pushforward,
 )
 from .report import CheckReport
-
-
-def _allowed(model: CausalModel, cap: int | None = None) -> tuple[Assignment, ...]:
-    if isinstance(model.allowed_interventions, str):
-        from .interventions import enumerate_interventions
-
-        return tuple(enumerate_interventions(model, cap))
-    return model.allowed_interventions
 
 
 def check_exact(
@@ -55,8 +47,8 @@ def check_exact(
     set, and be surjective and order-preserving; violations are input
     errors.
     """
-    i_low = _allowed(m_low, cap)
-    i_high = _allowed(m_high, cap)
+    i_low = resolve_interventions(m_low, cap=cap)
+    i_high = resolve_interventions(m_high, cap=cap)
     check_distribution(m_low, d_low)
     check_distribution(m_high, d_high)
     gate = check_omega(omega, i_low, i_high)
@@ -93,7 +85,7 @@ def check_compatible(
 ) -> CheckReport:
     """Whether tau(solve_low(u, i)) == solve_high(tau_u(u), omega(i)) for
     every low context u and every intervention i in `i_low`."""
-    interventions = tuple(i_low) if i_low is not None else _allowed(m_low, cap)
+    interventions = resolve_interventions(m_low, i_low, cap)
     for u in enumerate_contexts(m_low, cap):
         for i in interventions:
             low_side = tau.apply(solve_under(m_low, u, i))
@@ -185,7 +177,7 @@ def find_compatible_tau_u(
     the greedy choice is kept wherever the matching imposes nothing.
     The witness is the full table.
     """
-    interventions = tuple(i_low) if i_low is not None else _allowed(m_low, cap)
+    interventions = resolve_interventions(m_low, i_low, cap)
     low_contexts, high_contexts, cands = _correspondents(
         m_low, m_high, tau, omega, interventions, cap
     )
@@ -238,21 +230,36 @@ def _match_high_side(
             candidates_of_high[u_h].append(u_l)
 
     match_of_low: dict[Assignment, Assignment] = {}
-    match_of_high: dict[Assignment, Assignment] = {}
 
-    def try_assign(u_h: Assignment, visited: set[Assignment]) -> bool:
-        for u_l in candidates_of_high[u_h]:
-            if u_l in visited:
-                continue
-            visited.add(u_l)
-            if u_l not in match_of_low or try_assign(match_of_low[u_l], visited):
-                match_of_low[u_l] = u_h
-                match_of_high[u_h] = u_l
-                return True
+    def augment(root: Assignment) -> bool:
+        # Kuhn's augmenting-path search with an explicit stack, so a long
+        # path cannot exhaust the interpreter's recursion limit. Frame k
+        # scans the candidates of stack[k]'s high context in order; path[k]
+        # is the low context that frame is trying to take.
+        visited: set[Assignment] = set()
+        stack = [(root, iter(candidates_of_high[root]))]
+        path: list[Assignment] = []
+        while stack:
+            for u_l in stack[-1][1]:
+                if u_l in visited:
+                    continue
+                visited.add(u_l)
+                path.append(u_l)
+                if u_l not in match_of_low:
+                    for (u_h, _), taken in zip(stack, path):
+                        match_of_low[taken] = u_h
+                    return True
+                u_h = match_of_low[u_l]
+                stack.append((u_h, iter(candidates_of_high[u_h])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
     for u_h in high_contexts:
-        if not try_assign(u_h, set()):
+        if not augment(u_h):
             return None
     return match_of_low
 
@@ -269,7 +276,7 @@ def iter_compatible_tau_u(
     """Yield every compatible context map (up to `limit`), in lexicographic
     order of choices. Existence is certified by find_compatible_tau_u;
     this enumerates the full witness space on request."""
-    interventions = tuple(i_low) if i_low is not None else _allowed(m_low, cap)
+    interventions = resolve_interventions(m_low, i_low, cap)
     low_contexts, _, cands = _correspondents(
         m_low, m_high, tau, omega, interventions, cap
     )
@@ -297,8 +304,8 @@ def check_uniform(
     context map (no surjectivity demanded). omega must be admissible
     between the two allowed sets.
     """
-    i_low = _allowed(m_low, cap)
-    i_high = _allowed(m_high, cap)
+    i_low = resolve_interventions(m_low, cap=cap)
+    i_high = resolve_interventions(m_high, cap=cap)
     gate = check_omega(omega, i_low, i_high)
     if not gate.verdict:
         raise InputError(f"omega is not admissible: {gate.detail}")

@@ -9,6 +9,7 @@ from cak import (
     Partition,
     StateMap,
     check_constructive,
+    check_omega,
     check_strong_abstraction,
     check_tau_abstraction,
     check_uniform,
@@ -17,11 +18,11 @@ from cak import (
     derive_omega_tau,
     enumerate_interventions,
     enumerate_states,
-    omega_tau_order_preserving,
     rst,
     search_constructive_partition,
 )
 from cak.corpus import (
+    all_bundles,
     build_disjunctive_merge,
     build_energy_discrete,
     build_gated_extension,
@@ -31,7 +32,7 @@ from cak.corpus import (
 )
 
 from .test_model import CHAIN, THREE_BITS
-from .util import random_model, random_state_map
+from .util import brute_force_omega_tau, random_model, random_state_map
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def test_induced_image_undefined_cases():
 def test_induced_image_matches_brute_force_everywhere():
     low = DM.low.with_allowed("all")
     for i in enumerate_interventions(low):
-        derive_omega_tau(low, DM.high, DM.tau, i, check_all_candidates=True)
+        brute_force_omega_tau(low, DM.high, DM.tau, i)
 
 
 def test_induced_sets_disjunctive_merge():
@@ -299,6 +300,40 @@ def test_search_respects_low_variable_cap():
         search_constructive_partition(b.low, b.high, b.tau, max_low_vars=3)
 
 
+def test_each_check_materializes_tau_once(monkeypatch):
+    # One tau table serves every level a check runs: the strong check's
+    # inner tau-abstraction and the constructive search's strong core
+    # read the table their caller built.
+    import cak.abstraction
+    import cak.maps
+
+    calls = []
+    original = cak.maps.materialize_state_map
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cak.maps, "materialize_state_map", counted)
+    monkeypatch.setattr(cak.abstraction, "materialize_state_map", counted)
+
+    def count(check, *args):
+        calls.clear()
+        result = check(*args)
+        return len(calls), result
+
+    non_factoring = Partition((("Y1", ("X1",)), ("Y2", ("X2",))), ("X3",))
+    for b in all_bundles():
+        args = (b.low, b.high, b.tau)
+        assert count(check_tau_abstraction, *args)[0] == 1, b.name
+        assert count(check_strong_abstraction, *args)[0] == 1, b.name
+        n, found = count(search_constructive_partition, *args)
+        assert n == 1, b.name
+        if found is not None:
+            assert count(check_constructive, *args, *found)[0] == 1, b.name
+    assert count(check_constructive, DM.low, DM.high, DM.tau, non_factoring)[0] == 1
+
+
 # ---------------------------------------------------------------------------
 # structural properties of the induced map
 
@@ -323,7 +358,8 @@ def test_surjective_tau_sends_empty_to_empty_and_fulls_to_fulls():
 
 def test_induced_map_is_order_preserving_on_its_domain():
     for bundle in (DM, build_pixel_grid(2, "merged"), build_energy_discrete()):
-        assert omega_tau_order_preserving(bundle.low, bundle.high, bundle.tau).verdict
+        i_low_tau, i_high_tau, omega_tau = compute_induced_sets(bundle.low, bundle.high, bundle.tau)
+        assert check_omega(omega_tau, i_low_tau, i_high_tau).verdict
 
 
 def test_abstraction_implies_uniform_with_induced_map():
@@ -355,9 +391,9 @@ def test_induced_image_minimal_with_one_value_domains():
         (("Y", parse_expr("W")), ("Z", parse_expr("5"))),
     )
     tau = StateMap.from_exprs({"Y": parse_expr("X"), "Z": parse_expr("5")})
-    got = derive_omega_tau(low, high, tau, Assignment(X=1), check_all_candidates=True)
+    got = brute_force_omega_tau(low, high, tau, Assignment(X=1))
     assert got == Assignment(Y=1)
-    assert derive_omega_tau(low, high, tau, EMPTY, check_all_candidates=True) == EMPTY
+    assert brute_force_omega_tau(low, high, tau, EMPTY) == EMPTY
 
 
 def test_derive_omega_tau_brute_force_on_random_models():
@@ -367,4 +403,4 @@ def test_derive_omega_tau_brute_force_on_random_models():
         high = random_model(rng, max_endo=2, max_exo=1)
         tau = random_state_map(rng, low, high)
         for i in enumerate_interventions(low):
-            derive_omega_tau(low, high, tau, i, check_all_candidates=True)
+            brute_force_omega_tau(low, high, tau, i)

@@ -16,6 +16,7 @@ from cak import (
     EMPTY,
     RationalDist,
     check_exact,
+    check_omega,
     check_strong_abstraction,
     check_tau_abstraction,
     check_uev,
@@ -28,7 +29,6 @@ from cak import (
     enumerate_states,
     equivalent,
     find_compatible_tau_u,
-    omega_tau_order_preserving,
     search_constructive_partition,
     to_uev,
     uniform_distribution_probe,
@@ -277,7 +277,8 @@ def test_criterion_10_induced_map_structure_and_hierarchy():
             for state in enumerate_states(low_all):
                 img = derive_omega_tau(low_all, bundle.high, bundle.tau, state)
                 assert img == bundle.tau.apply(state), bundle.name
-            assert omega_tau_order_preserving(low_all, bundle.high, bundle.tau).verdict, bundle.name
+            i_low_tau, i_high_tau, omega_tau = compute_induced_sets(low_all, bundle.high, bundle.tau)
+            assert check_omega(omega_tau, i_low_tau, i_high_tau).verdict, bundle.name
 
         constructive = search_constructive_partition(low_all, bundle.high, bundle.tau)
         strong = check_strong_abstraction(low_all, bundle.high, bundle.tau)

@@ -266,12 +266,7 @@ def test_reports_are_byte_stable_apart_from_timing(capsys, emitted):
     assert err1 == "" and err2 == ""
 
 
-def test_size_cap_flag_exits_2(capsys, emitted, monkeypatch):
-    from cak.errors import ENV_MAX_INTERVENTIONS
-
-    # main() writes the flag into the environment; setenv records the
-    # pre-test state so the write is undone afterwards.
-    monkeypatch.setenv(ENV_MAX_INTERVENTIONS, "10000000")
+def test_size_cap_flag_exits_2(capsys, emitted):
     paths = emitted("disjunctive-merge")
     code, out, _ = run(
         capsys,
@@ -285,3 +280,60 @@ def test_size_cap_flag_exits_2(capsys, emitted, monkeypatch):
     )
     assert code == 2
     assert "cap" in out["error"]
+
+
+def test_size_cap_flag_applies_to_one_call(capsys, emitted):
+    import os
+
+    from cak.errors import ENV_MAX_INTERVENTIONS
+
+    before = os.environ.get(ENV_MAX_INTERVENTIONS)
+    paths = emitted("disjunctive-merge")
+    argv = ["derive-omega", paths["low"], paths["high"], "--tau", paths["tau"]]
+    code, _, _ = run(capsys, "--max-interventions", "2", *argv)
+    assert code == 2
+    assert os.environ.get(ENV_MAX_INTERVENTIONS) == before
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(out["induced_low"]) == 24
+
+
+def _write_tau(tmp_path, exprs):
+    path = tmp_path / "tau.json"
+    path.write_text(dumps({"exprs": exprs}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["strong", "uniform"])
+def test_tau_undefined_on_a_low_state_exits_2(capsys, emitted, tmp_path, kind):
+    paths = emitted("chain-vs-independent")
+    tau = _write_tau(tmp_path, {"X1": "table(X1)[(0) -> 0]", "X2": "X2"})
+    code, out, _ = run(
+        capsys, "check", kind, paths["low"], paths["high"], "--tau", tau, "--omega", paths["omega"]
+    )
+    assert code == 2
+    assert "no entry" in out["error"]
+
+
+def test_tau_reading_an_undeclared_variable_exits_2(capsys, emitted, tmp_path):
+    paths = emitted("chain-vs-independent")
+    tau = _write_tau(tmp_path, {"X1": "Q", "X2": "X2"})
+    code, out, _ = run(capsys, "check", "strong", paths["low"], paths["high"], "--tau", tau)
+    assert code == 2
+    assert "['Q']" in out["error"]
+
+
+def test_derive_omega_rejects_an_out_of_domain_intervention(capsys, emitted):
+    paths = emitted("disjunctive-merge")
+    code, out, _ = run(
+        capsys,
+        "derive-omega",
+        paths["low"],
+        paths["high"],
+        "--tau",
+        paths["tau"],
+        "--intervention",
+        '{"X1": 7}',
+    )
+    assert code == 2
+    assert "outside its domain" in out["error"]

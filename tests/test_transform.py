@@ -28,8 +28,10 @@ from cak.corpus import (
     build_unrelated_pair,
 )
 from cak.maps import ContextMap
+from cak.transform import _match_high_side
 
 from .test_model import CHAIN, model_of
+from .util import reference_match_high_side
 
 
 def _identity_setup(model):
@@ -206,6 +208,33 @@ def test_surjective_completion_impossible():
     report = find_compatible_tau_u(low, high, tau, omega, require_surjective=True)
     assert not report.verdict
     assert report.counterexample["unreachable_high_contexts"]
+
+
+def test_matcher_follows_a_3000_step_augmenting_path():
+    # Low i accepts high i+1, then high i. Taking the highs from 1 upwards
+    # gives low i-1 to high i, so high 0 displaces every earlier match.
+    n = 3000
+    lows = list(range(n))
+    highs = list(range(1, n)) + [0]
+    cands = {i: ([i + 1] if i + 1 < n else []) + [i] for i in lows}
+    matched = _match_high_side(lows, highs, cands)
+    assert matched == {i: i for i in lows}
+
+
+def test_matcher_agrees_with_recursive_reference():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(300):
+        lows = list(range(rng.randint(1, 12)))
+        highs = [f"h{j}" for j in range(rng.randint(1, 10))]
+        rng.shuffle(highs)
+        cands = {
+            u_l: rng.sample(highs, rng.randint(0, len(highs))) for u_l in lows
+        }
+        got = _match_high_side(lows, highs, cands)
+        assert got == reference_match_high_side(lows, highs, cands)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_iter_compatible_enumerates_all_witnesses():

@@ -1,4 +1,6 @@
-"""Seeded random generators for models, maps, and intervention setups.
+"""Seeded random generators for models, maps, and intervention setups,
+and the slow reference implementations that fast library paths are
+checked against.
 
 All generators are deterministic functions of the supplied Random
 instance, so failures reproduce from the seed alone.
@@ -18,8 +20,10 @@ from cak import (
     Signature,
     StateMap,
     VariableDecl,
+    derive_omega_tau,
     enumerate_interventions,
     enumerate_states,
+    rst,
 )
 from cak.expr import Lit, Table
 
@@ -140,3 +144,60 @@ def random_uniform_chain(rng: random.Random, max_attempts: int = 2000):
             continue  # randomly drawn images broke monotonicity; redraw
         return low, mid, high, tau1, omega1, tau2, omega2
     raise AssertionError("could not sample a two-leg chain within the attempt budget")
+
+
+def brute_force_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, intervention):
+    """derive_omega_tau, checked against a search over every high
+    intervention for one whose restriction set is exactly the tau-image of
+    the low restriction set. Returns the library's answer."""
+    result = derive_omega_tau(low, high, tau, intervention)
+    high_sig = high.signature
+    images = {tau.apply(s) for s in rst(low.signature.endogenous, intervention)}
+    hits = [
+        cand
+        for cand in enumerate_interventions(high_sig)
+        if set(rst(high_sig.endogenous, cand)) == images
+    ]
+    if (result is None) != (not hits):
+        raise AssertionError(
+            f"constant-coordinate candidate {result!r} disagrees with brute force {hits}"
+        )
+    # Candidates satisfying the set equation can differ only in variables
+    # whose whole domain is one value; the returned image is the minimal
+    # representative.
+    if hits and result not in hits:
+        raise AssertionError(f"canonical image {result!r} not among {hits}")
+    for hit in hits:
+        extra = set(hit) - set(result)
+        if set(result) - set(hit) or any(len(high_sig.domains[v]) > 1 for v in extra):
+            raise AssertionError(f"induced image is not unique: {hits}")
+    return result
+
+
+def reference_match_high_side(low_contexts, high_contexts, cands):
+    """The recursive form of transform._match_high_side: Kuhn's
+    augmenting-path search, trying candidates in list order. The library's
+    iterative matcher must return the same matching."""
+    candidates_of_high = {u_h: [] for u_h in high_contexts}
+    for u_l in low_contexts:
+        for u_h in cands[u_l]:
+            candidates_of_high[u_h].append(u_l)
+
+    match_of_low = {}
+    match_of_high = {}
+
+    def try_assign(u_h, visited):
+        for u_l in candidates_of_high[u_h]:
+            if u_l in visited:
+                continue
+            visited.add(u_l)
+            if u_l not in match_of_low or try_assign(match_of_low[u_l], visited):
+                match_of_low[u_l] = u_h
+                match_of_high[u_h] = u_l
+                return True
+        return False
+
+    for u_h in high_contexts:
+        if not try_assign(u_h, set()):
+            return None
+    return match_of_low
