@@ -20,8 +20,8 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError, SizeCapExceeded
-from .interventions import InterventionMap, enumerate_interventions, resolve_interventions
-from .maps import StateMap, materialize_state_map
+from .interventions import enumerate_interventions, resolve_interventions
+from .maps import InterventionMap, StateMap, materialize_state_map
 from .model import Assignment, CausalModel, VariableDecl, check_intervention, enumerate_states
 from .report import CheckReport
 from .transform import find_compatible_tau_u
@@ -153,10 +153,17 @@ def check_tau_abstraction(
 
     Every intervention in `i_low` must have a defined induced image;
     otherwise the check fails at (c) naming the offending intervention.
-    The report identifies the first failing part.
+    The report identifies the first failing part. Explicitly given
+    interventions must be well-typed for their model.
     """
     low_list = resolve_interventions(m_low, i_low, cap)
     high_list = resolve_interventions(m_high, i_high, cap)
+    if i_low is not None:
+        for i in low_list:
+            check_intervention(m_low, i)
+    if i_high is not None:
+        for i in high_list:
+            check_intervention(m_high, i)
     table = _TauTable(m_low, m_high, tau, cap)
     pairs = []
     for i in low_list:

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .expr import Table, parse_expr
-from .interventions import InterventionMap
-from .maps import ContextMap, StateMap
+from .maps import ContextMap, InterventionMap, StateMap
 from .model import ALL, EMPTY, Assignment, CausalModel, Signature, VariableDecl
-from .prob import RationalDist, context_pushforward
+from .prob import RationalDist, tau_pushforward
 from .report import CheckReport
 
 
@@ -681,7 +680,7 @@ def build_linear_aggregate(n_micro: int = 2) -> ExampleBundle:
             for u in enumerate_contexts(low)
         )
     )
-    d_high = context_pushforward(tau_u, d_low)
+    d_high = tau_pushforward(tau_u, d_low)
     return ExampleBundle(
         "linear-sum",
         "micro variables aggregated into their sum, with a noisy response",

@@ -1,13 +1,13 @@
-"""Intervention spaces, the natural partial order, and intervention maps."""
+"""Intervention spaces, the natural partial order, and the admissibility of
+intervention maps."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, SizeCapExceeded, interventions_cap
+from .maps import InterventionMap
 from .model import Assignment, CausalModel
 from .report import CheckReport
 
@@ -57,46 +57,6 @@ def resolve_interventions(
     if isinstance(model.allowed_interventions, str):
         return tuple(enumerate_interventions(model, cap))
     return model.allowed_interventions
-
-
-@dataclass(frozen=True)
-class InterventionMap:
-    """An explicit finite table from low-level to high-level interventions."""
-
-    entries: tuple[tuple[Assignment, Assignment], ...]
-
-    def __post_init__(self):
-        canon = tuple(sorted(((Assignment(a), Assignment(b)) for a, b in self.entries)))
-        seen = set()
-        for src, _ in canon:
-            if src in seen:
-                raise InputError(f"duplicate intervention-map entry for {src!r}")
-            seen.add(src)
-        object.__setattr__(self, "entries", canon)
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[Assignment, Assignment]]) -> "InterventionMap":
-        return InterventionMap(tuple(pairs))
-
-    @staticmethod
-    def identity(interventions: Iterable[Assignment]) -> "InterventionMap":
-        return InterventionMap(tuple((i, i) for i in interventions))
-
-    @cached_property
-    def table(self) -> dict[Assignment, Assignment]:
-        return dict(self.entries)
-
-    def apply(self, i: Assignment) -> Assignment:
-        try:
-            return self.table[i]
-        except KeyError:
-            raise InputError(f"intervention map is undefined on {i!r}") from None
-
-    def image(self) -> tuple[Assignment, ...]:
-        seen: dict[Assignment, None] = {}
-        for _, dst in self.entries:
-            seen.setdefault(dst)
-        return tuple(seen)
 
 
 def check_omega(

@@ -4,20 +4,73 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import ClassVar, Iterable, Mapping
 
 from .errors import InputError
-from .expr import Expr, compile_expr, variables
-from .model import Assignment, Signature, enumerate_states
-
-
-def _shared(mapping) -> Assignment:
-    # Assignments are immutable, so a table shares them instead of copying.
-    return mapping if isinstance(mapping, Assignment) else Assignment(mapping)
+from .expr import Expr, Var, compile_expr, variables
+from .model import Assignment, Signature, _shared, enumerate_states
 
 
 @dataclass(frozen=True)
-class StateMap:
+class FiniteMap:
+    """A finite table from assignments to assignments.
+
+    Entries are sorted into a canonical order and share the `Assignment`s
+    they are given. A key may appear once; `apply` is defined exactly on
+    the keys. Subclasses name the kind of map in their error messages.
+    """
+
+    kind: ClassVar[str] = "finite map"
+    entries: tuple[tuple[Assignment, Assignment], ...]
+
+    def __post_init__(self):
+        canon = tuple(sorted((_shared(a), _shared(b)) for a, b in self.entries))
+        seen = set()
+        for key, _ in canon:
+            if key in seen:
+                raise InputError(f"duplicate {self.kind} entry for {key!r}")
+            seen.add(key)
+        object.__setattr__(self, "entries", canon)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[Assignment, Assignment]]):
+        return cls(tuple(pairs))
+
+    from_table = from_pairs
+
+    @classmethod
+    def identity(cls, keys: Iterable[Assignment]):
+        return cls(tuple((k, k) for k in keys))
+
+    @cached_property
+    def _lookup(self) -> dict[Assignment, Assignment]:
+        return dict(self.entries)
+
+    def apply(self, key: Assignment) -> Assignment:
+        try:
+            return self._lookup[key]
+        except KeyError:
+            raise InputError(f"{self.kind} is undefined on {key!r}") from None
+
+    def image(self) -> tuple[Assignment, ...]:
+        """The distinct values, in entry order."""
+        return tuple(dict.fromkeys(dst for _, dst in self.entries))
+
+
+class ContextMap(FiniteMap):
+    """Total map from low contexts to high contexts."""
+
+    kind = "context map"
+
+
+class InterventionMap(FiniteMap):
+    """Map from low-level to high-level interventions."""
+
+    kind = "intervention map"
+
+
+@dataclass(frozen=True)
+class StateMap(FiniteMap):
     """Total map from low endogenous states to high endogenous states.
 
     Backed either by an explicit table or by one expression per high
@@ -26,6 +79,7 @@ class StateMap:
     further context.
     """
 
+    kind = "state map"
     entries: tuple[tuple[Assignment, Assignment], ...] | None = None
     exprs: tuple[tuple[str, Expr], ...] | None = None
 
@@ -33,16 +87,9 @@ class StateMap:
         if (self.entries is None) == (self.exprs is None):
             raise InputError("a state map is backed by exactly one of a table or expressions")
         if self.entries is not None:
-            canon = tuple(sorted((_shared(a), _shared(b)) for a, b in self.entries))
-            if len({a for a, _ in canon}) != len(canon):
-                raise InputError("duplicate state-map entry")
-            object.__setattr__(self, "entries", canon)
+            super().__post_init__()
         else:
             object.__setattr__(self, "exprs", tuple(self.exprs))
-
-    @staticmethod
-    def from_table(pairs: Iterable[tuple[Assignment, Assignment]]) -> "StateMap":
-        return StateMap(entries=tuple(pairs))
 
     @staticmethod
     def from_exprs(exprs: Mapping[str, Expr]) -> "StateMap":
@@ -50,28 +97,18 @@ class StateMap:
 
     @staticmethod
     def identity(signature: Signature) -> "StateMap":
-        from .expr import Var
-
         return StateMap.from_exprs({d.name: Var(d.name) for d in signature.endogenous})
 
     @cached_property
-    def _lookup(self) -> dict[Assignment, Assignment] | None:
-        return dict(self.entries) if self.entries is not None else None
-
-    @cached_property
     def _compiled(self):
-        if self.exprs is None:
-            return None
         return sorted(
             ((name, compile_expr(e)) for name, e in self.exprs), key=lambda p: p[0]
         )
 
     def apply(self, state: Assignment) -> Assignment:
-        if self._lookup is not None:
-            try:
-                return self._lookup[state]
-            except KeyError:
-                raise InputError(f"state map is undefined on {state!r}") from None
+        if self.exprs is None:
+            # Named directly: on this hot path super() costs more than the lookup.
+            return FiniteMap.apply(self, state)
         env = state._dict  # read-only use by the compiled closures
         return Assignment._from_sorted_items(
             tuple((name, fn(env)) for name, fn in self._compiled)
@@ -111,39 +148,6 @@ def materialize_state_map(tau: StateMap, low: Signature, high: Signature, cap: i
     return table
 
 
-@dataclass(frozen=True)
-class ContextMap:
-    """Total map from low contexts to high contexts, as an explicit table."""
-
-    entries: tuple[tuple[Assignment, Assignment], ...]
-
-    def __post_init__(self):
-        canon = tuple(sorted((Assignment(a), Assignment(b)) for a, b in self.entries))
-        if len({a for a, _ in canon}) != len(canon):
-            raise InputError("duplicate context-map entry")
-        object.__setattr__(self, "entries", canon)
-
-    @staticmethod
-    def from_table(pairs: Iterable[tuple[Assignment, Assignment]]) -> "ContextMap":
-        return ContextMap(tuple(pairs))
-
-    @cached_property
-    def table(self) -> dict[Assignment, Assignment]:
-        return dict(self.entries)
-
-    def apply(self, context: Assignment) -> Assignment:
-        try:
-            return self.table[context]
-        except KeyError:
-            raise InputError(f"context map is undefined on {context!r}") from None
-
-    def image(self) -> tuple[Assignment, ...]:
-        seen: dict[Assignment, None] = {}
-        for _, dst in self.entries:
-            seen.setdefault(dst)
-        return tuple(seen)
-
-
 def compose_state_maps(
     first: StateMap,
     second: StateMap,
@@ -156,10 +160,10 @@ def compose_state_maps(
     return StateMap.from_table(tuple((s, second.apply(v)) for s, v in inner.items()))
 
 
-def compose_intervention_maps(first, second):
+def compose_intervention_maps(
+    first: InterventionMap, second: InterventionMap
+) -> InterventionMap:
     """Table computing second(first(i)) over first's domain."""
-    from .interventions import InterventionMap
-
     return InterventionMap.from_pairs(
         tuple((src, second.apply(dst)) for src, dst in first.entries)
     )

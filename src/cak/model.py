@@ -148,6 +148,11 @@ class Assignment(Mapping[str, int]):
 EMPTY = Assignment()
 
 
+def _shared(mapping) -> Assignment:
+    # Assignments are immutable, so containers share them instead of copying.
+    return mapping if isinstance(mapping, Assignment) else Assignment(mapping)
+
+
 @dataclass(frozen=True)
 class CausalModel:
     """A finite causal model: signature, one equation per endogenous
@@ -178,10 +183,7 @@ class CausalModel:
             object.__setattr__(
                 self,
                 "allowed_interventions",
-                tuple(
-                    i if isinstance(i, Assignment) else Assignment(i)
-                    for i in self.allowed_interventions
-                ),
+                tuple(_shared(i) for i in self.allowed_interventions),
             )
 
     @cached_property

@@ -13,13 +13,14 @@ from typing import Iterable, Mapping
 
 from .errors import InputError, SizeCapExceeded, contexts_cap
 from .interventions import enumerate_interventions
-from .maps import ContextMap, StateMap
+from .maps import FiniteMap
 from .model import (
     EMPTY,
     Assignment,
     CausalModel,
     Signature,
     VariableDecl,
+    _shared,
     check_context,
     check_intervention,
     enumerate_contexts,
@@ -44,7 +45,7 @@ class RationalDist:
         seen = set()
         total = Fraction(0)
         for key, p in self.entries:
-            key = Assignment(key)
+            key = _shared(key)
             p = Fraction(p)
             if p < 0:
                 raise InputError(f"negative probability {p} for {key!r}")
@@ -59,7 +60,7 @@ class RationalDist:
 
     @staticmethod
     def point(key: Assignment) -> "RationalDist":
-        return RationalDist(((Assignment(key), Fraction(1)),))
+        return RationalDist(((key, Fraction(1)),))
 
     @staticmethod
     def uniform(keys: Iterable[Assignment]) -> "RationalDist":
@@ -81,7 +82,7 @@ class RationalDist:
         return {k: p for k, p in self.entries if p != 0}
 
     def mass(self, key: Assignment) -> Fraction:
-        return self._nonzero.get(Assignment(key), Fraction(0))
+        return self._nonzero.get(_shared(key), Fraction(0))
 
     def support(self) -> tuple[Assignment, ...]:
         return tuple(self._nonzero)
@@ -138,20 +139,13 @@ def interventional_dist(model: CausalModel, d: RationalDist, intervention: Assig
     return RationalDist(tuple(out.items()))
 
 
-def tau_pushforward(tau: StateMap, sd: RationalDist) -> RationalDist:
-    """Image of a state distribution under a state map; mass-preserving."""
+def tau_pushforward(tau: FiniteMap, d: RationalDist) -> RationalDist:
+    """Image of a distribution under a finite map (a state map on state
+    distributions, a context map on context distributions);
+    mass-preserving."""
     out: dict[Assignment, Fraction] = {}
-    for state, p in sd.entries:
-        image = tau.apply(state)
-        out[image] = out.get(image, Fraction(0)) + p
-    return RationalDist(tuple(out.items()))
-
-
-def context_pushforward(tau_u: ContextMap, d: RationalDist) -> RationalDist:
-    """Image of a context distribution under a context map."""
-    out: dict[Assignment, Fraction] = {}
-    for context, p in d.entries:
-        image = tau_u.apply(context)
+    for key, p in d.entries:
+        image = tau.apply(key)
         out[image] = out.get(image, Fraction(0)) + p
     return RationalDist(tuple(out.items()))
 

@@ -25,8 +25,7 @@ from .abstraction import ComponentMaps, Partition
 from .corpus import ExampleBundle
 from .errors import InputError
 from .expr import parse_expr, to_source
-from .interventions import InterventionMap
-from .maps import ContextMap, StateMap
+from .maps import ContextMap, FiniteMap, InterventionMap, StateMap
 from .model import ALL, Assignment, CausalModel, Diagnostic, Signature, VariableDecl
 from .prob import RationalDist
 from .report import CheckReport
@@ -123,14 +122,24 @@ def dist_from_obj(obj: Any) -> RationalDist:
     return RationalDist(tuple(entries))
 
 
+def _rows_to_obj(m: FiniteMap) -> list[dict]:
+    return [{"from": assignment_to_obj(a), "to": assignment_to_obj(b)} for a, b in m.entries]
+
+
+def _rows_from_obj(rows: Any, what: str) -> tuple[tuple[Assignment, Assignment], ...]:
+    if not isinstance(rows, list):
+        raise InputError(f"{what} table must be a JSON array")
+    pairs = []
+    for row in rows:
+        if not isinstance(row, dict) or "from" not in row or "to" not in row:
+            raise InputError(f"{what} entry needs 'from' and 'to': {row!r}")
+        pairs.append((assignment_from_obj(row["from"]), assignment_from_obj(row["to"])))
+    return tuple(pairs)
+
+
 def state_map_to_obj(tau: StateMap) -> dict:
     if tau.entries is not None:
-        return {
-            "table": [
-                {"from": assignment_to_obj(a), "to": assignment_to_obj(b)}
-                for a, b in tau.entries
-            ]
-        }
+        return {"table": _rows_to_obj(tau)}
     return {"exprs": {name: to_source(e) for name, e in tau.exprs}}
 
 
@@ -138,12 +147,7 @@ def state_map_from_obj(obj: Any) -> StateMap:
     if not isinstance(obj, dict):
         raise InputError("state map document must be a JSON object")
     if "table" in obj:
-        return StateMap.from_table(
-            tuple(
-                (assignment_from_obj(row["from"]), assignment_from_obj(row["to"]))
-                for row in obj["table"]
-            )
-        )
+        return StateMap.from_table(_rows_from_obj(obj["table"], "state map"))
     if "exprs" in obj:
         return StateMap.from_exprs(
             {str(name): parse_expr(str(src)) for name, src in obj["exprs"].items()}
@@ -152,41 +156,23 @@ def state_map_from_obj(obj: Any) -> StateMap:
 
 
 def context_map_to_obj(tau_u: ContextMap) -> dict:
-    return {
-        "table": [
-            {"from": assignment_to_obj(a), "to": assignment_to_obj(b)}
-            for a, b in tau_u.entries
-        ]
-    }
+    return {"table": _rows_to_obj(tau_u)}
 
 
 def context_map_from_obj(obj: Any) -> ContextMap:
     if not isinstance(obj, dict) or "table" not in obj:
         raise InputError("context map document needs a 'table' field")
-    return ContextMap.from_table(
-        tuple(
-            (assignment_from_obj(row["from"]), assignment_from_obj(row["to"]))
-            for row in obj["table"]
-        )
-    )
+    return ContextMap.from_table(_rows_from_obj(obj["table"], "context map"))
 
 
 def intervention_map_to_obj(omega: InterventionMap) -> list[dict]:
-    return [
-        {"from": assignment_to_obj(a), "to": assignment_to_obj(b)}
-        for a, b in omega.entries
-    ]
+    return _rows_to_obj(omega)
 
 
 def intervention_map_from_obj(obj: Any) -> InterventionMap:
     if not isinstance(obj, list):
         raise InputError("intervention map document must be a JSON array")
-    return InterventionMap.from_pairs(
-        tuple(
-            (assignment_from_obj(row["from"]), assignment_from_obj(row["to"]))
-            for row in obj
-        )
-    )
+    return InterventionMap.from_pairs(_rows_from_obj(obj, "intervention map"))
 
 
 def partition_to_obj(partition: Partition) -> dict:

@@ -17,16 +17,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
-from .interventions import InterventionMap, check_omega, resolve_interventions
-from .maps import ContextMap, StateMap, compose_intervention_maps, compose_state_maps
-from .model import Assignment, CausalModel, enumerate_contexts, solve_under
-from .prob import (
-    RationalDist,
-    check_distribution,
-    context_pushforward,
-    interventional_dist,
-    tau_pushforward,
+from .interventions import check_omega, resolve_interventions
+from .maps import (
+    ContextMap,
+    InterventionMap,
+    StateMap,
+    compose_intervention_maps,
+    compose_state_maps,
 )
+from .model import Assignment, CausalModel, enumerate_contexts, solve_under
+from .prob import RationalDist, check_distribution, interventional_dist, tau_pushforward
 from .report import CheckReport
 
 
@@ -349,7 +349,7 @@ def uniform_distribution_probe(
     space = enumerate_contexts(m_low, cap)
     for k in range(n_samples):
         d_low = sample_rational_dist(space, rng, max_denominator)
-        d_high = context_pushforward(tau_u, d_low)
+        d_high = tau_pushforward(tau_u, d_low)
         report = check_exact(m_low, d_low, m_high, d_high, tau, omega, cap)
         if not report.verdict:
             return CheckReport(
@@ -375,7 +375,7 @@ def compose_transformations(
 ) -> tuple[StateMap, InterventionMap]:
     """Compose two transformation legs into a single low-to-high pair of
     explicit tables (the low-to-mid maps are applied first)."""
-    mid_domain = set(omega_mid_high.table)
+    mid_domain = {src for src, _ in omega_mid_high.entries}
     for _, dst in omega_low_mid.entries:
         if dst not in mid_domain:
             raise InputError(

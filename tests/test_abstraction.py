@@ -180,6 +180,21 @@ def test_abstraction_checks_high_set_equality():
     assert Assignment(X1=0) in report.counterexample["missing_from_image"]
 
 
+@pytest.mark.parametrize(
+    "i_low, i_high",
+    [
+        ([Assignment(X1=7)], None),
+        ([Assignment(NOPE=1)], None),
+        (None, [Assignment(Y1=7)]),
+        (None, [Assignment(NOPE=1)]),
+    ],
+    ids=["low-out-of-domain", "low-undeclared", "high-out-of-domain", "high-undeclared"],
+)
+def test_abstraction_rejects_ill_typed_explicit_interventions(i_low, i_high):
+    with pytest.raises(InputError, match="intervention sets"):
+        check_tau_abstraction(DM.low, DM.high, DM.tau, i_low, i_high)
+
+
 def test_strong_fails_for_pixel_two_counter_naming_a_lone_counter():
     b = build_pixel_grid(2, "two-counter")
     report = check_strong_abstraction(b.low, b.high, b.tau)

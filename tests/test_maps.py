@@ -1,16 +1,29 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from cak import (
     Assignment,
+    ContextMap,
     InputError,
+    InterventionMap,
     StateMap,
     enumerate_states,
     materialize_state_map,
     parse_expr,
 )
-from cak.maps import ContextMap, compose_state_maps
+from cak.maps import compose_state_maps
+from cak.serialize import (
+    context_map_from_obj,
+    dumps,
+    intervention_map_from_obj,
+    state_map_from_obj,
+    to_jsonable,
+)
 
 from .test_model import CHAIN, THREE_BITS, model_of
+from .util import random_assignment_pairs
 
 
 def test_table_map_application_and_totality():
@@ -73,3 +86,42 @@ def test_state_map_needs_exactly_one_backing():
         StateMap()
     with pytest.raises(InputError):
         StateMap(entries=(), exprs=())
+
+
+@pytest.mark.parametrize(
+    "cls, kind, from_obj",
+    [
+        (ContextMap, "context map", context_map_from_obj),
+        (InterventionMap, "intervention map", intervention_map_from_obj),
+        (StateMap, "state map", state_map_from_obj),
+    ],
+    ids=["ContextMap", "InterventionMap", "StateMap"],
+)
+@given(st.integers(0, 10_000))
+def test_finite_map_table_properties(cls, kind, from_obj, seed):
+    rng = random.Random(seed)
+    pairs = random_assignment_pairs(rng)
+    m = cls(tuple(pairs))
+
+    shuffled = list(pairs)
+    rng.shuffle(shuffled)
+    assert cls(tuple(shuffled)).entries == m.entries
+
+    expected = dict(pairs)
+    assert {k: m.apply(k) for k in expected} == expected
+    assert m.image() == tuple(dict.fromkeys(v for _, v in m.entries))
+
+    if pairs:
+        key = rng.choice(pairs)[0]
+        with pytest.raises(InputError, match=f"duplicate {kind} entry"):
+            cls(tuple(pairs) + ((Assignment(key), Assignment()),))
+
+    obj = to_jsonable(m)
+    back = from_obj(obj)
+    assert back == m
+    assert dumps(to_jsonable(back)) == dumps(obj)
+
+    given_pairs = {k: (k, v) for k, v in pairs}
+    for key, value in m.entries:
+        src, dst = given_pairs[key]
+        assert key is src and value is dst

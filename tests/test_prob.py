@@ -24,7 +24,6 @@ from cak import (
     to_uev,
 )
 from cak.maps import ContextMap
-from cak.prob import context_pushforward
 
 from .test_model import CHAIN, THREE_BITS, model_of
 from .util import random_model
@@ -50,6 +49,13 @@ def test_duplicate_support_rejected():
         RationalDist(
             ((Assignment(U=0), Fraction(1, 2)), (Assignment(U=0), Fraction(1, 2)))
         )
+
+
+def test_distribution_shares_its_keys():
+    keys = enumerate_contexts(CHAIN)
+    d = RationalDist.uniform(keys)
+    assert {id(k) for k, _ in d.entries} == {id(k) for k in keys}
+    assert RationalDist.point(keys[0]).entries[0][0] is keys[0]
 
 
 def test_zero_entries_do_not_affect_equality():
@@ -171,7 +177,7 @@ def test_context_pushforward():
         tuple((u, Assignment(W=u["U1"])) for u in enumerate_contexts(CHAIN))
     )
     d = RationalDist.uniform(enumerate_contexts(CHAIN))
-    got = context_pushforward(cm, d)
+    got = tau_pushforward(cm, d)
     assert got.mass(Assignment(W=0)) == Fraction(1, 2)
 
 

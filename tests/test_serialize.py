@@ -133,3 +133,15 @@ def test_model_document_errors():
         model_from_obj({"endogenous": [{"name": "X", "domain": [0, 1]}]})
     with pytest.raises(InputError):
         loads("{not json")
+
+
+
+def test_map_table_rows_must_be_from_to_objects():
+    for rows in ({"from": {}, "to": {}}, [{"from": {"U": 0}}], [["U", 0]]):
+        for parse, doc in (
+            (state_map_from_obj, {"table": rows}),
+            (context_map_from_obj, {"table": rows}),
+            (intervention_map_from_obj, rows),
+        ):
+            with pytest.raises(InputError):
+                parse(doc)

@@ -19,6 +19,7 @@ from cak import (
     find_compatible_tau_u,
     iter_compatible_tau_u,
     sample_rational_dist,
+    tau_pushforward,
     uniform_distribution_probe,
 )
 from cak.corpus import (
@@ -106,9 +107,7 @@ def test_exact_gated_extension_with_gate_always_on():
                 for u in enumerate_contexts(b.low)
             )
         )
-        from cak.prob import context_pushforward
-
-        d_high = context_pushforward(tau_u, d_low)
+        d_high = tau_pushforward(tau_u, d_low)
         assert check_exact(b.low, d_low, b.high, d_high, b.tau, b.omega).verdict
 
 

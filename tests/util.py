@@ -58,6 +58,20 @@ def random_model(
     return CausalModel(Signature(exo, endo), tuple(equations), allowed)
 
 
+def random_assignment_pairs(rng: random.Random) -> list[tuple[Assignment, Assignment]]:
+    """Up to eight random (key, value) pairs of partial assignments over
+    A, B, C with values 0..2, with distinct keys in random order. Every
+    assignment is a fresh object, so equal values are distinct objects."""
+    names = ("A", "B", "C")
+    space = list(itertools.product(*((None, 0, 1, 2) for _ in names)))
+
+    def fresh(combo) -> Assignment:
+        return Assignment({n: v for n, v in zip(names, combo) if v is not None})
+
+    keys = rng.sample(space, rng.randint(0, 8))
+    return [(fresh(k), fresh(rng.choice(space))) for k in keys]
+
+
 def random_state_map(rng: random.Random, low: CausalModel, high: CausalModel) -> StateMap:
     """A uniformly random total table from low states to high states."""
     high_states = enumerate_states(high)
