@@ -113,65 +113,114 @@ def variables(expr: Expr) -> frozenset[str]:
     raise TypeError(f"not an expression: {expr!r}")
 
 
-def _truth(x: int) -> bool:
-    return x != 0
+class _TableLookup(dict):
+    """A table's entries; a missing key raises the table's EvaluationError."""
+
+    __slots__ = ("names",)
+
+    def __missing__(self, key):
+        raise EvaluationError(f"table over {self.names} has no entry for {key}")
 
 
+# Binding strength of the generated Python: 0 conditional expression,
+# 1 or, 2 and, 3 not, 4 comparison, 6 + -, 7 *, 8 unary minus, 9 atom.
+_ARITH = {"+": 6, "-": 6, "*": 7}
+_LOGIC = {"&&": ("and", 2), "||": ("or", 1)}
+_COMPARE = ("==", "<", "<=")
+
+
+class Emitter:
+    """Writes expressions as Python source for one generated function.
+
+    `load(name)` returns the source that reads a variable. Every other
+    value the source needs (tables, names for messages, helpers) becomes a
+    global of the generated code through `const`, so no variable name or
+    message text is ever written into the source. Booleans are 0/1
+    integers and `ite`, `&&` and `||` stay lazy.
+    """
+
+    def __init__(self, load: Callable[[str], str]):
+        self.load = load
+        self.consts: dict[str, object] = {}
+
+    def const(self, value: object) -> str:
+        name = f"_c{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    def value(self, expr: Expr, prec: int = 0) -> str:
+        """Source of `expr`'s value, binding at least as tightly as `prec`."""
+        src, own = self._value(expr)
+        return f"({src})" if own < prec else src
+
+    def cond(self, expr: Expr, prec: int = 0) -> str:
+        """Source of whether `expr` is true (nonzero), as a Python bool."""
+        src, own = self._cond(expr)
+        return f"({src})" if own < prec else src
+
+    def _value(self, e: Expr) -> tuple[str, int]:
+        if isinstance(e, Lit):
+            if type(e.value) is not int:
+                return self.const(e.value), 9
+            return repr(e.value), 8 if e.value < 0 else 9
+        if isinstance(e, Var):
+            return self.load(e.name), 9
+        if isinstance(e, Ite):
+            then, other = self.value(e.then, 1), self.value(e.other)
+            return f"{then} if {self.cond(e.cond, 1)} else {other}", 0
+        if isinstance(e, Table):
+            lookup = _TableLookup(e.entries)
+            lookup.names = e.vars
+            key = "".join(self.load(n) + ", " for n in e.vars)
+            return f"{self.const(lookup)}[{key}]", 9
+        if isinstance(e, Unary):
+            if e.op == "-":
+                return "-" + self.value(e.arg, 8), 8
+            if e.op == "!":
+                return f"0 if {self.cond(e.arg, 1)} else 1", 0
+            raise ParseError(f"unknown unary operator {e.op!r}")
+        if isinstance(e, Binary):
+            if e.op in _ARITH:
+                # A left-associative chain is written flat, not recursively.
+                prec, rights = _ARITH[e.op], []
+                while isinstance(e, Binary) and _ARITH.get(e.op) == prec:
+                    rights.append(f" {e.op} {self.value(e.right, prec + 1)}")
+                    e = e.left
+                return self.value(e, prec) + "".join(reversed(rights)), prec
+            if e.op in _LOGIC or e.op in _COMPARE:
+                return f"1 if {self.cond(e, 1)} else 0", 0
+            raise ParseError(f"unknown binary operator {e.op!r}")
+        raise TypeError(f"not an expression: {e!r}")
+
+    def _cond(self, e: Expr) -> tuple[str, int]:
+        if isinstance(e, Unary) and e.op == "!":
+            return "not " + self.cond(e.arg, 3), 3
+        if isinstance(e, Binary) and e.op in _LOGIC:
+            (word, prec), op, rights = _LOGIC[e.op], e.op, []
+            while isinstance(e, Binary) and e.op == op:  # flat, as above
+                rights.append(f" {word} {self.cond(e.right, prec + 1)}")
+                e = e.left
+            return self.cond(e, prec) + "".join(reversed(rights)), prec
+        if isinstance(e, Binary) and e.op in _COMPARE:
+            return f"{self.value(e.left, 5)} {e.op} {self.value(e.right, 5)}", 4
+        return self.value(e, 5) + " != 0", 4
+
+
+def generate(name: str, args: str, lines: list[str], consts: dict[str, object]) -> Callable:
+    """Compile `def name(args)` from body lines, the way stdlib namedtuple
+    builds `__new__`: the constants are the globals of the generated code,
+    which sees no builtins. The function is taken out of its namespace, so
+    the two do not form a reference cycle."""
+    namespace = {"__builtins__": {}, **consts}
+    exec(f"def {name}({args}):\n" + "".join(f" {line}\n" for line in lines), namespace)
+    return namespace.pop(name)
+
+
+@lru_cache(maxsize=1024)
 def compile_expr(expr: Expr) -> Callable[[Mapping[str, int]], int]:
-    """Compile `expr` into a closure evaluating it over an environment."""
-    if isinstance(expr, Lit):
-        v = expr.value
-        return lambda env: v
-    if isinstance(expr, Var):
-        name = expr.name
-        return lambda env: env[name]
-    if isinstance(expr, Unary):
-        arg = compile_expr(expr.arg)
-        if expr.op == "-":
-            return lambda env: -arg(env)
-        if expr.op == "!":
-            return lambda env: 0 if _truth(arg(env)) else 1
-        raise ParseError(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, Binary):
-        lf, rf = compile_expr(expr.left), compile_expr(expr.right)
-        op = expr.op
-        if op == "+":
-            return lambda env: lf(env) + rf(env)
-        if op == "-":
-            return lambda env: lf(env) - rf(env)
-        if op == "*":
-            return lambda env: lf(env) * rf(env)
-        if op == "==":
-            return lambda env: 1 if lf(env) == rf(env) else 0
-        if op == "<":
-            return lambda env: 1 if lf(env) < rf(env) else 0
-        if op == "<=":
-            return lambda env: 1 if lf(env) <= rf(env) else 0
-        if op == "&&":
-            return lambda env: 1 if (_truth(lf(env)) and _truth(rf(env))) else 0
-        if op == "||":
-            return lambda env: 1 if (_truth(lf(env)) or _truth(rf(env))) else 0
-        raise ParseError(f"unknown binary operator {op!r}")
-    if isinstance(expr, Ite):
-        cf = compile_expr(expr.cond)
-        tf = compile_expr(expr.then)
-        of = compile_expr(expr.other)
-        return lambda env: tf(env) if _truth(cf(env)) else of(env)
-    if isinstance(expr, Table):
-        names = expr.vars
-        mapping = dict(expr.entries)
-
-        def _lookup(env, _names=names, _map=mapping):
-            key = tuple(env[n] for n in _names)
-            try:
-                return _map[key]
-            except KeyError:
-                raise EvaluationError(
-                    f"table over {_names} has no entry for {key}"
-                ) from None
-
-        return _lookup
-    raise TypeError(f"not an expression: {expr!r}")
+    """Generate a function evaluating `expr` over an environment."""
+    emitter = Emitter(lambda name: f"env[{emitter.const(name)}]")
+    return generate("evaluate", "env", ["return " + emitter.value(expr)], emitter.consts)
 
 
 def evaluate(expr: Expr, env: Mapping[str, int]) -> int:

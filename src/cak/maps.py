@@ -109,7 +109,7 @@ class StateMap(FiniteMap):
         if self.exprs is None:
             # Named directly: on this hot path super() costs more than the lookup.
             return FiniteMap.apply(self, state)
-        env = state._dict  # read-only use by the compiled closures
+        env = state._dict  # read-only use by the generated functions
         return Assignment._from_sorted_items(
             tuple((name, fn(env)) for name, fn in self._compiled)
         )

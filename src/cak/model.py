@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     CyclicModelError,
@@ -19,7 +19,7 @@ from .errors import (
     SizeCapExceeded,
     contexts_cap,
 )
-from .expr import Expr, compile_expr, variables
+from .expr import Emitter, Expr, compile_expr, generate, variables
 from .report import CheckReport
 
 ALL = "all"
@@ -191,10 +191,6 @@ class CausalModel:
         return dict(self.equations)
 
     @cached_property
-    def _solvers(self) -> dict[str, object]:
-        return {name: compile_expr(expr) for name, expr in self.equations}
-
-    @cached_property
     def order(self) -> tuple[str, ...]:
         return tuple(dependency_order(self))
 
@@ -207,8 +203,24 @@ class CausalModel:
         return frozenset(self.signature.exo_names)
 
     @cached_property
-    def _domain_sets(self) -> dict[str, frozenset[int]]:
-        return {n: frozenset(d) for n, d in self.signature.domains.items()}
+    def _states(self) -> dict[tuple[int, ...], Assignment]:
+        # solve_under's results by state values: building an Assignment
+        # per solve cost more than the solve. One entry per distinct solution.
+        return {}
+
+    @cached_property
+    def _kernels(self) -> dict[frozenset[str], Callable]:
+        return {}
+
+    def solver(self, names: frozenset[str]) -> Callable[[tuple, tuple], tuple]:
+        """Generated `solve(context_values, forced_values) -> state_values`
+        for interventions on `names`: context values in exogenous
+        declaration order, forced values and state values in name order.
+        Forced values of names that are not endogenous are ignored."""
+        kernel = self._kernels.get(names)
+        if kernel is None:
+            kernel = self._kernels[names] = _kernel(self.signature, self.equations, self.order, names)
+        return kernel
 
     def with_allowed(self, interventions) -> "CausalModel":
         """Copy of this model with a different allowed-intervention set."""
@@ -387,31 +399,50 @@ def solve_under(model: CausalModel, context: Assignment, intervention: Assignmen
     Equivalent to solve(apply_intervention(model, intervention), context)
     but without rebuilding the model. The model is assumed valid; an
     out-of-domain equation output raises EvaluationError rather than
-    being clamped.
+    being clamped. Equal solutions of one model are the same object.
     """
     if context._keys != model._exo_keyset:
         check_context(model, context)
-    env = dict(context._dict)
-    solvers = model._solvers
-    domains = model._domain_sets
-    forced = intervention._dict
+    solve = model.solver(intervention._keys)
+    exo = [context._dict[n] for n in model.signature.exo_names]
     try:
-        for name in model.order:
-            if name in forced:
-                value = forced[name]
-            else:
-                value = solvers[name](env)
-                if value not in domains[name]:
-                    raise EvaluationError(
-                        f"equation for {name} produced {value}, outside its domain"
-                    )
-            env[name] = value
+        state = solve(exo, [v for _, v in intervention._items])
     except KeyError:
         check_context(model, context)  # raises with a precise message
         raise
-    return Assignment._from_sorted_items(
-        tuple((n, env[n]) for n in model._endo_sorted)
-    )
+    out = model._states.get(state)
+    if out is None:
+        out = Assignment._from_sorted_items(tuple(zip(model._endo_sorted, state)))
+        model._states[state] = out
+    return out
+
+
+def _outside(name: str, value: int):
+    raise EvaluationError(f"equation for {name} produced {value}, outside its domain")
+
+
+@lru_cache(maxsize=1024)
+def _kernel(sig: Signature, equations, order: tuple[str, ...], forced: frozenset[str]) -> Callable:
+    """Straight-line solve for one model structure and one set of
+    intervened names; see CausalModel.solver. Each variable is a
+    positional local; names reach the code only as its globals' values."""
+    local = {n: f"x{k}" for k, n in enumerate(sig.exo_names + sig.endo_names)}
+    # An undeclared name raises KeyError(name), as reading it from a dict did.
+    emitter = Emitter(lambda n: local.get(n) or f"{emitter.const({})}[{emitter.const(n)}]")
+    outside = emitter.const(_outside)
+    # Every equation is emitted, so a malformed one fails under any intervention.
+    sources = {name: emitter.value(expr) for name, expr in equations}
+    slot = {n: k for k, n in enumerate(sorted(forced))}
+    lines = ["".join(local[n] + ", " for n in sig.exo_names) + "= u"] if sig.exo_names else []
+    for name in order:
+        x = local[name]
+        if name in slot:
+            lines.append(f"{x} = f[{slot[name]}]")
+            continue
+        domain, label = emitter.const(frozenset(sig.domains[name])), emitter.const(name)
+        lines += [f"{x} = {sources[name]}", f"if {x} not in {domain}: {outside}({label}, {x})"]
+    lines.append("return (" + "".join(local[n] + ", " for n in sorted(sig.endo_names)) + ")")
+    return generate("solve", "u, f", lines, emitter.consts)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,11 @@ from cak import (
     enumerate_states,
     rst,
 )
-from cak.expr import Lit, Table
+from cak.errors import EvaluationError, InputError, ParseError
+from cak.expr import Binary, Ite, Lit, Table, Unary, Var
+from cak.model import check_context
+
+BINARY_OPS = ("+", "-", "*", "==", "<", "<=", "&&", "||")
 
 
 def random_model(
@@ -56,6 +60,58 @@ def random_model(
         }
         equations.append((decl.name, Table.from_mapping(tuple(parents), entries)))
     return CausalModel(Signature(exo, endo), tuple(equations), allowed)
+
+
+def random_expr(
+    rng: random.Random, names, depth: int = 3, values: tuple[int, ...] = (0, 1, 2)
+):
+    """A random expression over `names`, at most `depth` operators deep.
+
+    Every node kind can be drawn: literals, variables, both unary and all
+    eight binary operators, ite and tables. A table reads one or two of
+    the names and covers a random nonempty subset of the `values`
+    combinations, so it may have no entry for the values it is given."""
+    kind = rng.choice(("lit", "var") + (("unary", "binary", "ite", "table") if depth else ()))
+    if kind == "lit":
+        return Lit(rng.randint(-2, 3))
+    if kind == "var":
+        return Var(rng.choice(names))
+    if kind == "unary":
+        return Unary(rng.choice(("-", "!")), random_expr(rng, names, depth - 1, values))
+    if kind == "binary":
+        left, right = (random_expr(rng, names, depth - 1, values) for _ in range(2))
+        return Binary(rng.choice(BINARY_OPS), left, right)
+    if kind == "ite":
+        return Ite(*(random_expr(rng, names, depth - 1, values) for _ in range(3)))
+    cols = rng.sample(list(names), rng.randint(1, min(2, len(names))))
+    keys = list(itertools.product(values, repeat=len(cols)))
+    kept = rng.sample(keys, rng.randint(1, len(keys)))
+    return Table.from_mapping(cols, {k: rng.choice(values) for k in kept})
+
+
+def random_expr_model(rng: random.Random) -> CausalModel:
+    """A random acyclic model whose equations are `random_expr`s over the
+    exogenous and earlier endogenous variables. Domains are small and
+    differ between variables, so equations often produce values outside
+    them; now and then an equation reads the undeclared variable Z."""
+    domains = ((0, 1), (0, 1, 2), (-1, 0, 1))
+    exo = tuple(VariableDecl(f"U{i}", rng.choice(domains)) for i in range(1, rng.randint(1, 2) + 1))
+    endo = tuple(VariableDecl(f"X{i}", rng.choice(domains)) for i in range(1, rng.randint(1, 3) + 1))
+    equations = []
+    for k, decl in enumerate(endo):
+        pool = [d.name for d in exo + endo[:k]] + (["Z"] if rng.random() < 0.1 else [])
+        equations.append((decl.name, random_expr(rng, pool, rng.randint(0, 3), (-1, 0, 1, 2))))
+    return CausalModel(Signature(exo, endo), tuple(equations))
+
+
+def random_intervention(rng: random.Random, model: CausalModel) -> Assignment:
+    """A random partial setting of the endogenous variables, values not
+    necessarily in their domains, sometimes also naming an exogenous or an
+    undeclared variable."""
+    names = list(model.signature.endo_names)
+    chosen = rng.sample(names, rng.randint(0, len(names)))
+    extra = rng.choice([[], [], [model.signature.exo_names[0]], ["Z"]])
+    return Assignment({n: rng.randint(-1, 3) for n in chosen + extra})
 
 
 def random_assignment_pairs(rng: random.Random) -> list[tuple[Assignment, Assignment]]:
@@ -215,3 +271,103 @@ def reference_match_high_side(low_contexts, high_contexts, cands):
         if not try_assign(u_h, set()):
             return None
     return match_of_low
+
+
+def _truth(x) -> bool:
+    return x != 0
+
+
+def _reference_compile(expr):
+    """The closure compiler that the generated code replaced: one closure
+    per node, each calling its children's closures."""
+    if isinstance(expr, Lit):
+        v = expr.value
+        return lambda env: v
+    if isinstance(expr, Var):
+        name = expr.name
+        return lambda env: env[name]
+    if isinstance(expr, Unary):
+        arg = _reference_compile(expr.arg)
+        if expr.op == "-":
+            return lambda env: -arg(env)
+        if expr.op == "!":
+            return lambda env: 0 if _truth(arg(env)) else 1
+        raise ParseError(f"unknown unary operator {expr.op!r}")
+    if isinstance(expr, Binary):
+        lf, rf = _reference_compile(expr.left), _reference_compile(expr.right)
+        op = expr.op
+        if op == "+":
+            return lambda env: lf(env) + rf(env)
+        if op == "-":
+            return lambda env: lf(env) - rf(env)
+        if op == "*":
+            return lambda env: lf(env) * rf(env)
+        if op == "==":
+            return lambda env: 1 if lf(env) == rf(env) else 0
+        if op == "<":
+            return lambda env: 1 if lf(env) < rf(env) else 0
+        if op == "<=":
+            return lambda env: 1 if lf(env) <= rf(env) else 0
+        if op == "&&":
+            return lambda env: 1 if (_truth(lf(env)) and _truth(rf(env))) else 0
+        if op == "||":
+            return lambda env: 1 if (_truth(lf(env)) or _truth(rf(env))) else 0
+        raise ParseError(f"unknown binary operator {op!r}")
+    if isinstance(expr, Ite):
+        cf = _reference_compile(expr.cond)
+        tf = _reference_compile(expr.then)
+        of = _reference_compile(expr.other)
+        return lambda env: tf(env) if _truth(cf(env)) else of(env)
+    if isinstance(expr, Table):
+        names = expr.vars
+        mapping = dict(expr.entries)
+
+        def lookup(env):
+            key = tuple(env[n] for n in names)
+            try:
+                return mapping[key]
+            except KeyError:
+                raise EvaluationError(f"table over {names} has no entry for {key}") from None
+
+        return lookup
+    raise TypeError(f"not an expression: {expr!r}")
+
+
+def reference_eval(expr, env):
+    """`expr`'s value in `env`, by the closure interpreter; the generated
+    evaluator `cak.expr.compile_expr` must agree with it."""
+    return _reference_compile(expr)(env)
+
+
+def reference_solve_under(model: CausalModel, context: Assignment, intervention: Assignment) -> Assignment:
+    """solve_under by the closure interpreter: equations in dependency
+    order over one environment dict, intervened variables forced without a
+    domain check, computed values checked against their domains."""
+    if set(context) != set(model.signature.exo_names):
+        check_context(model, context)
+    solvers = {name: _reference_compile(expr) for name, expr in model.equations}
+    env = dict(context)
+    try:
+        for name in model.order:
+            if name in intervention:
+                value = intervention[name]
+            else:
+                value = solvers[name](env)
+                if value not in model.signature.domains[name]:
+                    raise EvaluationError(
+                        f"equation for {name} produced {value}, outside its domain"
+                    )
+            env[name] = value
+    except KeyError:
+        check_context(model, context)  # raises with a precise message
+        raise
+    return Assignment({n: env[n] for n in model.signature.endo_names})
+
+
+def outcome(fn, *args):
+    """What a call gives: ("value", result), or the exception's type and
+    message."""
+    try:
+        return ("value", fn(*args))
+    except (EvaluationError, InputError, KeyError, ParseError, TypeError) as exc:
+        return (type(exc), str(exc))
