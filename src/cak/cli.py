@@ -27,7 +27,8 @@ from .abstraction import (
     search_constructive_partition,
 )
 from .corpus import all_bundles, get_bundle
-from .errors import ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS, CakError, InputError
+from .errors import ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS, CakError, InputError, SizeCapExceeded
+from .maps import materialize_state_map
 from .model import EMPTY, check_context, check_intervention, solve_under, validate
 from .prob import equivalent, to_uev
 from .report import CheckReport
@@ -55,11 +56,19 @@ def _load_model(path: str):
     return model
 
 
-def _load_tau(path: str, low):
+def _load_tau(path: str, low, high):
+    """The state map in `path`, checked to send every low state to a high
+    state, so that a malformed map exits 2 before any check runs."""
     tau = serialize.state_map_from_obj(_load(path))
     unknown = sorted(tau.referenced() - set(low.signature.endo_names))
     if unknown:
         raise InputError(f"{path} reads variables that are not low endogenous: {unknown}")
+    try:
+        materialize_state_map(tau, low.signature, high.signature)
+    except SizeCapExceeded:
+        raise
+    except CakError as exc:
+        raise InputError(f"{path} is not a valid state map: {exc}") from None
     return tau
 
 
@@ -95,7 +104,7 @@ def _cmd_solve(args) -> int:
 def _run_check(args) -> CheckReport:
     low = _load_model(args.low)
     high = _load_model(args.high)
-    tau = _load_tau(args.tau, low)
+    tau = _load_tau(args.tau, low, high)
     kind = args.kind
     if kind == "exact":
         if not args.omega or not args.dists:
@@ -155,7 +164,7 @@ def _cmd_derive_omega(args) -> int:
     started = time.monotonic()
     low = _load_model(args.low)
     high = _load_model(args.high)
-    tau = _load_tau(args.tau, low)
+    tau = _load_tau(args.tau, low, high)
     inputs = {args.low: _digest(args.low), args.high: _digest(args.high), args.tau: _digest(args.tau)}
     if args.intervention:
         intervention = serialize.assignment_from_obj(serialize.loads(args.intervention))

@@ -24,12 +24,17 @@ class FiniteMap:
     entries: tuple[tuple[Assignment, Assignment], ...]
 
     def __post_init__(self):
-        canon = tuple(sorted((_shared(a), _shared(b)) for a, b in self.entries))
-        seen = set()
-        for key, _ in canon:
-            if key in seen:
+        # Sorted by the keys' name-sorted items, the order Assignments
+        # compare in, so equal keys end up next to each other.
+        canon = tuple(
+            sorted(
+                ((_shared(a), _shared(b)) for a, b in self.entries),
+                key=lambda pair: pair[0]._items,
+            )
+        )
+        for (key, _), (before, _) in zip(canon[1:], canon):
+            if key._items == before._items:
                 raise InputError(f"duplicate {self.kind} entry for {key!r}")
-            seen.add(key)
         object.__setattr__(self, "entries", canon)
 
     @classmethod
@@ -43,12 +48,14 @@ class FiniteMap:
         return cls(tuple((k, k) for k in keys))
 
     @cached_property
-    def _lookup(self) -> dict[Assignment, Assignment]:
-        return dict(self.entries)
+    def _lookup(self) -> dict[tuple, Assignment]:
+        # Keyed by the keys' name-sorted items, which hash and compare
+        # without a Python-level call per lookup.
+        return {key._items: value for key, value in self.entries}
 
     def apply(self, key: Assignment) -> Assignment:
         try:
-            return self._lookup[key]
+            return self._lookup[key._items]
         except KeyError:
             raise InputError(f"{self.kind} is undefined on {key!r}") from None
 
@@ -105,14 +112,25 @@ class StateMap(FiniteMap):
             ((name, compile_expr(e)) for name, e in self.exprs), key=lambda p: p[0]
         )
 
+    @cached_property
+    def _images(self) -> dict[tuple, Assignment]:
+        # Images by the state's items, as in `_lookup`. A table holds all
+        # of its own; expressions keep one image per distinct state applied
+        # to, so equal states share one image. A failed evaluation is not
+        # kept.
+        return self._lookup if self.exprs is None else {}
+
     def apply(self, state: Assignment) -> Assignment:
-        if self.exprs is None:
-            # Named directly: on this hot path super() costs more than the lookup.
-            return FiniteMap.apply(self, state)
-        env = state._dict  # read-only use by the generated functions
-        return Assignment._from_sorted_items(
-            tuple((name, fn(env)) for name, fn in self._compiled)
-        )
+        image = self._images.get(state._items)
+        if image is None:
+            if self.exprs is None:
+                # Named directly: super() costs more than the lookup.
+                return FiniteMap.apply(self, state)  # raises: not in the table
+            env = state._dict  # read-only use by the generated functions
+            image = self._images[state._items] = Assignment._from_sorted_items(
+                tuple([(name, fn(env)) for name, fn in self._compiled])
+            )
+        return image
 
     def referenced(self) -> frozenset[str]:
         """Low variables the map reads (table maps read all keys' variables)."""

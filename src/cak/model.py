@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -68,35 +69,76 @@ class Signature:
     def endo_names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.endogenous)
 
+    @cached_property
+    def exo_keyset(self) -> frozenset[str]:
+        """The key set every enumerated context shares."""
+        return frozenset(self.exo_names)
+
+    @cached_property
+    def endo_keyset(self) -> frozenset[str]:
+        """The key set every enumerated state shares."""
+        return frozenset(self.endo_names)
+
 
 class Assignment(Mapping[str, int]):
     """Immutable variable-to-value map with a canonical (name-sorted) form.
 
     Used for contexts (total over exogenous), endogenous states (total over
     endogenous) and interventions (partial over endogenous); totality is
-    checked by the operations that require it.
+    checked by the operations that require it. Iteration follows insertion
+    order; `_items` and `_values` follow name order.
     """
 
-    __slots__ = ("_items", "_dict", "_hash", "_keys")
+    __slots__ = ("_items", "_values", "_dict", "_hash", "_keys")
 
     def __init__(self, mapping: Union[Mapping[str, int], Iterable[tuple[str, int]]] = (), **values: int):
         pairs = dict(mapping)
         pairs.update(values)
         items = tuple(sorted(pairs.items()))
         self._items = items
+        self._values = tuple([v for _, v in items])
         self._dict = pairs
         self._hash = hash(items)
         self._keys = frozenset(pairs)
 
     @classmethod
-    def _from_sorted_items(cls, items: tuple[tuple[str, int], ...]) -> "Assignment":
-        # Fast path for callers that already hold name-sorted pairs.
+    def _from_sorted_items(
+        cls, items: tuple[tuple[str, int], ...], values: tuple[int, ...] | None = None
+    ) -> "Assignment":
+        # Fast path for callers that already hold name-sorted pairs (and,
+        # optionally, their values).
         self = object.__new__(cls)
         self._items = items
+        self._values = tuple([v for _, v in items]) if values is None else values
         self._dict = dict(items)
         self._hash = hash(items)
         self._keys = frozenset(self._dict)
         return self
+
+    @classmethod
+    def _product(cls, decls: "tuple[VariableDecl, ...]", keys: frozenset[str]) -> "list[Assignment]":
+        # Every total assignment of `decls`, in declaration-order
+        # lexicographic order, all sharing the key set `keys` and one
+        # (name, value) pair per value.
+        names = [d.name for d in decls]
+        # Reorders a declaration-order tuple into name order. Out of order
+        # means two or more names, so itemgetter returns a tuple; `tuple`
+        # returns a tuple as it is.
+        order = sorted(range(len(names)), key=names.__getitem__)
+        pick = itemgetter(*order) if names != sorted(names) else tuple
+        pairs = itertools.product(*(tuple((d.name, v) for v in d.domain) for d in decls))
+        values = itertools.product(*(d.domain for d in decls))
+        new = object.__new__
+        out = []
+        for combo, vals in zip(pairs, values):
+            self = new(cls)
+            self._items = items = pick(combo)
+            self._values = pick(vals)
+            self._dict = dict(combo)
+            self._hash = hash(items)
+            self._keys = keys
+            out.append(self)
+        return out
 
     @property
     def items_sorted(self) -> tuple[tuple[str, int], ...]:
@@ -200,7 +242,7 @@ class CausalModel:
 
     @cached_property
     def _exo_keyset(self) -> frozenset[str]:
-        return frozenset(self.signature.exo_names)
+        return self.signature.exo_keyset
 
     @cached_property
     def _states(self) -> dict[tuple[int, ...], Assignment]:
@@ -214,8 +256,8 @@ class CausalModel:
 
     def solver(self, names: frozenset[str]) -> Callable[[tuple, tuple], tuple]:
         """Generated `solve(context_values, forced_values) -> state_values`
-        for interventions on `names`: context values in exogenous
-        declaration order, forced values and state values in name order.
+        for interventions on `names`: context values, forced values and
+        state values all in name order, as in `Assignment._values`.
         Forced values of names that are not endogenous are ignored."""
         kernel = self._kernels.get(names)
         if kernel is None:
@@ -401,18 +443,18 @@ def solve_under(model: CausalModel, context: Assignment, intervention: Assignmen
     out-of-domain equation output raises EvaluationError rather than
     being clamped. Equal solutions of one model are the same object.
     """
-    if context._keys != model._exo_keyset:
+    keys = context._keys
+    if keys is not model._exo_keyset and keys != model._exo_keyset:
         check_context(model, context)
-    solve = model.solver(intervention._keys)
-    exo = [context._dict[n] for n in model.signature.exo_names]
+    solve = model._kernels.get(intervention._keys) or model.solver(intervention._keys)
     try:
-        state = solve(exo, [v for _, v in intervention._items])
+        state = solve(context._values, intervention._values)
     except KeyError:
         check_context(model, context)  # raises with a precise message
         raise
     out = model._states.get(state)
     if out is None:
-        out = Assignment._from_sorted_items(tuple(zip(model._endo_sorted, state)))
+        out = Assignment._from_sorted_items(tuple(zip(model._endo_sorted, state)), values=state)
         model._states[state] = out
     return out
 
@@ -433,7 +475,7 @@ def _kernel(sig: Signature, equations, order: tuple[str, ...], forced: frozenset
     # Every equation is emitted, so a malformed one fails under any intervention.
     sources = {name: emitter.value(expr) for name, expr in equations}
     slot = {n: k for k, n in enumerate(sorted(forced))}
-    lines = ["".join(local[n] + ", " for n in sig.exo_names) + "= u"] if sig.exo_names else []
+    lines = ["".join(local[n] + ", " for n in sorted(sig.exo_names)) + "= u"] if sig.exo_names else []
     for name in order:
         x = local[name]
         if name in slot:
@@ -515,27 +557,25 @@ def eval_formula(model: CausalModel, context: Assignment, formula: CausalFormula
 def enumerate_contexts(model_or_sig, cap: int | None = None) -> list[Assignment]:
     """Every context, in declaration-order lexicographic order."""
     sig = getattr(model_or_sig, "signature", model_or_sig)
-    return _enumerate_total(sig.exogenous, "context space", cap)
+    return _enumerate_total(sig.exogenous, sig.exo_keyset, "context space", cap)
 
 
 def enumerate_states(model_or_sig, cap: int | None = None) -> list[Assignment]:
     """Every total endogenous state, in declaration-order lexicographic order."""
     sig = getattr(model_or_sig, "signature", model_or_sig)
-    return _enumerate_total(sig.endogenous, "endogenous state space", cap)
+    return _enumerate_total(sig.endogenous, sig.endo_keyset, "endogenous state space", cap)
 
 
-def _enumerate_total(decls: tuple[VariableDecl, ...], what: str, cap: int | None) -> list[Assignment]:
+def _enumerate_total(
+    decls: tuple[VariableDecl, ...], keys: frozenset[str], what: str, cap: int | None
+) -> list[Assignment]:
     size = 1
     for d in decls:
         size *= len(d.domain)
     limit = contexts_cap(cap)
     if size > limit:
         raise SizeCapExceeded(what, size, limit)
-    names = [d.name for d in decls]
-    out = []
-    for combo in itertools.product(*(d.domain for d in decls)):
-        out.append(Assignment(zip(names, combo)))
-    return out
+    return Assignment._product(decls, keys)
 
 
 # ---------------------------------------------------------------------------

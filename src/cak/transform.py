@@ -112,24 +112,27 @@ def _correspondents(
     interventions: Sequence[Assignment],
     cap: int | None,
 ):
-    """For each low context, the high contexts with an identical abstracted
-    response profile, in enumeration order."""
+    """The low and high contexts, and a function giving a low context's
+    high contexts with an identical abstracted response profile, in
+    enumeration order. Low profiles are computed only when asked for."""
     low_contexts = enumerate_contexts(m_low, cap)
     high_contexts = enumerate_contexts(m_high, cap)
     high_images = [omega.apply(i) for i in interventions]
+    # Each high context is solved once per distinct image; the profile
+    # repeats a solution wherever interventions share an image.
+    distinct = {}
+    slots = [distinct.setdefault(j, len(distinct)) for j in high_images]
 
     profile_to_high: dict[tuple, list[Assignment]] = {}
     for u_h in high_contexts:
-        profile = tuple(solve_under(m_high, u_h, j) for j in high_images)
-        profile_to_high.setdefault(profile, []).append(u_h)
+        solved = [solve_under(m_high, u_h, j) for j in distinct]
+        profile_to_high.setdefault(tuple([solved[k] for k in slots]), []).append(u_h)
 
-    table: dict[Assignment, list[Assignment]] = {}
-    for u_l in low_contexts:
-        profile = tuple(
-            tau.apply(solve_under(m_low, u_l, i)) for i in interventions
-        )
-        table[u_l] = profile_to_high.get(profile, [])
-    return low_contexts, high_contexts, table
+    def candidates(u_l: Assignment) -> list[Assignment]:
+        profile = tuple([tau.apply(solve_under(m_low, u_l, i)) for i in interventions])
+        return profile_to_high.get(profile, [])
+
+    return low_contexts, high_contexts, candidates
 
 
 def _conflict_diagnosis(
@@ -178,11 +181,15 @@ def find_compatible_tau_u(
     The witness is the full table.
     """
     interventions = resolve_interventions(m_low, i_low, cap)
-    low_contexts, high_contexts, cands = _correspondents(
+    low_contexts, high_contexts, candidates = _correspondents(
         m_low, m_high, tau, omega, interventions, cap
     )
+    cands: list[list[Assignment]] = []
     for u_l in low_contexts:
-        if not cands[u_l]:
+        cands.append(candidates(u_l))
+        if not cands[-1]:
+            # The first context without a correspondent decides; the rest
+            # are never solved.
             diagnosis = _conflict_diagnosis(m_low, tau, omega, interventions, u_l)
             ce = {"context": u_l}
             if diagnosis is not None:
@@ -193,9 +200,9 @@ def find_compatible_tau_u(
                 counterexample=ce,
             )
 
-    chosen = {u_l: cands[u_l][0] for u_l in low_contexts}
+    chosen = dict(zip(low_contexts, [found[0] for found in cands]))
     if require_surjective:
-        matched = _match_high_side(low_contexts, high_contexts, cands)
+        matched = _match_high_side(low_contexts, high_contexts, dict(zip(low_contexts, cands)))
         if matched is None:
             hit = set(chosen.values())
             unhit = [u_h for u_h in high_contexts if u_h not in hit]
@@ -277,13 +284,16 @@ def iter_compatible_tau_u(
     order of choices. Existence is certified by find_compatible_tau_u;
     this enumerates the full witness space on request."""
     interventions = resolve_interventions(m_low, i_low, cap)
-    low_contexts, _, cands = _correspondents(
+    low_contexts, _, candidates = _correspondents(
         m_low, m_high, tau, omega, interventions, cap
     )
-    if any(not cands[u] for u in low_contexts):
-        return
+    cands = []
+    for u_l in low_contexts:
+        cands.append(candidates(u_l))
+        if not cands[-1]:
+            return
     count = 0
-    for combo in itertools.product(*(cands[u] for u in low_contexts)):
+    for combo in itertools.product(*cands):
         yield ContextMap.from_table(tuple(zip(low_contexts, combo)))
         count += 1
         if count >= limit:

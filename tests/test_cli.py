@@ -337,3 +337,26 @@ def test_derive_omega_rejects_an_out_of_domain_intervention(capsys, emitted):
     )
     assert code == 2
     assert "outside its domain" in out["error"]
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exact"])
+@pytest.mark.parametrize(
+    "exprs,reason",
+    [
+        ({"XS": "X1 + X2 + 5", "YS": "Y"}, "out-of-domain value XS="),
+        ({"XS": "X1 + X2"}, "does not assign exactly the high endogenous variables"),
+    ],
+)
+def test_ill_typed_tau_exits_2_naming_its_file(capsys, emitted, tmp_path, kind, exprs, reason):
+    # Without the check at load, both maps ran the check and exited 1.
+    paths = emitted("linear-sum")
+    tau = _write_tau(tmp_path, exprs)
+    argv = ["check", kind, paths["low"], paths["high"], "--tau", tau, "--omega", paths["omega"]]
+    argv += ["--dists", paths["low_dist"], paths["high_dist"]]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out["error"].startswith(f"{tau} is not a valid state map: ")
+    assert reason in out["error"]
+    # The bundle's own map passes the same load check.
+    argv[argv.index(tau)] = paths["tau"]
+    assert run(capsys, *argv)[0] == 0

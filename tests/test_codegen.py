@@ -81,10 +81,10 @@ def test_generated_solver_matches_reference(seed):
     for u, i in itertools.product(enumerate_contexts(model), interventions):
         expected = outcome(reference_solve_under, model, u, i)
         assert outcome(solve_under, model, u, i) == expected
-        # The kernel itself, on value tuples: context values in declaration
-        # order, forced values and state values in name order.
+        # The kernel itself, on value tuples: context values, forced values
+        # and state values all in name order.
         kernel = model.solver(i._keys)
-        context_values = tuple(u[n] for n in model.signature.exo_names)
+        context_values = tuple(u[n] for n in sorted(model.signature.exo_names))
         forced = tuple(i[n] for n in sorted(i))
         got = outcome(kernel, context_values, forced)
         if expected[0] == "value":

@@ -13,6 +13,7 @@ from cak import (
     materialize_state_map,
     parse_expr,
 )
+from cak.errors import EvaluationError
 from cak.maps import compose_state_maps
 from cak.serialize import (
     context_map_from_obj,
@@ -38,6 +39,21 @@ def test_table_map_application_and_totality():
 def test_expr_map_application():
     tau = StateMap.from_exprs({"N": parse_expr("X1 + X2 + X3")})
     assert tau.apply(Assignment(X1=1, X2=0, X3=1)) == Assignment(N=2)
+
+
+def test_expr_map_keeps_one_image_per_state():
+    exprs = {"N": parse_expr("X1 + X2 + X3"), "P": parse_expr("table(X1)[(0) -> 5]")}
+    tau = StateMap.from_exprs(exprs)
+    state = Assignment(X1=0, X2=1, X3=1)
+    image = tau.apply(state)
+    assert image == Assignment(N=2, P=5) == StateMap.from_exprs(exprs).apply(state)
+    # An equal state, built in another order, gets the very same object.
+    assert tau.apply(Assignment(X3=1, X2=1, X1=0)) is image
+    # A failed evaluation is not remembered: it fails every time.
+    miss = Assignment(X1=1, X2=0, X3=0)
+    for _ in range(2):
+        with pytest.raises(EvaluationError, match="no entry"):
+            tau.apply(miss)
 
 
 def test_materialize_rejects_out_of_domain_images():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,13 @@ from cak import (
 )
 from cak.corpus import build_gated_extension
 
-from .util import random_model
+from .util import (
+    outcome,
+    random_expr_model,
+    random_intervention,
+    random_model,
+    reference_solve_under,
+)
 
 
 def model_of(exo, endo, eqs, allowed="all"):
@@ -301,3 +308,46 @@ def test_enumerate_contexts_declaration_lexicographic():
 
 def test_enumerate_states_size():
     assert len(enumerate_states(THREE_BITS)) == 8
+
+
+def test_enumerated_assignments_keep_declaration_order_and_share_key_sets():
+    # Declared out of name order, so the name-ordered items are a reordering.
+    sig = Signature(
+        (VariableDecl("V", (0, 1, 2)), VariableDecl("U", (0, 1)), VariableDecl("W", (3,))),
+        (VariableDecl("Y", (0, 1)), VariableDecl("X", (2, 0)), VariableDecl("Z", (1,))),
+    )
+    model = CausalModel(sig, (("Y", parse_expr("U")), ("X", parse_expr("0")), ("Z", parse_expr("1"))))
+    assert model._exo_keyset is sig.exo_keyset
+    for space, decls, keys in (
+        (enumerate_contexts(sig), sig.exogenous, sig.exo_keyset),
+        (enumerate_states(model), sig.endogenous, sig.endo_keyset),
+    ):
+        names = tuple(d.name for d in decls)
+        assert [tuple(dict(a).values()) for a in space] == list(
+            itertools.product(*(d.domain for d in decls))
+        )
+        for a in space:
+            assert tuple(a) == tuple(dict(a)) == names
+            rebuilt = Assignment(dict(a))
+            assert a == rebuilt and hash(a) == hash(rebuilt)
+            assert not a < rebuilt and not rebuilt < a
+            assert a.items_sorted == rebuilt.items_sorted
+            assert a._values == rebuilt._values == tuple(v for _, v in a.items_sorted)
+            assert a._keys is keys
+
+
+@given(st.integers(0, 2**32))
+def test_solve_under_matches_reference_on_every_kind_of_context(seed):
+    rng = random.Random(seed)
+    base = random_expr_model(rng)
+    # Reversed declarations: context values reach the solver in name order.
+    sig = Signature(base.signature.exogenous[::-1], base.signature.endogenous[::-1])
+    model = CausalModel(sig, base.equations)
+    interventions = [EMPTY] + [random_intervention(rng, model) for _ in range(3)]
+    for u in enumerate_contexts(model):
+        pairs = list(u.items())
+        rng.shuffle(pairs)
+        for context in (u, Assignment(dict(u)), Assignment(pairs)):
+            for i in interventions:
+                expected = outcome(reference_solve_under, model, context, i)
+                assert outcome(solve_under, model, context, i) == expected

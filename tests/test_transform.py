@@ -28,11 +28,16 @@ from cak.corpus import (
     build_linear_aggregate,
     build_unrelated_pair,
 )
+from cak import transform
+from cak.abstraction import check_tau_abstraction
+from cak.corpus import build_voting
 from cak.maps import ContextMap
+from cak.serialize import dumps, report_to_obj
 from cak.transform import _match_high_side
 
+from . import util
 from .test_model import CHAIN, model_of
-from .util import reference_match_high_side
+from .util import corrupt_one_table_entry, reference_correspondents, reference_match_high_side
 
 
 def _identity_setup(model):
@@ -243,6 +248,40 @@ def test_iter_compatible_enumerates_all_witnesses():
     omega = InterventionMap.identity((EMPTY,))
     witnesses = list(iter_compatible_tau_u(low, high, tau, omega))
     assert len(witnesses) == 4  # 2 low contexts x 2 candidate images each
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_streamed_profile_pass_stops_at_the_first_unmatched_context(monkeypatch, seed):
+    bundle = build_voting(4, 2, 1)
+    high = corrupt_one_table_entry(random.Random(seed), bundle.high)
+    low_solves = []
+
+    def counted(model, context, intervention):
+        low_solves.append(model is bundle.low)
+        return solve_under(model, context, intervention)
+
+    def full_pass(*args):
+        low_contexts, high_contexts, table = reference_correspondents(*args)
+        return low_contexts, high_contexts, table.__getitem__
+
+    solve_under = transform.solve_under
+    monkeypatch.setattr(transform, "solve_under", counted)
+    monkeypatch.setattr(util, "solve_under", counted)
+    checks = [
+        lambda: check_uniform(bundle.low, high, bundle.tau, bundle.omega),
+        lambda: check_tau_abstraction(bundle.low, high, bundle.tau),
+    ]
+    streamed = []
+    for check in checks:
+        streamed.append((check(), sum(low_solves)))
+        low_solves.clear()
+    monkeypatch.setattr(transform, "_correspondents", full_pass)
+    for check, (report, solves) in zip(checks, streamed):
+        reference = check()
+        assert not report.verdict and report.counterexample["context"]
+        assert dumps(report_to_obj(report, True)) == dumps(report_to_obj(reference, True))
+        assert solves < sum(low_solves)
+        low_solves.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,11 @@ from cak import (
     StateMap,
     VariableDecl,
     derive_omega_tau,
+    enumerate_contexts,
     enumerate_interventions,
     enumerate_states,
     rst,
+    solve_under,
 )
 from cak.errors import EvaluationError, InputError, ParseError
 from cak.expr import Binary, Ite, Lit, Table, Unary, Var
@@ -242,6 +244,37 @@ def brute_force_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, in
         if set(result) - set(hit) or any(len(high_sig.domains[v]) > 1 for v in extra):
             raise AssertionError(f"induced image is not unique: {hits}")
     return result
+
+
+def reference_correspondents(m_low, m_high, tau, omega, interventions, cap=None):
+    """The full-table form of transform._correspondents: every low
+    context's matching high contexts, all computed up front, with one
+    solve per high context and intervention."""
+    low_contexts = enumerate_contexts(m_low, cap)
+    high_contexts = enumerate_contexts(m_high, cap)
+    high_images = [omega.apply(i) for i in interventions]
+    profile_to_high = {}
+    for u_h in high_contexts:
+        profile = tuple(solve_under(m_high, u_h, j) for j in high_images)
+        profile_to_high.setdefault(profile, []).append(u_h)
+    table = {}
+    for u_l in low_contexts:
+        profile = tuple(tau.apply(solve_under(m_low, u_l, i)) for i in interventions)
+        table[u_l] = profile_to_high.get(profile, [])
+    return low_contexts, high_contexts, table
+
+
+def corrupt_one_table_entry(rng: random.Random, model: CausalModel) -> CausalModel:
+    """`model` with one entry of one of its table equations changed to
+    another value of that variable's domain."""
+    tables = [(name, e) for name, e in model.equations if isinstance(e, Table)]
+    name, table = rng.choice(tables)
+    mapping = table.mapping()
+    key = rng.choice(sorted(mapping))
+    mapping[key] = rng.choice([v for v in model.signature.domains[name] if v != mapping[key]])
+    equations = dict(model.equations)
+    equations[name] = Table.from_mapping(table.vars, mapping)
+    return CausalModel(model.signature, tuple(equations.items()), model.allowed_interventions)
 
 
 def reference_match_high_side(low_contexts, high_contexts, cands):
