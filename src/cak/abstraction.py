@@ -91,10 +91,10 @@ class _TauTable:
                 fixed[d.name] = next(iter(values))
             else:
                 size *= len(d.domain)
-        candidate = Assignment(fixed)
-        if size == len(images) and images == set(rst(self.high.endogenous, candidate)):
-            return candidate
-        return None
+        # Every image agrees with the candidate on its fixed coordinates and
+        # lies in the high domains, so S is a subset of Rst(candidate) and
+        # equal to it exactly when the sizes match.
+        return Assignment(fixed) if size == len(images) else None
 
     def induced_sets(
         self, cap: int | None
@@ -288,12 +288,6 @@ class Partition:
             self, "cells", tuple((h, tuple(vs)) for h, vs in self.cells)
         )
         object.__setattr__(self, "marginal", tuple(self.marginal))
-
-    def cell_of(self, high_var: str) -> tuple[str, ...]:
-        for h, vs in self.cells:
-            if h == high_var:
-                return vs
-        raise InputError(f"partition has no cell for {high_var}")
 
 
 @dataclass(frozen=True)

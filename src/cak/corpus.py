@@ -557,32 +557,6 @@ def build_voting(n_voters: int = 4, n_groups: int = 2, n_ads: int = 1) -> Exampl
     )
 
 
-def voting_natural_partition(bundle: ExampleBundle):
-    """The intended partition for a voting bundle: one cell of voters per
-    group sum, each ad to itself, and the vote total to the winner bit."""
-    from .abstraction import Partition, derive_component_maps
-
-    low_names = bundle.low.signature.endo_names
-    cells = []
-    for d in bundle.high.signature.endogenous:
-        if d.name.startswith("G"):
-            g = int(d.name[1:])
-            n_groups = sum(1 for h in bundle.high.signature.endogenous if h.name.startswith("G"))
-            voters = [v for v in low_names if v.startswith("X")]
-            group_size = len(voters) // n_groups
-            members = voters[(g - 1) * group_size : g * group_size]
-            cells.append((d.name, tuple(members)))
-        elif d.name == "W":
-            cells.append((d.name, ("T",)))
-        else:
-            cells.append((d.name, (d.name,)))
-    partition = Partition(tuple(cells), ())
-    comps, failure = derive_component_maps(bundle.low, bundle.high, bundle.tau, partition)
-    if comps is None:
-        raise AssertionError(f"natural voting partition does not factor: {failure}")
-    return partition, comps
-
-
 # ---------------------------------------------------------------------------
 # Discretized continuous-flavoured bundles (labelled: not scale-exact)
 

@@ -360,18 +360,7 @@ class _Parser:
         while True:
             key = self._int_tuple()
             self.expect("->")
-            kind, text = self.next()
-            neg = False
-            if (kind, text) == ("op", "-"):
-                neg = True
-                kind, text = self.next()
-            if kind != "int":
-                raise ParseError(f"expected integer table output, got {text!r}")
-            out = -int(text) if neg else int(text)
-            if len(key) != len(names):
-                raise ParseError(
-                    f"table entry {key} has {len(key)} values for {len(names)} variables"
-                )
+            out = self._signed_int()
             if key in entries:
                 raise ParseError(f"duplicate table entry for {key}")
             entries[key] = out
@@ -408,9 +397,39 @@ class _Parser:
         return -int(text) if neg else int(text)
 
 
+# The deepest tree parse_expr accepts. Generated code nests up to one
+# parenthesized sub-expression per level, and CPython compiles at most 200
+# (a chain of 201 comparisons fails); the recursive walkers take a few
+# frames per level. Every bundled model stays below 10 levels.
+MAX_DEPTH = 100
+
+
+def _depth(expr: Expr) -> int:
+    """Levels on the longest root-to-leaf path, counted with a stack."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        e, level = stack.pop()
+        deepest = max(deepest, level)
+        if isinstance(e, Unary):
+            stack.append((e.arg, level + 1))
+        elif isinstance(e, Binary):
+            stack += ((e.left, level + 1), (e.right, level + 1))
+        elif isinstance(e, Ite):
+            stack += ((e.cond, level + 1), (e.then, level + 1), (e.other, level + 1))
+    return deepest
+
+
 def parse_expr(text: str) -> Expr:
-    """Parse the equation grammar into an expression tree."""
-    return _Parser(text).parse()
+    """Parse the equation grammar into an expression tree at most
+    MAX_DEPTH levels deep."""
+    try:
+        expr = _Parser(text).parse()
+    except RecursionError:
+        raise ParseError("expression nests too deeply to parse") from None
+    depth = _depth(expr)
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression is {depth} levels deep; at most {MAX_DEPTH} are allowed")
+    return expr
 
 
 # ---------------------------------------------------------------------------

@@ -156,9 +156,6 @@ class Assignment(Mapping[str, int]):
     def get(self, name, default=None):
         return self._dict.get(name, default)
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self._dict)
-
     def __len__(self) -> int:
         return len(self._items)
 

@@ -87,9 +87,6 @@ class RationalDist:
     def support(self) -> tuple[Assignment, ...]:
         return tuple(self._nonzero)
 
-    def as_dict(self) -> dict[Assignment, Fraction]:
-        return dict(self._nonzero)
-
     def total(self) -> Fraction:
         return sum((p for _, p in self.entries), Fraction(0))
 

@@ -11,9 +11,6 @@ refutes all of them.
 
 from __future__ import annotations
 
-import itertools
-import random
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -271,35 +268,6 @@ def _match_high_side(
     return match_of_low
 
 
-def iter_compatible_tau_u(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    tau: StateMap,
-    omega: InterventionMap,
-    i_low: Iterable[Assignment] | None = None,
-    cap: int | None = None,
-    limit: int = 1000,
-):
-    """Yield every compatible context map (up to `limit`), in lexicographic
-    order of choices. Existence is certified by find_compatible_tau_u;
-    this enumerates the full witness space on request."""
-    interventions = resolve_interventions(m_low, i_low, cap)
-    low_contexts, _, candidates = _correspondents(
-        m_low, m_high, tau, omega, interventions, cap
-    )
-    cands = []
-    for u_l in low_contexts:
-        cands.append(candidates(u_l))
-        if not cands[-1]:
-            return
-    count = 0
-    for combo in itertools.product(*cands):
-        yield ContextMap.from_table(tuple(zip(low_contexts, combo)))
-        count += 1
-        if count >= limit:
-            return
-
-
 def check_uniform(
     m_low: CausalModel,
     m_high: CausalModel,
@@ -322,56 +290,6 @@ def check_uniform(
     return find_compatible_tau_u(
         m_low, m_high, tau, omega, i_low=i_low, require_surjective=False, cap=cap
     )
-
-
-def sample_rational_dist(
-    space: Sequence[Assignment],
-    rng: random.Random,
-    max_denominator: int = 64,
-    max_support: int = 8,
-) -> RationalDist:
-    """A pseudo-random exact-rational distribution with small support and a
-    denominator bounded by `max_denominator`."""
-    size = rng.randint(1, min(max_support, len(space)))
-    support = rng.sample(list(space), size)
-    # Weights are kept small so the normalizing sum bounds the denominator.
-    bound = max(1, max_denominator // max(1, size))
-    weights = [rng.randint(1, max(1, bound)) for _ in support]
-    total = sum(weights)
-    return RationalDist(tuple((k, Fraction(w, total)) for k, w in zip(support, weights)))
-
-
-def uniform_distribution_probe(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    tau: StateMap,
-    omega: InterventionMap,
-    tau_u: ContextMap,
-    n_samples: int = 50,
-    seed: int = 0,
-    max_denominator: int = 64,
-    cap: int | None = None,
-) -> CheckReport:
-    """Empirical cross-check of a compatible context map: for seeded
-    pseudo-random low distributions, the pushforward through tau_u must
-    make the transformation exact. Reports the first failure."""
-    rng = random.Random(seed)
-    space = enumerate_contexts(m_low, cap)
-    for k in range(n_samples):
-        d_low = sample_rational_dist(space, rng, max_denominator)
-        d_high = tau_pushforward(tau_u, d_low)
-        report = check_exact(m_low, d_low, m_high, d_high, tau, omega, cap)
-        if not report.verdict:
-            return CheckReport(
-                False,
-                detail=f"sample {k} violates exactness",
-                counterexample={
-                    "sample_index": k,
-                    "low_distribution": d_low,
-                    "exact_failure": report.counterexample,
-                },
-            )
-    return CheckReport(True, detail=f"{n_samples} sampled distributions all exact")
 
 
 def compose_transformations(

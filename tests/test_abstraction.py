@@ -1,13 +1,17 @@
+import itertools
 import random
 
 import pytest
 
 from cak import (
     Assignment,
+    CausalModel,
     EMPTY,
     InputError,
     Partition,
+    Signature,
     StateMap,
+    VariableDecl,
     check_constructive,
     check_omega,
     check_strong_abstraction,
@@ -28,11 +32,11 @@ from cak.corpus import (
     build_gated_extension,
     build_pixel_grid,
     build_voting,
-    voting_natural_partition,
 )
+from cak.expr import Lit
 
 from .test_model import CHAIN, THREE_BITS
-from .util import brute_force_omega_tau, random_model, random_state_map
+from .util import brute_force_omega_tau, random_model, random_state_map, voting_natural_partition
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +423,66 @@ def test_derive_omega_tau_brute_force_on_random_models():
         tau = random_state_map(rng, low, high)
         for i in enumerate_interventions(low):
             brute_force_omega_tau(low, high, tau, i)
+
+
+def _with_constant(model, name, value):
+    """`model` plus one endogenous variable whose whole domain is `value`."""
+    sig = model.signature
+    return CausalModel(
+        Signature(sig.exogenous, sig.endogenous + (VariableDecl(name, (value,)),)),
+        model.equations + ((name, Lit(value)),),
+    )
+
+
+def _coordinatewise_tau(rng, low, high):
+    """A tau whose every high coordinate is a function of one or two low
+    variables, onto its domain wherever they have enough joint values:
+    restriction sets then often map onto product sets, and onto a strict
+    subset of one wherever an intervention leaves too few values."""
+    names, domains = low.signature.endo_names, low.signature.domains
+    coords = {}
+    for d in high.signature.endogenous:
+        reads = rng.sample(names, rng.randint(1, min(2, len(names))))
+        keys = list(itertools.product(*(domains[x] for x in reads)))
+        outs = list(d.domain[: len(keys)]) + [rng.choice(d.domain) for _ in keys[len(d.domain) :]]
+        rng.shuffle(outs)
+        coords[d.name] = (reads, dict(zip(keys, outs)))
+    return StateMap.from_table(
+        tuple(
+            (s, Assignment({h: f[tuple(s[x] for x in reads)] for h, (reads, f) in coords.items()}))
+            for s in enumerate_states(low)
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "seed,low_domain,high_domain,constant",
+    [
+        (41, (0, 1, 2), (0, 1, 2), False),
+        (42, (0, 1, 2), (0, 1), False),
+        (43, (0, 1), (0, 1, 2), False),
+        (44, (0, 1, 2), (0, 1, 2), True),
+    ],
+)
+def test_derive_omega_tau_brute_force_beyond_binary_domains(seed, low_domain, high_domain, constant):
+    # The induced map decides set equality by counting; with domains of
+    # different sizes, and with a one-value high variable, the count must
+    # still agree with the brute-force search over high interventions.
+    rng = random.Random(seed)
+    partial_images = undefined = 0
+    for k in range(12):
+        low = random_model(rng, max_endo=3, max_exo=1, domain=low_domain)
+        high = random_model(rng, max_endo=3, max_exo=1, domain=high_domain)
+        if constant:
+            high = _with_constant(high, "K", 7)
+        draw = random_state_map if k % 2 else _coordinatewise_tau
+        tau = draw(rng, low, high)
+        for i in enumerate_interventions(low):
+            image = brute_force_omega_tau(low, high, tau, i)
+            if image is None:
+                undefined += 1
+            elif 0 < len(image) < len(high.signature.endo_names) - constant:
+                partial_images += 1
+            if constant:
+                assert image is None or "K" not in image
+    assert partial_images and undefined

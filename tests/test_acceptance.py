@@ -31,7 +31,6 @@ from cak import (
     find_compatible_tau_u,
     search_constructive_partition,
     to_uev,
-    uniform_distribution_probe,
 )
 from cak.corpus import (
     all_bundles,
@@ -41,11 +40,16 @@ from cak.corpus import (
     build_pixel_grid,
     build_unrelated_pair,
     build_voting,
-    voting_natural_partition,
 )
 from cak.maps import materialize_state_map
 
-from .util import random_model, random_transformation_case, random_uniform_chain
+from .util import (
+    random_model,
+    random_transformation_case,
+    random_uniform_chain,
+    uniform_distribution_probe,
+    voting_natural_partition,
+)
 
 
 class Budget:

@@ -82,6 +82,27 @@ def test_solve_out_of_domain_value_exits_2(capsys, emitted):
     assert "outside its domain" in out["error"]
 
 
+@pytest.mark.parametrize(
+    "equation,message",
+    [
+        ("(" * 150 + "U" + ")" * 150, "nests too deeply to parse"),
+        (" == ".join(["U"] * 202), "202 levels deep"),
+        (" + ".join(["U"] * 1200), "1200 levels deep"),
+    ],
+    ids=["150 parentheses", "202-operand comparison chain", "1200-operand sum"],
+)
+def test_deeply_nested_equation_exits_2(capsys, tmp_path, equation, message):
+    path = tmp_path / "deep.json"
+    model = {
+        "exogenous": [{"name": "U", "domain": [0, 1]}],
+        "endogenous": [{"name": "X", "domain": [0, 1], "equation": equation}],
+    }
+    path.write_text(dumps(model), encoding="utf-8")
+    code, out, _ = run(capsys, "solve", str(path), "--context", '{"U": 1}')
+    assert code == 2
+    assert message in out["error"]
+
+
 def test_invalid_model_exits_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -164,8 +185,10 @@ def test_check_constructive_with_searched_partition_and_witness(capsys, emitted)
 
 
 def test_check_constructive_with_explicit_partition(capsys, emitted, tmp_path):
-    from cak.corpus import build_voting, voting_natural_partition
+    from cak.corpus import build_voting
     from cak.serialize import partition_to_obj
+
+    from .util import voting_natural_partition
 
     paths = emitted("voting-4-2-1")
     partition, _ = voting_natural_partition(build_voting())

@@ -19,7 +19,7 @@ from cak import (
     parse_expr,
     solve_under,
 )
-from cak.errors import EvaluationError
+from cak.errors import EvaluationError, ParseError
 from cak.expr import Binary, Ite, Lit, Table, Unary, Var, compile_expr
 from cak.model import _kernel, validate
 
@@ -180,10 +180,11 @@ def test_nesting_past_the_parenthesis_limit_raises_syntax_error(kind):
         compile_expr(too_deep)
     with pytest.raises(SyntaxError, match="too many nested parentheses"):
         validate(_model([("A", (0, 1))], [("X", (0, 1))], [("X", too_deep)]))
-    # From text, only a comparison chain gets there: the parser reads it in
-    # a loop, and it nests parentheses only in the generated code.
+    # From text, only a comparison chain could get there, since the parser
+    # reads it in a loop; parse_expr refuses the tree as too deep.
     if kind == "comparison chain":
-        assert parse_expr(" == ".join(["A"] * 202)) == too_deep
+        with pytest.raises(ParseError, match="202 levels deep"):
+            parse_expr(" == ".join(["A"] * 202))
 
 
 def test_equal_equations_with_different_domains_keep_their_own_checks():

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from cak.errors import EvaluationError, ParseError
 from cak.expr import (
+    MAX_DEPTH,
     Binary,
     Ite,
     Lit,
@@ -74,11 +75,28 @@ def test_table_missing_entry_raises():
         "foo bar",
         "1 @ 2",
         "table()[() -> 1]",
+        "table(A)[(0) -> x]",  # non-integer output
     ],
 )
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_expr(bad)
+
+
+@pytest.mark.parametrize(
+    "nest,value",
+    [
+        (lambda n: " == ".join(["A"] * n), 1),
+        (lambda n: " + ".join(["A"] * n), MAX_DEPTH),
+        (lambda n: "ite(" * (n - 1) + "A" + ", 1, 0)" * (n - 1), 1),
+        (lambda n: "-" * (n - 1) + "A", (-1) ** (MAX_DEPTH - 1)),
+    ],
+    ids=["comparison chain", "sum", "ite in the cond position", "negations"],
+)
+def test_parse_accepts_trees_up_to_the_depth_bound(nest, value):
+    assert evaluate(parse_expr(nest(MAX_DEPTH)), {"A": 1}) == value
+    with pytest.raises(ParseError, match=f"{MAX_DEPTH + 1} levels deep"):
+        parse_expr(nest(MAX_DEPTH + 1))
 
 
 def test_variables_collects_all_references():

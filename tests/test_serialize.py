@@ -107,7 +107,9 @@ def test_context_map_round_trip():
 
 
 def test_partition_round_trip_orders_by_high_signature():
-    from cak.corpus import build_voting, voting_natural_partition
+    from cak.corpus import build_voting
+
+    from .util import voting_natural_partition
 
     b = build_voting()
     partition, _ = voting_natural_partition(b)

@@ -17,10 +17,7 @@ from cak import (
     enumerate_interventions,
     enumerate_states,
     find_compatible_tau_u,
-    iter_compatible_tau_u,
-    sample_rational_dist,
     tau_pushforward,
-    uniform_distribution_probe,
 )
 from cak.corpus import (
     build_chain_vs_independent,
@@ -37,7 +34,13 @@ from cak.transform import _match_high_side
 
 from . import util
 from .test_model import CHAIN, model_of
-from .util import corrupt_one_table_entry, reference_correspondents, reference_match_high_side
+from .util import (
+    corrupt_one_table_entry,
+    reference_correspondents,
+    reference_match_high_side,
+    sample_rational_dist,
+    uniform_distribution_probe,
+)
 
 
 def _identity_setup(model):
@@ -239,15 +242,6 @@ def test_matcher_agrees_with_recursive_reference():
         assert got == reference_match_high_side(lows, highs, cands)
         outcomes.add(got is None)
     assert outcomes == {True, False}
-
-
-def test_iter_compatible_enumerates_all_witnesses():
-    low = model_of([("U", (0, 1))], [("X", (0,))], {"X": "0"}, allowed=(EMPTY,))
-    high = model_of([("W", (0, 1))], [("Y", (0,))], {"Y": "0"}, allowed=(EMPTY,))
-    tau = StateMap.from_table(((Assignment(X=0), Assignment(Y=0)),))
-    omega = InterventionMap.identity((EMPTY,))
-    witnesses = list(iter_compatible_tau_u(low, high, tau, omega))
-    assert len(witnesses) == 4  # 2 low contexts x 2 candidate images each
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,6 +1,6 @@
-"""Seeded random generators for models, maps, and intervention setups,
-and the slow reference implementations that fast library paths are
-checked against.
+"""Seeded random generators for models, maps, intervention setups and
+distributions, the slow reference implementations that fast library paths
+are checked against, and the empirical distribution probe.
 
 All generators are deterministic functions of the supplied Random
 instance, so failures reproduce from the seed alone.
@@ -10,23 +10,33 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
+from typing import Sequence
 
 from cak import (
     ALL,
     Assignment,
     CausalModel,
+    CheckReport,
+    ContextMap,
     EMPTY,
     InterventionMap,
+    Partition,
+    RationalDist,
     Signature,
     StateMap,
     VariableDecl,
+    check_exact,
+    derive_component_maps,
     derive_omega_tau,
     enumerate_contexts,
     enumerate_interventions,
     enumerate_states,
     rst,
     solve_under,
+    tau_pushforward,
 )
+from cak.corpus import ExampleBundle
 from cak.errors import EvaluationError, InputError, ParseError
 from cak.expr import Binary, Ite, Lit, Table, Unary, Var
 from cak.model import check_context
@@ -216,6 +226,80 @@ def random_uniform_chain(rng: random.Random, max_attempts: int = 2000):
             continue  # randomly drawn images broke monotonicity; redraw
         return low, mid, high, tau1, omega1, tau2, omega2
     raise AssertionError("could not sample a two-leg chain within the attempt budget")
+
+
+def sample_rational_dist(
+    space: Sequence[Assignment],
+    rng: random.Random,
+    max_denominator: int = 64,
+    max_support: int = 8,
+) -> RationalDist:
+    """A pseudo-random exact-rational distribution with small support and a
+    denominator bounded by `max_denominator`."""
+    size = rng.randint(1, min(max_support, len(space)))
+    support = rng.sample(list(space), size)
+    # Weights are kept small so the normalizing sum bounds the denominator.
+    bound = max(1, max_denominator // max(1, size))
+    weights = [rng.randint(1, max(1, bound)) for _ in support]
+    total = sum(weights)
+    return RationalDist(tuple((k, Fraction(w, total)) for k, w in zip(support, weights)))
+
+
+def uniform_distribution_probe(
+    m_low: CausalModel,
+    m_high: CausalModel,
+    tau: StateMap,
+    omega: InterventionMap,
+    tau_u: ContextMap,
+    n_samples: int = 50,
+    seed: int = 0,
+    max_denominator: int = 64,
+    cap: int | None = None,
+) -> CheckReport:
+    """Empirical cross-check of a compatible context map: for seeded
+    pseudo-random low distributions, the pushforward through tau_u must
+    make the transformation exact. Reports the first failure."""
+    rng = random.Random(seed)
+    space = enumerate_contexts(m_low, cap)
+    for k in range(n_samples):
+        d_low = sample_rational_dist(space, rng, max_denominator)
+        d_high = tau_pushforward(tau_u, d_low)
+        report = check_exact(m_low, d_low, m_high, d_high, tau, omega, cap)
+        if not report.verdict:
+            return CheckReport(
+                False,
+                detail=f"sample {k} violates exactness",
+                counterexample={
+                    "sample_index": k,
+                    "low_distribution": d_low,
+                    "exact_failure": report.counterexample,
+                },
+            )
+    return CheckReport(True, detail=f"{n_samples} sampled distributions all exact")
+
+
+def voting_natural_partition(bundle: ExampleBundle):
+    """The intended partition for a voting bundle: one cell of voters per
+    group sum, each ad to itself, and the vote total to the winner bit."""
+    low_names = bundle.low.signature.endo_names
+    cells = []
+    for d in bundle.high.signature.endogenous:
+        if d.name.startswith("G"):
+            g = int(d.name[1:])
+            n_groups = sum(1 for h in bundle.high.signature.endogenous if h.name.startswith("G"))
+            voters = [v for v in low_names if v.startswith("X")]
+            group_size = len(voters) // n_groups
+            members = voters[(g - 1) * group_size : g * group_size]
+            cells.append((d.name, tuple(members)))
+        elif d.name == "W":
+            cells.append((d.name, ("T",)))
+        else:
+            cells.append((d.name, (d.name,)))
+    partition = Partition(tuple(cells), ())
+    comps, failure = derive_component_maps(bundle.low, bundle.high, bundle.tau, partition)
+    if comps is None:
+        raise AssertionError(f"natural voting partition does not factor: {failure}")
+    return partition, comps
 
 
 def brute_force_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, intervention):
