@@ -456,6 +456,36 @@ def solve_under(model: CausalModel, context: Assignment, intervention: Assignmen
     return out
 
 
+def solve_column(
+    model: CausalModel, contexts: Iterable[Assignment], intervention: Assignment
+) -> Iterator[tuple[int, ...]]:
+    """The state values (`Assignment._values`) of solve_under(model, u,
+    intervention) for each context u, in order, with solve_under's checks
+    and errors, but no Assignment per solve; `state_of` gives one."""
+    exo = model._exo_keyset
+    solve = model._kernels.get(intervention._keys) or model.solver(intervention._keys)
+    forced = intervention._values
+    for context in contexts:
+        keys = context._keys
+        if keys is not exo and keys != exo:
+            check_context(model, context)
+        try:
+            yield solve(context._values, forced)
+        except KeyError:
+            check_context(model, context)  # raises with a precise message
+            raise
+
+
+def state_of(model: CausalModel, values: tuple[int, ...]) -> Assignment:
+    """The state with these values, the same object solve_under returns.
+    solve_under does the same lookup inline, without the call."""
+    out = model._states.get(values)
+    if out is None:
+        out = Assignment._from_sorted_items(tuple(zip(model._endo_sorted, values)), values=values)
+        model._states[values] = out
+    return out
+
+
 def _outside(name: str, value: int):
     raise EvaluationError(f"equation for {name} produced {value}, outside its domain")
 

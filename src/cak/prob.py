@@ -6,9 +6,12 @@ no floating point enters any check, so distribution equality is decidable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
+from math import lcm
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
 from .errors import InputError, SizeCapExceeded, contexts_cap
@@ -24,7 +27,9 @@ from .model import (
     check_context,
     check_intervention,
     enumerate_contexts,
+    solve_column,
     solve_under,
+    state_of,
 )
 from .expr import Expr, Table, Var
 from .report import CheckReport
@@ -35,28 +40,46 @@ class RationalDist:
     """Finite-support distribution with exact rational masses.
 
     Keys are assignments (contexts or endogenous states). Entries with
-    zero mass are permitted and ignored by equality.
+    zero mass are permitted and ignored by equality. Entries are sorted by
+    key. Beside them the distribution keeps an integer view, in entry
+    order: entry k's mass is `_nums[k] / _den`, where `_den` is the lcm
+    of the entry denominators. Sums run on that view, so each sum builds
+    one Fraction per distinct result instead of one per term.
     """
 
     entries: tuple[tuple[Assignment, Fraction], ...]
+    _den: int = field(init=False, repr=False, compare=False)
+    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        canon = []
+        rows = []
         seen = set()
-        total = Fraction(0)
         for key, p in self.entries:
             key = _shared(key)
-            p = Fraction(p)
-            if p < 0:
-                raise InputError(f"negative probability {p} for {key!r}")
+            if type(p) is not Fraction:
+                p = Fraction(p)
+            if p.numerator < 0:
+                raise InputError(f"negative probability {_show(p)} for {key!r}")
             if key in seen:
                 raise InputError(f"duplicate distribution entry for {key!r}")
             seen.add(key)
-            total += p
-            canon.append((key, p))
-        if total != 1:
-            raise InputError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "entries", tuple(sorted(canon)))
+            rows.append((key._items, key, p))
+        # Keys are distinct, so the sort never compares past `_items`, the
+        # order Assignment.__lt__ gives.
+        rows.sort()
+        den = lcm(*{p.denominator for _, _, p in rows})
+        nums = tuple([p.numerator * (den // p.denominator) for _, _, p in rows])
+        total = sum(nums)
+        if total != den:
+            raise InputError(f"probabilities sum to {_show(Fraction(total, den))}, not 1")
+        object.__setattr__(self, "entries", tuple([(key, p) for _, key, p in rows]))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
+
+    @staticmethod
+    def _from_numerators(masses: Mapping[Assignment, int], den: int) -> "RationalDist":
+        # One Fraction per key: masses[key] / den.
+        return RationalDist(tuple([(k, Fraction(n, den)) for k, n in masses.items()]))
 
     @staticmethod
     def point(key: Assignment) -> "RationalDist":
@@ -72,14 +95,18 @@ class RationalDist:
 
     @staticmethod
     def from_weights(weights: Mapping[Assignment, int | Fraction]) -> "RationalDist":
-        total = sum(Fraction(w) for w in weights.values())
+        fractions = [Fraction(w) for w in weights.values()]
+        den = lcm(*{w.denominator for w in fractions})
+        nums = [w.numerator * (den // w.denominator) for w in fractions]
+        total = sum(nums)
         if total <= 0:
             raise InputError("weights must have a positive sum")
-        return RationalDist(tuple((k, Fraction(w) / total) for k, w in weights.items()))
+        # w / (total / den) == (w * den) / total
+        return RationalDist._from_numerators(dict(zip(weights, nums)), total)
 
     @cached_property
     def _nonzero(self) -> dict[Assignment, Fraction]:
-        return {k: p for k, p in self.entries if p != 0}
+        return {k: p for (k, p), n in zip(self.entries, self._nums) if n}
 
     def mass(self, key: Assignment) -> Fraction:
         return self._nonzero.get(_shared(key), Fraction(0))
@@ -88,7 +115,7 @@ class RationalDist:
         return tuple(self._nonzero)
 
     def total(self) -> Fraction:
-        return sum((p for _, p in self.entries), Fraction(0))
+        return Fraction(sum(self._nums), self._den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalDist):
@@ -102,18 +129,45 @@ class RationalDist:
         """Convex combination: weight * self + (1 - weight) * other."""
         weight = Fraction(weight)
         if not 0 <= weight <= 1:
-            raise InputError(f"mixture weight {weight} outside [0, 1]")
-        out: dict[Assignment, Fraction] = {}
-        for k, p in self._nonzero.items():
-            out[k] = out.get(k, Fraction(0)) + weight * p
-        for k, p in other._nonzero.items():
-            out[k] = out.get(k, Fraction(0)) + (1 - weight) * p
-        return RationalDist(tuple(out.items()))
+            raise InputError(f"mixture weight {_show(weight)} outside [0, 1]")
+        # Over the denominator weight.denominator * self._den * other._den.
+        a, b = weight.numerator, weight.denominator
+        left, right = a * other._den, (b - a) * self._den
+        out: dict[Assignment, int] = {}
+        for k, n in zip(self._nonzero, filter(None, self._nums)):
+            out[k] = out.get(k, 0) + left * n
+        for k, n in zip(other._nonzero, filter(None, other._nums)):
+            out[k] = out.get(k, 0) + right * n
+        return RationalDist._from_numerators(out, b * self._den * other._den)
+
+
+def _show(p: Fraction) -> str:
+    """`p` as text, or, past Python's limit on the digits of an int it
+    will print, its size."""
+    try:
+        return str(p)
+    except ValueError:
+        return (
+            f"a fraction with a {p.numerator.bit_length()}-bit numerator"
+            f" and a {p.denominator.bit_length()}-bit denominator"
+        )
 
 
 def check_distribution(model: CausalModel, d: RationalDist) -> None:
-    for context, _ in d.entries:
-        check_context(model, context)
+    """Raise check_context's error for the first entry whose key is not a
+    context of `model`, zero-mass entries included."""
+    exo = model._exo_keyset
+    contexts = [key for key, _ in d.entries]
+    # A set compares its members by identity before equality.
+    ok = set(map(attrgetter("_keys"), contexts)) == {exo}
+    if ok:
+        domains = model.signature.domains
+        # One column of values per exogenous variable, in name order.
+        columns = zip(*map(attrgetter("_values"), contexts))
+        ok = all(set(col).issubset(domains[n]) for n, col in zip(sorted(exo), columns))
+    if not ok:
+        for context in contexts:
+            check_context(model, context)
 
 
 def push_to_states(model: CausalModel, d: RationalDist) -> RationalDist:
@@ -125,26 +179,25 @@ def push_to_states(model: CausalModel, d: RationalDist) -> RationalDist:
 
 def interventional_dist(model: CausalModel, d: RationalDist, intervention: Assignment) -> RationalDist:
     """Distribution of the solution under the intervention, with contexts
-    drawn from `d`."""
+    drawn from `d`. Contexts with zero mass are neither solved nor
+    checked."""
     check_intervention(model, intervention)
-    out: dict[Assignment, Fraction] = {}
-    for context, p in d.entries:
-        if p == 0:
-            continue
-        state = solve_under(model, context, intervention)
-        out[state] = out.get(state, Fraction(0)) + p
-    return RationalDist(tuple(out.items()))
+    contexts = map(itemgetter(0), compress(d.entries, d._nums))
+    out: dict[tuple[int, ...], int] = {}
+    for state, n in zip(solve_column(model, contexts, intervention), filter(None, d._nums)):
+        out[state] = out.get(state, 0) + n
+    return RationalDist._from_numerators({state_of(model, s): n for s, n in out.items()}, d._den)
 
 
 def tau_pushforward(tau: FiniteMap, d: RationalDist) -> RationalDist:
     """Image of a distribution under a finite map (a state map on state
     distributions, a context map on context distributions);
     mass-preserving."""
-    out: dict[Assignment, Fraction] = {}
-    for key, p in d.entries:
+    out: dict[Assignment, int] = {}
+    for (key, _), n in zip(d.entries, d._nums):
         image = tau.apply(key)
-        out[image] = out.get(image, Fraction(0)) + p
-    return RationalDist(tuple(out.items()))
+        out[image] = out.get(image, 0) + n
+    return RationalDist._from_numerators(out, d._den)
 
 
 def equivalent(
@@ -175,13 +228,11 @@ def equivalent(
     ilist = list(interventions)
 
     def profile_dist(model: CausalModel, d: RationalDist) -> dict[tuple, Fraction]:
-        out: dict[tuple, Fraction] = {}
-        for context, p in d.entries:
-            if p == 0:
-                continue
+        out: dict[tuple, int] = {}
+        for (context, _), n in zip(compress(d.entries, d._nums), filter(None, d._nums)):
             profile = tuple(solve_under(model, context, i) for i in ilist)
-            out[profile] = out.get(profile, Fraction(0)) + p
-        return out
+            out[profile] = out.get(profile, 0) + n
+        return {profile: Fraction(n, d._den) for profile, n in out.items()}
 
     p1 = profile_dist(m1, d1)
     p2 = profile_dist(m2, d2)
@@ -214,6 +265,7 @@ def to_uev(model: CausalModel, d: RationalDist, cap: int | None = None) -> tuple
     own private variable, and the output distribution puts the original
     mass of each context on the corresponding diagonal code vector.
     """
+    check_distribution(model, d)
     sig = model.signature
     contexts = enumerate_contexts(model, cap)
     k = len(contexts)

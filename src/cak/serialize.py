@@ -18,6 +18,7 @@ Probabilities are serialized as exact "p/q" strings.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -35,7 +36,22 @@ def fraction_to_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+# Python converts ints of at most 4,300 digits to and from text by
+# default; a mass's numerator and denominator are held to the same size.
+MAX_MASS_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
+
+
 def fraction_from_str(text: str) -> Fraction:
+    # Fraction("1e10000000") spends seconds building 10**10000000 before
+    # anything can refuse it, so the size is read from the text first: the
+    # longest part between "/" and the exponent, plus the exponent.
+    found = _EXPONENT.search(text)
+    exponent = found.group(1).replace("_", "").lstrip("0") if found else ""
+    mantissa = text[: found.start()] if found else text
+    if len(exponent) > 9 or max(map(len, mantissa.split("/", 1))) + int(exponent or 0) > MAX_MASS_DIGITS:
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        raise InputError(f"bad probability {shown!r}: more than {MAX_MASS_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -278,5 +294,5 @@ def dumps(obj: Any) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int literal past Python's digit limit
         raise InputError(f"bad JSON: {exc}") from exc

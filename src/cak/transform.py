@@ -51,8 +51,13 @@ def check_exact(
     gate = check_omega(omega, i_low, i_high)
     if not gate.verdict:
         raise InputError(f"omega is not admissible: {gate.detail}")
+    # One high distribution per distinct omega-image.
+    high_dists: dict[Assignment, RationalDist] = {}
     for i in i_low:
-        high_dist = interventional_dist(m_high, d_high, omega.apply(i))
+        image = omega.apply(i)
+        high_dist = high_dists.get(image)
+        if high_dist is None:
+            high_dist = high_dists[image] = interventional_dist(m_high, d_high, image)
         pushed = tau_pushforward(tau, interventional_dist(m_low, d_low, i))
         if high_dist != pushed:
             for state in sorted(set(high_dist.support()) | set(pushed.support())):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -383,3 +384,69 @@ def test_ill_typed_tau_exits_2_naming_its_file(capsys, emitted, tmp_path, kind, 
     # The bundle's own map passes the same load check.
     argv[argv.index(tau)] = paths["tau"]
     assert run(capsys, *argv)[0] == 0
+
+
+def _write_dist(tmp_path, path, edit):
+    rows = loads(open(path, encoding="utf-8").read())
+    edit(rows)
+    out = tmp_path / "edited.dist.json"
+    out.write_text(dumps(rows), encoding="utf-8")
+    return str(out)
+
+
+@pytest.mark.parametrize(
+    "context,reason",
+    [
+        ({"LU1": 5, "LU2": 0, "LV1": 0}, "context sets LU1 to 5, outside its domain"),
+        ({"LU1": 0, "LU2": 0}, "context must assign exactly the exogenous variables"),
+    ],
+    ids=["out-of-domain", "missing-LV1"],
+)
+def test_to_uev_rejects_a_context_outside_the_model(capsys, emitted, tmp_path, context, reason):
+    # Before, both raised KeyError inside to_uev and exited 1, though the
+    # entry has no mass.
+    paths = emitted("linear-sum")
+    dist = _write_dist(tmp_path, paths["low_dist"], lambda rows: rows.append({"context": context, "p": "0"}))
+    code, out, _ = run(capsys, "to-uev", paths["low"], "--dist", dist, "--out-model", str(tmp_path / "m.json"))
+    assert code == 2
+    assert reason in out["error"]
+
+
+def _set_masses(*masses):
+    def edit(rows):
+        for row, p in zip(rows, masses):
+            row["p"] = p
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "masses,reason",
+    [
+        # Formatting the "sum to" message hit Python's int-to-text limit.
+        (("1e5000",), "more than 4300 digits"),
+        # Fraction() alone spent about 12 s here.
+        (("1e10000000",), "more than 4300 digits"),
+        (("1/" + str(10**3000 + 1), "1/" + str(10**3000 + 3)), "probabilities sum to a fraction with a "),
+    ],
+    ids=["1e5000", "1e10000000", "two-3001-digit-denominators"],
+)
+def test_masses_past_the_digit_limit_exit_2_quickly(capsys, emitted, tmp_path, masses, reason):
+    paths = emitted("linear-sum")
+    dist = _write_dist(tmp_path, paths["low_dist"], _set_masses(*masses))
+    argv = ["check", "exact", paths["low"], paths["high"], "--tau", paths["tau"], "--omega", paths["omega"]]
+    started = time.monotonic()
+    code, out, _ = run(capsys, *argv, "--dists", dist, paths["high_dist"])
+    assert time.monotonic() - started < 1
+    assert code == 2
+    assert reason in out["error"]
+
+
+def test_json_integer_past_the_digit_limit_exits_2(capsys, emitted, tmp_path):
+    paths = emitted("linear-sum")
+    dist = tmp_path / "huge.dist.json"
+    dist.write_text('[{"context": {"LU1": 0, "LU2": 0, "LV1": 0}, "p": 1' + "0" * 5000 + "}]")
+    argv = ["check", "exact", paths["low"], paths["high"], "--tau", paths["tau"], "--omega", paths["omega"]]
+    code, out, _ = run(capsys, *argv, "--dists", str(dist), paths["high_dist"])
+    assert code == 2
+    assert out["error"].startswith("bad JSON: ")

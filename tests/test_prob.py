@@ -11,6 +11,7 @@ from cak import (
     InputError,
     RationalDist,
     StateMap,
+    check_exact,
     check_uev,
     enumerate_contexts,
     enumerate_interventions,
@@ -23,10 +24,24 @@ from cak import (
     tau_pushforward,
     to_uev,
 )
+from cak import transform
 from cak.maps import ContextMap
+from cak.model import check_context
+from cak.prob import check_distribution
+from cak.serialize import dumps, report_to_obj
 
 from .test_model import CHAIN, THREE_BITS, model_of
-from .util import random_model
+from .util import (
+    outcome,
+    random_expr_model,
+    random_intervention,
+    random_model,
+    random_state_map,
+    random_transformation_case,
+    reference_equivalent,
+    reference_interventional_dist,
+    reference_tau_pushforward,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +86,19 @@ def test_mixture_is_exact():
     assert mix.mass(Assignment(U=0)) == Fraction(1, 3)
     assert mix.mass(Assignment(U=1)) == Fraction(2, 3)
     assert mix.total() == 1
+
+
+def test_messages_never_print_past_the_int_digit_limit():
+    # str() of these raises ValueError past 4,300 digits.
+    u = Assignment(U=0)
+    with pytest.raises(InputError, match="mixture weight a fraction with a 16610-bit numerator"):
+        RationalDist.point(u).mixed(RationalDist.point(u), Fraction(10**5000))
+    with pytest.raises(InputError, match="negative probability a fraction with a 16610-bit numerator"):
+        RationalDist(((u, Fraction(-(10**5000))), (Assignment(U=1), Fraction(10**5000 + 1))))
+    with pytest.raises(InputError, match="probabilities sum to a fraction with a "):
+        RationalDist(((u, Fraction(1, 10**3000 + 1)), (Assignment(U=1), Fraction(1, 10**3000 + 3))))
+    with pytest.raises(InputError, match="probabilities sum to 1/2, not 1"):
+        RationalDist(((u, Fraction(1, 2)),))
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +295,137 @@ def test_rewire_handles_tables_touching_exogenous():
     m2, d2 = to_uev(m, d)
     assert check_uev(m2).verdict
     assert equivalent(m, d, m2, d2).verdict
+
+
+# ---------------------------------------------------------------------------
+# integer sums against the one-Fraction-per-term reference
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def mixed_dist(rng, keys):
+    """A distribution over a random subset of `keys` whose masses have
+    coprime denominators, some of them zero; about half the keys are
+    rebuilt from a dict in reversed insertion order, so they share
+    nothing with the enumerated ones."""
+    chosen = rng.sample(list(keys), rng.randint(1, len(keys)))
+    chosen = [k if rng.random() < 0.5 else Assignment(dict(reversed(list(k.items())))) for k in chosen]
+    weights = [Fraction(rng.choice((0, 0, 1, 2, 5)), rng.choice(PRIMES)) for _ in chosen]
+    if not any(weights):
+        weights[0] = Fraction(1, 3)
+    total = sum(weights)
+    return RationalDist(tuple((k, w / total) for k, w in zip(chosen, weights)))
+
+
+def result(outcome_):
+    # A distribution's entries, in order, or the exception's type and message.
+    kind, value = outcome_
+    return (kind, value.entries) if kind == "value" else outcome_
+
+
+def report(outcome_):
+    kind, value = outcome_
+    return (kind, dumps(report_to_obj(value, True))) if kind == "value" else outcome_
+
+
+def test_integer_sums_match_the_fraction_reference():
+    rng = random.Random(7)
+    for trial in range(80):
+        model = random_model(rng) if trial % 2 else random_expr_model(rng)
+        d = mixed_dist(rng, enumerate_contexts(model))
+        for i in [EMPTY] + [random_intervention(rng, model) for _ in range(3)]:
+            got = outcome(interventional_dist, model, d, i)
+            assert result(got) == result(outcome(reference_interventional_dist, model, d, i))
+            if got[0] == "value":
+                assert all(model._states[k._values] is k for k, _ in got[1].entries)
+        got = outcome(push_to_states, model, d)
+        assert result(got) == result(outcome(reference_interventional_dist, model, d, EMPTY))
+        d2 = mixed_dist(rng, enumerate_contexts(model))
+        ilist = enumerate_interventions(model)
+        assert report(outcome(equivalent, model, d, model, d2, ilist)) == report(
+            outcome(reference_equivalent, model, d, model, d2, ilist)
+        )
+        if trial % 2:
+            high = random_model(rng)
+            tau = random_state_map(rng, model, high)
+            states = mixed_dist(rng, enumerate_states(model))
+            assert tau_pushforward(tau, states).entries == reference_tau_pushforward(tau, states).entries
+            uev, d_uev = to_uev(model, d)
+            assert report(outcome(equivalent, model, d, uev, d_uev, ilist)) == report(
+                outcome(reference_equivalent, model, d, uev, d_uev, ilist)
+            )
+
+
+@pytest.mark.parametrize("force_success", [False, True])
+def test_exact_check_matches_the_fraction_reference(monkeypatch, force_success):
+    rng = random.Random(8)
+    for _ in range(40):
+        low, high, tau, omega = random_transformation_case(rng, force_success)
+        d_low = mixed_dist(rng, enumerate_contexts(low))
+        d_high = d_low if force_success else mixed_dist(rng, enumerate_contexts(high))
+        got = report(outcome(check_exact, low, d_low, high, d_high, tau, omega))
+        with monkeypatch.context() as patch:
+            patch.setattr(transform, "interventional_dist", reference_interventional_dist)
+            patch.setattr(transform, "tau_pushforward", reference_tau_pushforward)
+            want = report(outcome(check_exact, low, d_low, high, d_high, tau, omega))
+        assert got == want
+        if force_success:
+            assert '"verdict": true' in got[1]
+
+
+LEAVES_DOMAIN = model_of([("U", (0, 1, 2))], [("X", (0, 1))], {"X": "U + 1"})
+
+
+@pytest.mark.parametrize(
+    "entries,error",
+    [
+        # U=1 solves to X=2.
+        ({(("U", 0),): Fraction(1, 3), (("U", 1),): Fraction(2, 3)}, "produced 2, outside its domain"),
+        # The second context has the wrong keys; the third also leaves the domain.
+        (
+            {(("U", 0),): Fraction(1, 3), (("U", 0), ("V", 1)): Fraction(1, 5), (("U", 2),): Fraction(7, 15)},
+            "context must assign exactly the exogenous variables",
+        ),
+    ],
+    ids=["out-of-domain", "wrong-keys"],
+)
+def test_interventional_dist_raises_what_the_reference_raises(entries, error):
+    d = RationalDist(tuple((Assignment(dict(items)), p) for items, p in entries.items()))
+    got = outcome(interventional_dist, LEAVES_DOMAIN, d, EMPTY)
+    assert got == outcome(reference_interventional_dist, LEAVES_DOMAIN, d, EMPTY)
+    assert got[0] != "value" and error in got[1]
+
+
+def test_check_distribution_raises_the_first_entrys_error():
+    # Entries out of the domain or with the wrong keys, in any mix: the
+    # error is the one a check_context loop in entry order raises first.
+    rng = random.Random(9)
+    for _ in range(200):
+        model = random_model(rng, domain=(0, 1, 2))
+        keys = list(enumerate_contexts(model))
+        for _ in range(rng.randint(0, 2)):
+            u = dict(rng.choice(keys))
+            name = rng.choice(sorted(u))
+            if rng.random() < 0.5:
+                u[name] = rng.choice((-1, 3))
+            else:
+                del u[name]
+                u[rng.choice((name + "x", "A"))] = 0
+            keys.append(Assignment(u))
+        d = mixed_dist(rng, dict.fromkeys(keys))
+        assert list(d.entries) == sorted(d.entries, key=lambda e: e[0])
+
+        def reference():
+            for context, _ in d.entries:
+                check_context(model, context)
+
+        assert outcome(check_distribution, model, d) == outcome(reference)
+
+
+def test_bad_contexts_with_zero_mass_are_skipped():
+    good = ((Assignment(U=0), Fraction(1)),)
+    bad = ((Assignment(U=1), Fraction(0)), (Assignment(U=5), Fraction(0)), (Assignment(W=0), Fraction(0)))
+    d = RationalDist(good + bad)
+    got = interventional_dist(LEAVES_DOMAIN, d, EMPTY)
+    assert got.entries == reference_interventional_dist(LEAVES_DOMAIN, d, EMPTY).entries
+    assert got.entries == ((Assignment(X=1), Fraction(1)),)

@@ -39,7 +39,7 @@ from cak import (
 from cak.corpus import ExampleBundle
 from cak.errors import EvaluationError, InputError, ParseError
 from cak.expr import Binary, Ite, Lit, Table, Unary, Var
-from cak.model import check_context
+from cak.model import check_context, check_intervention
 
 BINARY_OPS = ("+", "-", "*", "==", "<", "<=", "&&", "||")
 
@@ -488,3 +488,56 @@ def outcome(fn, *args):
         return ("value", fn(*args))
     except (EvaluationError, InputError, KeyError, ParseError, TypeError) as exc:
         return (type(exc), str(exc))
+
+
+def reference_interventional_dist(model: CausalModel, d: RationalDist, intervention: Assignment) -> RationalDist:
+    """prob.interventional_dist with one reference solve and one Fraction
+    addition per context of nonzero mass."""
+    check_intervention(model, intervention)
+    out: dict[Assignment, Fraction] = {}
+    for context, p in d.entries:
+        if p == 0:
+            continue
+        state = reference_solve_under(model, context, intervention)
+        out[state] = out.get(state, Fraction(0)) + p
+    return RationalDist(tuple(out.items()))
+
+
+def reference_tau_pushforward(tau, d: RationalDist) -> RationalDist:
+    """prob.tau_pushforward with one Fraction addition per entry."""
+    out: dict[Assignment, Fraction] = {}
+    for key, p in d.entries:
+        image = tau.apply(key)
+        out[image] = out.get(image, Fraction(0)) + p
+    return RationalDist(tuple(out.items()))
+
+
+def reference_equivalent(m1, d1, m2, d2, interventions) -> CheckReport:
+    """prob.equivalent over the listed interventions, with one reference
+    solve per context and intervention and one Fraction addition per
+    context of nonzero mass."""
+    ilist = list(interventions)
+
+    def profile_dist(model, d):
+        out = {}
+        for context, p in d.entries:
+            if p == 0:
+                continue
+            profile = tuple(reference_solve_under(model, context, i) for i in ilist)
+            out[profile] = out.get(profile, Fraction(0)) + p
+        return out
+
+    p1, p2 = profile_dist(m1, d1), profile_dist(m2, d2)
+    if p1 == p2:
+        return CheckReport(True, detail=f"equivalent over {len(ilist)} interventions")
+    profile = next(q for q in sorted(set(p1) | set(p2)) if p1.get(q, 0) != p2.get(q, 0))
+    return CheckReport(
+        False,
+        detail="response-profile masses differ",
+        counterexample={
+            "profile": profile,
+            "interventions": tuple(ilist),
+            "mass_left": p1.get(profile, Fraction(0)),
+            "mass_right": p2.get(profile, Fraction(0)),
+        },
+    )
