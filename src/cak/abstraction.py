@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputError, SizeCapExceeded
@@ -49,23 +48,19 @@ def rst(decls: Sequence[VariableDecl], partial: Assignment) -> list[Assignment]:
 class _TauTable:
     """tau materialized once for a whole check.
 
-    `by_state` maps each low state, in enumeration order, to its image;
-    `by_values` holds the same images keyed by low-state value tuples in
-    declaration order, which is what restriction-set products yield.
+    `by_values` maps each low state's value tuple, in declaration order
+    (what restriction-set products yield), to its image. The layers that
+    apply tau apply the caller's map: once materialized, it answers from
+    its own table or its cache of images.
     """
 
     def __init__(self, m_low: CausalModel, m_high: CausalModel, tau: StateMap, cap: int | None):
-        self.low, self.high = m_low.signature, m_high.signature
-        self.by_state = materialize_state_map(tau, self.low, self.high, cap)
+        self.low, self.high, self.tau = m_low.signature, m_high.signature, tau
         names = self.low.endo_names
         self.by_values = {
-            tuple(state[n] for n in names): image for state, image in self.by_state.items()
+            tuple(state[n] for n in names): image
+            for state, image in materialize_state_map(tau, self.low, self.high, cap).items()
         }
-
-    @cached_property
-    def as_map(self) -> StateMap:
-        """The table as a state map, for the layers that apply tau."""
-        return StateMap.from_table(self.by_state.items())
 
     def induced(self, intervention: Assignment) -> Assignment | None:
         """Image of one low intervention under the induced map, or None.
@@ -158,12 +153,6 @@ def check_tau_abstraction(
     """
     low_list = resolve_interventions(m_low, i_low, cap)
     high_list = resolve_interventions(m_high, i_high, cap)
-    if i_low is not None:
-        for i in low_list:
-            check_intervention(m_low, i)
-    if i_high is not None:
-        for i in high_list:
-            check_intervention(m_high, i)
     table = _TauTable(m_low, m_high, tau, cap)
     pairs = []
     for i in low_list:
@@ -189,7 +178,7 @@ def _tau_abstraction(
     """Parts (a) to (c) of check_tau_abstraction, given every low
     intervention paired with its induced image."""
     omega_tau = InterventionMap.from_pairs(pairs)
-    image = set(table.by_state.values())
+    image = set(table.by_values.values())
     for state in enumerate_states(m_high, cap):
         if state not in image:
             return CheckReport(
@@ -201,7 +190,7 @@ def _tau_abstraction(
     inner = find_compatible_tau_u(
         m_low,
         m_high,
-        table.as_map,
+        table.tau,
         omega_tau,
         i_low=[i for i, _ in pairs],
         require_surjective=True,
@@ -391,7 +380,7 @@ def check_constructive(
     When `comps` is omitted the per-cell maps are derived by projection."""
     _check_partition_shape(partition, m_low, m_high)
     table = _TauTable(m_low, m_high, tau, cap)
-    derived, failure = derive_component_maps(m_low, m_high, table.as_map, partition, cap)
+    derived, failure = derive_component_maps(m_low, m_high, table.tau, partition, cap)
     if derived is None:
         return CheckReport(
             False,
@@ -485,7 +474,7 @@ def search_constructive_partition(
             support = {unused.pop(0)}
         cells.append((d.name, tuple(v for v in low_names if v in support)))
     partition = Partition(tuple(cells), tuple(unused))
-    comps, failure = derive_component_maps(m_low, m_high, table.as_map, partition, cap)
+    comps, failure = derive_component_maps(m_low, m_high, table.tau, partition, cap)
     if comps is None:
         raise AssertionError(f"disjoint supports must factor, got {failure}")
     if not _strong(m_low, m_high, table, cap).verdict:

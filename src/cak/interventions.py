@@ -8,7 +8,7 @@ from typing import Iterable
 
 from .errors import InputError, SizeCapExceeded, interventions_cap
 from .maps import InterventionMap
-from .model import Assignment, CausalModel
+from .model import Assignment, CausalModel, check_intervention
 from .report import CheckReport
 
 
@@ -50,10 +50,13 @@ def resolve_interventions(
     interventions: Iterable[Assignment] | None = None,
     cap: int | None = None,
 ) -> tuple[Assignment, ...]:
-    """`interventions` when given, else the model's allowed set, with
-    "all" enumerated."""
+    """`interventions` when given, each checked against the model, else
+    the model's allowed set, with "all" enumerated."""
     if interventions is not None:
-        return tuple(interventions)
+        interventions = tuple(interventions)
+        for i in interventions:
+            check_intervention(model, i)
+        return interventions
     if isinstance(model.allowed_interventions, str):
         return tuple(enumerate_interventions(model, cap))
     return model.allowed_interventions

@@ -174,15 +174,6 @@ class Assignment(Mapping[str, int]):
         body = ", ".join(f"{k}={v}" for k, v in self._items)
         return f"Assignment({body})"
 
-    def merged(self, other: "Assignment") -> "Assignment":
-        out = dict(self._dict)
-        out.update(other._dict)
-        return Assignment(out)
-
-    def restricted(self, names: Iterable[str]) -> "Assignment":
-        keep = set(names)
-        return Assignment({k: v for k, v in self._items if k in keep})
-
 
 EMPTY = Assignment()
 

@@ -58,6 +58,12 @@ def fraction_from_str(text: str) -> Fraction:
         raise InputError(f"bad probability {text!r}: {exc}") from exc
 
 
+def _array(value: Any, what: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON array")
+    return value
+
+
 def assignment_to_obj(a: Assignment) -> dict[str, int]:
     return {k: v for k, v in a.items_sorted}
 
@@ -97,7 +103,11 @@ def model_to_obj(model: CausalModel) -> dict:
 def _decl_from_obj(obj: Any, need_equation: bool) -> tuple[VariableDecl, str | None]:
     if not isinstance(obj, dict) or "name" not in obj or "domain" not in obj:
         raise InputError(f"variable declaration needs 'name' and 'domain': {obj!r}")
-    decl = VariableDecl(str(obj["name"]), tuple(obj["domain"]))
+    name = str(obj["name"])
+    domain = _array(obj["domain"], f"domain of {name}")
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in domain):
+        raise InputError(f"domain of {name} must list integers, got {domain!r}")
+    decl = VariableDecl(name, tuple(domain))
     if need_equation:
         if "equation" not in obj:
             raise InputError(f"endogenous variable {decl.name} needs an 'equation'")
@@ -108,15 +118,15 @@ def _decl_from_obj(obj: Any, need_equation: bool) -> tuple[VariableDecl, str | N
 def model_from_obj(obj: Any) -> CausalModel:
     if not isinstance(obj, dict):
         raise InputError("model document must be a JSON object")
-    exo = [_decl_from_obj(o, False)[0] for o in obj.get("exogenous", [])]
-    endo_pairs = [_decl_from_obj(o, True) for o in obj.get("endogenous", [])]
+    exo = [_decl_from_obj(o, False)[0] for o in _array(obj.get("exogenous", []), "exogenous")]
+    endo_pairs = [_decl_from_obj(o, True) for o in _array(obj.get("endogenous", []), "endogenous")]
     endo = [d for d, _ in endo_pairs]
     equations = tuple((d.name, parse_expr(src)) for d, src in endo_pairs)
     allowed_obj = obj.get("allowed_interventions", ALL)
     if isinstance(allowed_obj, str):
         allowed: Any = allowed_obj
     else:
-        allowed = tuple(assignment_from_obj(o) for o in allowed_obj)
+        allowed = tuple(assignment_from_obj(o) for o in _array(allowed_obj, "allowed_interventions"))
     return CausalModel(Signature(tuple(exo), tuple(endo)), equations, allowed)
 
 
@@ -128,10 +138,8 @@ def dist_to_obj(d: RationalDist) -> list[dict]:
 
 
 def dist_from_obj(obj: Any) -> RationalDist:
-    if not isinstance(obj, list):
-        raise InputError("distribution document must be a JSON array")
     entries = []
-    for row in obj:
+    for row in _array(obj, "distribution document"):
         if not isinstance(row, dict) or "context" not in row or "p" not in row:
             raise InputError(f"distribution entry needs 'context' and 'p': {row!r}")
         entries.append((assignment_from_obj(row["context"]), fraction_from_str(str(row["p"]))))
@@ -143,10 +151,8 @@ def _rows_to_obj(m: FiniteMap) -> list[dict]:
 
 
 def _rows_from_obj(rows: Any, what: str) -> tuple[tuple[Assignment, Assignment], ...]:
-    if not isinstance(rows, list):
-        raise InputError(f"{what} table must be a JSON array")
     pairs = []
-    for row in rows:
+    for row in _array(rows, f"{what} table"):
         if not isinstance(row, dict) or "from" not in row or "to" not in row:
             raise InputError(f"{what} entry needs 'from' and 'to': {row!r}")
         pairs.append((assignment_from_obj(row["from"]), assignment_from_obj(row["to"])))
@@ -165,6 +171,8 @@ def state_map_from_obj(obj: Any) -> StateMap:
     if "table" in obj:
         return StateMap.from_table(_rows_from_obj(obj["table"], "state map"))
     if "exprs" in obj:
+        if not isinstance(obj["exprs"], dict):
+            raise InputError("state map exprs must be a JSON object")
         return StateMap.from_exprs(
             {str(name): parse_expr(str(src)) for name, src in obj["exprs"].items()}
         )
@@ -186,8 +194,7 @@ def intervention_map_to_obj(omega: InterventionMap) -> list[dict]:
 
 
 def intervention_map_from_obj(obj: Any) -> InterventionMap:
-    if not isinstance(obj, list):
-        raise InputError("intervention map document must be a JSON array")
+    _array(obj, "intervention map document")
     return InterventionMap.from_pairs(_rows_from_obj(obj, "intervention map"))
 
 
@@ -201,7 +208,12 @@ def partition_to_obj(partition: Partition) -> dict:
 def partition_from_obj(obj: Any, high: Signature | None = None) -> Partition:
     if not isinstance(obj, dict) or "cells" not in obj:
         raise InputError("partition document needs a 'cells' field")
-    cells = {str(h): tuple(str(v) for v in vs) for h, vs in obj["cells"].items()}
+    if not isinstance(obj["cells"], dict):
+        raise InputError("partition cells must be a JSON object")
+    cells = {
+        str(h): tuple(str(v) for v in _array(vs, f"partition cell for {h}"))
+        for h, vs in obj["cells"].items()
+    }
     if high is not None:
         ordered = []
         for d in high.endogenous:
@@ -213,7 +225,7 @@ def partition_from_obj(obj: Any, high: Signature | None = None) -> Partition:
             raise InputError(f"partition has cells for unknown variables {sorted(extra)}")
     else:
         ordered = list(cells.items())
-    marginal = tuple(str(v) for v in obj.get("marginal", []))
+    marginal = tuple(str(v) for v in _array(obj.get("marginal", []), "partition marginal"))
     return Partition(tuple(ordered), marginal)
 
 

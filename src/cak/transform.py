@@ -27,6 +27,18 @@ from .prob import RationalDist, check_distribution, interventional_dist, tau_pus
 from .report import CheckReport
 
 
+def _admissible(
+    m_low: CausalModel, m_high: CausalModel, omega: InterventionMap, cap: int | None
+) -> tuple[Assignment, ...]:
+    """The low allowed set, once omega is admissible between the two
+    models' allowed sets; an inadmissible omega is an input error."""
+    i_low = resolve_interventions(m_low, cap=cap)
+    gate = check_omega(omega, i_low, resolve_interventions(m_high, cap=cap))
+    if not gate.verdict:
+        raise InputError(f"omega is not admissible: {gate.detail}")
+    return i_low
+
+
 def check_exact(
     m_low: CausalModel,
     d_low: RationalDist,
@@ -44,13 +56,9 @@ def check_exact(
     set, and be surjective and order-preserving; violations are input
     errors.
     """
-    i_low = resolve_interventions(m_low, cap=cap)
-    i_high = resolve_interventions(m_high, cap=cap)
     check_distribution(m_low, d_low)
     check_distribution(m_high, d_high)
-    gate = check_omega(omega, i_low, i_high)
-    if not gate.verdict:
-        raise InputError(f"omega is not admissible: {gate.detail}")
+    i_low = _admissible(m_low, m_high, omega, cap)
     # One high distribution per distinct omega-image.
     high_dists: dict[Assignment, RationalDist] = {}
     for i in i_low:
@@ -106,50 +114,17 @@ def check_compatible(
     return CheckReport(True, detail="compatible")
 
 
-def _correspondents(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    tau: StateMap,
-    omega: InterventionMap,
-    interventions: Sequence[Assignment],
-    cap: int | None,
-):
-    """The low and high contexts, and a function giving a low context's
-    high contexts with an identical abstracted response profile, in
-    enumeration order. Low profiles are computed only when asked for."""
-    low_contexts = enumerate_contexts(m_low, cap)
-    high_contexts = enumerate_contexts(m_high, cap)
-    high_images = [omega.apply(i) for i in interventions]
-    # Each high context is solved once per distinct image; the profile
-    # repeats a solution wherever interventions share an image.
-    distinct = {}
-    slots = [distinct.setdefault(j, len(distinct)) for j in high_images]
-
-    profile_to_high: dict[tuple, list[Assignment]] = {}
-    for u_h in high_contexts:
-        solved = [solve_under(m_high, u_h, j) for j in distinct]
-        profile_to_high.setdefault(tuple([solved[k] for k in slots]), []).append(u_h)
-
-    def candidates(u_l: Assignment) -> list[Assignment]:
-        profile = tuple([tau.apply(solve_under(m_low, u_l, i)) for i in interventions])
-        return profile_to_high.get(profile, [])
-
-    return low_contexts, high_contexts, candidates
-
-
 def _conflict_diagnosis(
-    m_low: CausalModel,
-    tau: StateMap,
-    omega: InterventionMap,
     interventions: Sequence[Assignment],
-    u_l: Assignment,
+    images: Sequence[Assignment],
+    profile: Sequence[Assignment],
 ):
     """For a context with no correspondent, look for two interventions with
-    the same high image but different required high solutions."""
+    the same high image but different required high solutions, reading the
+    context's abstracted profile."""
     by_image: dict[Assignment, list[tuple[Assignment, Assignment]]] = {}
-    for i in interventions:
-        required = tau.apply(solve_under(m_low, u_l, i))
-        by_image.setdefault(omega.apply(i), []).append((i, required))
+    for i, image, required in zip(interventions, images, profile):
+        by_image.setdefault(image, []).append((i, required))
     for group in by_image.values():
         targets = {req for _, req in group}
         if len(targets) > 1:
@@ -183,16 +158,26 @@ def find_compatible_tau_u(
     The witness is the full table.
     """
     interventions = resolve_interventions(m_low, i_low, cap)
-    low_contexts, high_contexts, candidates = _correspondents(
-        m_low, m_high, tau, omega, interventions, cap
-    )
-    cands: list[list[Assignment]] = []
+    low_contexts = enumerate_contexts(m_low, cap)
+    high_contexts = enumerate_contexts(m_high, cap)
+    images = [omega.apply(i) for i in interventions]
+    # Each high context is solved once per distinct image; the profile
+    # repeats a solution wherever interventions share an image.
+    distinct = {}
+    slots = [distinct.setdefault(j, len(distinct)) for j in images]
+    profile_to_high: dict[tuple, list[Assignment]] = {}
+    for u_h in high_contexts:
+        solved = [solve_under(m_high, u_h, j) for j in distinct]
+        profile_to_high.setdefault(tuple([solved[k] for k in slots]), []).append(u_h)
+
+    cands: dict[Assignment, list[Assignment]] = {}
     for u_l in low_contexts:
-        cands.append(candidates(u_l))
-        if not cands[-1]:
+        profile = tuple([tau.apply(solve_under(m_low, u_l, i)) for i in interventions])
+        found = profile_to_high.get(profile)
+        if found is None:
             # The first context without a correspondent decides; the rest
             # are never solved.
-            diagnosis = _conflict_diagnosis(m_low, tau, omega, interventions, u_l)
+            diagnosis = _conflict_diagnosis(interventions, images, profile)
             ce = {"context": u_l}
             if diagnosis is not None:
                 ce["conflict"] = diagnosis
@@ -201,10 +186,11 @@ def find_compatible_tau_u(
                 detail=f"low context {dict(u_l)} has no corresponding high context",
                 counterexample=ce,
             )
+        cands[u_l] = found
 
-    chosen = dict(zip(low_contexts, [found[0] for found in cands]))
+    chosen = {u_l: found[0] for u_l, found in cands.items()}
     if require_surjective:
-        matched = _match_high_side(low_contexts, high_contexts, dict(zip(low_contexts, cands)))
+        matched = _match_high_side(low_contexts, high_contexts, cands)
         if matched is None:
             hit = set(chosen.values())
             unhit = [u_h for u_h in high_contexts if u_h not in hit]
@@ -287,13 +273,8 @@ def check_uniform(
     context map (no surjectivity demanded). omega must be admissible
     between the two allowed sets.
     """
-    i_low = resolve_interventions(m_low, cap=cap)
-    i_high = resolve_interventions(m_high, cap=cap)
-    gate = check_omega(omega, i_low, i_high)
-    if not gate.verdict:
-        raise InputError(f"omega is not admissible: {gate.detail}")
     return find_compatible_tau_u(
-        m_low, m_high, tau, omega, i_low=i_low, require_surjective=False, cap=cap
+        m_low, m_high, tau, omega, i_low=_admissible(m_low, m_high, omega, cap), cap=cap
     )
 
 

@@ -34,9 +34,11 @@ from cak.corpus import (
     build_voting,
 )
 from cak.expr import Lit
+from cak.maps import materialize_state_map
+from cak.serialize import dumps, to_jsonable
 
 from .test_model import CHAIN, THREE_BITS
-from .util import brute_force_omega_tau, random_model, random_state_map, voting_natural_partition
+from .util import brute_force_omega_tau, outcome, random_model, random_state_map, voting_natural_partition
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,8 @@ def test_search_respects_low_variable_cap():
 def test_each_check_materializes_tau_once(monkeypatch):
     # One tau table serves every level a check runs: the strong check's
     # inner tau-abstraction and the constructive search's strong core
-    # read the table their caller built.
+    # read the table their caller built, and the layers that apply tau
+    # apply the caller's map, building no second StateMap.
     import cak.abstraction
     import cak.maps
 
@@ -335,10 +338,15 @@ def test_each_check_materializes_tau_once(monkeypatch):
 
     monkeypatch.setattr(cak.maps, "materialize_state_map", counted)
     monkeypatch.setattr(cak.abstraction, "materialize_state_map", counted)
+    built = []
+    post_init = cak.maps.StateMap.__post_init__
+    monkeypatch.setattr(cak.maps.StateMap, "__post_init__", lambda m: (built.append(m), post_init(m)))
 
     def count(check, *args):
         calls.clear()
+        built.clear()
         result = check(*args)
+        assert not built, check.__name__
         return len(calls), result
 
     non_factoring = Partition((("Y1", ("X1",)), ("Y2", ("X2",))), ("X3",))
@@ -486,3 +494,16 @@ def test_derive_omega_tau_brute_force_beyond_binary_domains(seed, low_domain, hi
             if constant:
                 assert image is None or "K" not in image
     assert partial_images and undefined
+
+
+@pytest.mark.parametrize("bundle", all_bundles(), ids=lambda b: b.name)
+def test_tau_level_checks_agree_on_expressions_and_their_table(bundle):
+    # The checks apply the caller's map after materializing it, so a table
+    # and the expressions it was built from give the same reports.
+    table = StateMap.from_table(
+        materialize_state_map(bundle.tau, bundle.low.signature, bundle.high.signature).items()
+    )
+    for check in (check_tau_abstraction, check_strong_abstraction, search_constructive_partition):
+        by_exprs, by_table = (outcome(check, bundle.low, bundle.high, tau) for tau in (bundle.tau, table))
+        assert by_exprs[0] == "value"
+        assert dumps(to_jsonable(by_exprs[1])) == dumps(to_jsonable(by_table[1]))

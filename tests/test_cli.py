@@ -450,3 +450,48 @@ def test_json_integer_past_the_digit_limit_exits_2(capsys, emitted, tmp_path):
     code, out, _ = run(capsys, *argv, "--dists", str(dist), paths["high_dist"])
     assert code == 2
     assert out["error"].startswith("bad JSON: ")
+
+
+def _set(key, value, decl=None):
+    """An edit setting `key` of the model, or of its exogenous
+    declaration number `decl`, to `value`."""
+
+    def edit(obj):
+        (obj if decl is None else obj["exogenous"][decl])[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "doc,edit,reason",
+    [
+        ("partition", lambda p: p.__setitem__("cells", []), "partition cells must be a JSON object"),
+        ("partition", lambda p: p["cells"].__setitem__("XS", 5), "partition cell for XS must be a JSON array"),
+        ("partition", lambda p: p.__setitem__("marginal", 5), "partition marginal must be a JSON array"),
+        ("tau", lambda t: t.__setitem__("exprs", []), "state map exprs must be a JSON object"),
+        ("low", _set("exogenous", 5), "exogenous must be a JSON array"),
+        ("low", _set("domain", 5, decl=0), "domain of LU1 must be a JSON array"),
+        ("low", _set("domain", None, decl=0), "domain of LU1 must be a JSON array"),
+        ("low", _set("domain", [[0], [1]], decl=0), "domain of LU1 must list integers"),
+        ("low", _set("domain", [True, False], decl=0), "domain of LU1 must list integers"),
+        ("low", _set("allowed_interventions", 5), "allowed_interventions must be a JSON array"),
+    ],
+    ids=[
+        "cells-list", "cell-5", "marginal-5", "exprs-list", "exogenous-5",
+        "domain-5", "domain-null", "domain-nested", "domain-bools", "allowed-5",
+    ],
+)
+def test_malformed_document_shape_exits_2(capsys, emitted, tmp_path, doc, edit, reason):
+    # All but the boolean domain crashed with a traceback and exit 1; the
+    # boolean domain was accepted.
+    paths = emitted("linear-sum")
+    docs = {stem: loads(open(paths[stem], encoding="utf-8").read()) for stem in ("low", "tau")}
+    docs["partition"] = {"cells": {"XS": ["X1", "X2"], "YS": ["Y"]}, "marginal": []}
+    edit(docs[doc])
+    for stem, obj in docs.items():
+        paths[stem] = str(tmp_path / f"edited.{stem}.json")
+        (tmp_path / f"edited.{stem}.json").write_text(dumps(obj), encoding="utf-8")
+    argv = ["check", "constructive", paths["low"], paths["high"], "--tau", paths["tau"]]
+    code, out, _ = run(capsys, *argv, "--partition", paths["partition"])
+    assert code == 2
+    assert reason in out["error"]

@@ -25,7 +25,7 @@ from cak.corpus import (
     build_linear_aggregate,
     build_unrelated_pair,
 )
-from cak import transform
+from cak import abstraction, transform
 from cak.abstraction import check_tau_abstraction
 from cak.corpus import build_voting
 from cak.maps import ContextMap
@@ -36,7 +36,7 @@ from . import util
 from .test_model import CHAIN, model_of
 from .util import (
     corrupt_one_table_entry,
-    reference_correspondents,
+    reference_find_compatible_tau_u,
     reference_match_high_side,
     sample_rational_dist,
     uniform_distribution_probe,
@@ -244,23 +244,26 @@ def test_matcher_agrees_with_recursive_reference():
     assert outcomes == {True, False}
 
 
+def _count_low_solves(monkeypatch, low):
+    """Patch the profile pass's and the reference's solve_under to record
+    which calls solve `low`; returns the record."""
+    low_solves = []
+    solve_under = transform.solve_under
+
+    def counted(model, context, intervention):
+        low_solves.append(model is low)
+        return solve_under(model, context, intervention)
+
+    monkeypatch.setattr(transform, "solve_under", counted)
+    monkeypatch.setattr(util, "solve_under", counted)
+    return low_solves
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_streamed_profile_pass_stops_at_the_first_unmatched_context(monkeypatch, seed):
     bundle = build_voting(4, 2, 1)
     high = corrupt_one_table_entry(random.Random(seed), bundle.high)
-    low_solves = []
-
-    def counted(model, context, intervention):
-        low_solves.append(model is bundle.low)
-        return solve_under(model, context, intervention)
-
-    def full_pass(*args):
-        low_contexts, high_contexts, table = reference_correspondents(*args)
-        return low_contexts, high_contexts, table.__getitem__
-
-    solve_under = transform.solve_under
-    monkeypatch.setattr(transform, "solve_under", counted)
-    monkeypatch.setattr(util, "solve_under", counted)
+    low_solves = _count_low_solves(monkeypatch, bundle.low)
     checks = [
         lambda: check_uniform(bundle.low, high, bundle.tau, bundle.omega),
         lambda: check_tau_abstraction(bundle.low, high, bundle.tau),
@@ -269,13 +272,51 @@ def test_streamed_profile_pass_stops_at_the_first_unmatched_context(monkeypatch,
     for check in checks:
         streamed.append((check(), sum(low_solves)))
         low_solves.clear()
-    monkeypatch.setattr(transform, "_correspondents", full_pass)
+    monkeypatch.setattr(transform, "find_compatible_tau_u", reference_find_compatible_tau_u)
+    monkeypatch.setattr(abstraction, "find_compatible_tau_u", reference_find_compatible_tau_u)
     for check, (report, solves) in zip(checks, streamed):
         reference = check()
         assert not report.verdict and report.counterexample["context"]
         assert dumps(report_to_obj(report, True)) == dumps(report_to_obj(reference, True))
         assert solves < sum(low_solves)
         low_solves.clear()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_failing_pass_solves_each_low_context_up_to_the_first_miss_once(monkeypatch, seed):
+    # k contexts match, the (k+1)-th does not: its diagnosis reads the
+    # profile already computed instead of solving the context again.
+    bundle = build_voting(4, 2, 1)
+    high = corrupt_one_table_entry(random.Random(seed), bundle.high)
+    low_solves = _count_low_solves(monkeypatch, bundle.low)
+    report = check_uniform(bundle.low, high, bundle.tau, bundle.omega)
+    assert not report.verdict
+    k = enumerate_contexts(bundle.low).index(report.counterexample["context"])
+    assert sum(low_solves) == (k + 1) * len(bundle.low.allowed_interventions)
+
+
+@pytest.mark.parametrize("use_check_compatible", [False, True], ids=["find", "check"])
+@pytest.mark.parametrize(
+    "intervention,reason",
+    [
+        ({"Q": 1}, "intervention sets non-endogenous variable Q"),
+        ({"RA1": 0}, "intervention sets non-endogenous variable RA1"),
+        ({"A1": 7}, "intervention sets A1 to 7, outside its domain"),
+    ],
+    ids=["undeclared", "exogenous", "out-of-domain"],
+)
+def test_explicit_low_interventions_are_checked(use_check_compatible, intervention, reason):
+    # The first two were ignored and the checks held; the third raised a
+    # table miss from inside the solver.
+    bundle = build_voting(4, 2, 1)
+    i_low = [Assignment(intervention)]
+    omega = InterventionMap.from_pairs([(i_low[0], EMPTY)])
+    with pytest.raises(InputError, match=reason):
+        if use_check_compatible:
+            tau_u = find_compatible_tau_u(bundle.low, bundle.high, bundle.tau, bundle.omega).witness
+            check_compatible(tau_u, bundle.tau, omega, bundle.low, bundle.high, i_low=i_low)
+        else:
+            find_compatible_tau_u(bundle.low, bundle.high, bundle.tau, omega, i_low=i_low)
 
 
 # ---------------------------------------------------------------------------

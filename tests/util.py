@@ -39,6 +39,7 @@ from cak import (
 from cak.corpus import ExampleBundle
 from cak.errors import EvaluationError, InputError, ParseError
 from cak.expr import Binary, Ite, Lit, Table, Unary, Var
+from cak.interventions import resolve_interventions
 from cak.model import check_context, check_intervention
 
 BINARY_OPS = ("+", "-", "*", "==", "<", "<=", "&&", "||")
@@ -330,10 +331,14 @@ def brute_force_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, in
     return result
 
 
-def reference_correspondents(m_low, m_high, tau, omega, interventions, cap=None):
-    """The full-table form of transform._correspondents: every low
-    context's matching high contexts, all computed up front, with one
-    solve per high context and intervention."""
+def reference_find_compatible_tau_u(
+    m_low, m_high, tau, omega, i_low=None, require_surjective=False, cap=None
+):
+    """The full-pass form of transform.find_compatible_tau_u: every low
+    context's matching high contexts are computed up front, with one solve
+    per high context and intervention, and the first context without a
+    match is diagnosed by solving it again."""
+    interventions = resolve_interventions(m_low, i_low, cap)
     low_contexts = enumerate_contexts(m_low, cap)
     high_contexts = enumerate_contexts(m_high, cap)
     high_images = [omega.apply(i) for i in interventions]
@@ -341,11 +346,43 @@ def reference_correspondents(m_low, m_high, tau, omega, interventions, cap=None)
     for u_h in high_contexts:
         profile = tuple(solve_under(m_high, u_h, j) for j in high_images)
         profile_to_high.setdefault(profile, []).append(u_h)
-    table = {}
+    cands = {}
     for u_l in low_contexts:
         profile = tuple(tau.apply(solve_under(m_low, u_l, i)) for i in interventions)
-        table[u_l] = profile_to_high.get(profile, [])
-    return low_contexts, high_contexts, table
+        cands[u_l] = profile_to_high.get(profile, [])
+    for u_l in low_contexts:
+        if cands[u_l]:
+            continue
+        ce = {"context": u_l}
+        by_image = {}
+        for i in interventions:
+            required = tau.apply(solve_under(m_low, u_l, i))
+            by_image.setdefault(omega.apply(i), []).append((i, required))
+        conflicts = [(a, b) for group in by_image.values() for a in group for b in group if a[1] != b[1]]
+        if conflicts:
+            (i1, r1), (i2, r2) = conflicts[0]
+            ce["conflict"] = {"interventions": (i1, i2), "required_high_states": (r1, r2)}
+        return CheckReport(
+            False,
+            detail=f"low context {dict(u_l)} has no corresponding high context",
+            counterexample=ce,
+        )
+    chosen = {u_l: found[0] for u_l, found in cands.items()}
+    if require_surjective:
+        matched = reference_match_high_side(low_contexts, high_contexts, cands)
+        if matched is None:
+            hit = set(chosen.values())
+            return CheckReport(
+                False,
+                detail="no surjective compatible context map exists",
+                counterexample={"unreachable_high_contexts": tuple(u for u in high_contexts if u not in hit)},
+            )
+        chosen.update(matched)
+    return CheckReport(
+        True,
+        detail="compatible context map found",
+        witness=ContextMap.from_table(tuple(chosen.items())),
+    )
 
 
 def corrupt_one_table_entry(rng: random.Random, model: CausalModel) -> CausalModel:
