@@ -35,6 +35,7 @@ from .report import CheckReport
 from .transform import check_exact, check_uniform
 
 CHECK_KINDS = ("exact", "uniform", "abstraction", "strong", "constructive")
+MAX_DIAGNOSTICS = 5
 
 
 def _digest(path: str) -> str:
@@ -49,9 +50,11 @@ def _load_model(path: str):
     model = serialize.model_from_obj(_load(path))
     diagnostics = validate(model)
     if diagnostics:
+        # One per offending value can run to millions; the first few say it.
+        shown = "; ".join(d.message for d in diagnostics[:MAX_DIAGNOSTICS])
+        more = len(diagnostics) - MAX_DIAGNOSTICS
         raise InputError(
-            f"{path} is not a valid model: "
-            + "; ".join(d.message for d in diagnostics)
+            f"{path} is not a valid model: {shown}" + (f"; … and {more} more" if more > 0 else "")
         )
     return model
 

@@ -120,12 +120,7 @@ class Assignment(Mapping[str, int]):
         # Every total assignment of `decls`, in declaration-order
         # lexicographic order, all sharing the key set `keys` and one
         # (name, value) pair per value.
-        names = [d.name for d in decls]
-        # Reorders a declaration-order tuple into name order. Out of order
-        # means two or more names, so itemgetter returns a tuple; `tuple`
-        # returns a tuple as it is.
-        order = sorted(range(len(names)), key=names.__getitem__)
-        pick = itemgetter(*order) if names != sorted(names) else tuple
+        pick = _to_name_order([d.name for d in decls])
         pairs = itertools.product(*(tuple((d.name, v) for v in d.domain) for d in decls))
         values = itertools.product(*(d.domain for d in decls))
         new = object.__new__
@@ -176,6 +171,14 @@ class Assignment(Mapping[str, int]):
 
 
 EMPTY = Assignment()
+
+
+def _to_name_order(names: list[str]) -> Callable[[tuple], tuple]:
+    """Reorders a tuple in the order of `names` into name order."""
+    # Out of order means two or more names, so itemgetter returns a tuple;
+    # `tuple` returns a tuple as it is.
+    order = sorted(range(len(names)), key=names.__getitem__)
+    return itemgetter(*order) if names != sorted(names) else tuple
 
 
 def _shared(mapping) -> Assignment:
@@ -241,6 +244,22 @@ class CausalModel:
     @cached_property
     def _kernels(self) -> dict[frozenset[str], Callable]:
         return {}
+
+    @cached_property
+    def _cones(self) -> dict[frozenset[str], tuple[str, ...]]:
+        return {}
+
+    def cone(self, names: frozenset[str]) -> tuple[str, ...]:
+        """The exogenous variables, in declaration order, that a solution
+        under an intervention on `names` can depend on: those read by the
+        equation of an endogenous variable outside `names` (in the
+        submodel the others are constants). Every such variable is part
+        of the solution, so the endogenous ones it reads add nothing."""
+        cone = self._cones.get(names)
+        if cone is None:
+            read = set().union(*[variables(e) for n, e in self.equations if n not in names])
+            cone = self._cones[names] = tuple([n for n in self.signature.exo_names if n in read])
+        return cone
 
     def solver(self, names: frozenset[str]) -> Callable[[tuple, tuple], tuple]:
         """Generated `solve(context_values, forced_values) -> state_values`

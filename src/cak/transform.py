@@ -11,6 +11,8 @@ refutes all of them.
 
 from __future__ import annotations
 
+from itertools import product, repeat
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -22,7 +24,15 @@ from .maps import (
     compose_intervention_maps,
     compose_state_maps,
 )
-from .model import Assignment, CausalModel, enumerate_contexts, solve_under
+from .model import (
+    Assignment,
+    CausalModel,
+    Signature,
+    _to_name_order,
+    enumerate_contexts,
+    solve_under,
+    state_of,
+)
 from .prob import RationalDist, check_distribution, interventional_dist, tau_pushforward
 from .report import CheckReport
 
@@ -155,7 +165,8 @@ def find_compatible_tau_u(
     With `require_surjective`, the assignment is additionally completed so
     that every high context is hit, via an exhaustive bipartite matching;
     the greedy choice is kept wherever the matching imposes nothing.
-    The witness is the full table.
+    The witness is the full table. The profiles come from one of two
+    passes, picked by their expected work; both give the same report.
     """
     interventions = resolve_interventions(m_low, i_low, cap)
     low_contexts = enumerate_contexts(m_low, cap)
@@ -163,30 +174,28 @@ def find_compatible_tau_u(
     images = [omega.apply(i) for i in interventions]
     # Each high context is solved once per distinct image; the profile
     # repeats a solution wherever interventions share an image.
-    distinct = {}
-    slots = [distinct.setdefault(j, len(distinct)) for j in images]
-    profile_to_high: dict[tuple, list[Assignment]] = {}
-    for u_h in high_contexts:
-        solved = [solve_under(m_high, u_h, j) for j in distinct]
-        profile_to_high.setdefault(tuple([solved[k] for k in slots]), []).append(u_h)
-
-    cands: dict[Assignment, list[Assignment]] = {}
-    for u_l in low_contexts:
-        profile = tuple([tau.apply(solve_under(m_low, u_l, i)) for i in interventions])
-        found = profile_to_high.get(profile)
-        if found is None:
-            # The first context without a correspondent decides; the rest
-            # are never solved.
-            diagnosis = _conflict_diagnosis(interventions, images, profile)
-            ce = {"context": u_l}
-            if diagnosis is not None:
-                ce["conflict"] = diagnosis
-            return CheckReport(
-                False,
-                detail=f"low context {dict(u_l)} has no corresponding high context",
-                counterexample=ce,
-            )
-        cands[u_l] = found
+    slot_of: dict[Assignment, int] = {}
+    slots = [slot_of.setdefault(j, len(slot_of)) for j in images]
+    distinct = list(slot_of)
+    args = (m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots)
+    passed = None
+    if _columns_pay(m_low, m_high, interventions, distinct, len(low_contexts), len(high_contexts)):
+        try:
+            passed = _cone_pass(*args)
+        except Exception:
+            pass  # the streamed pass below meets the context-major first error
+    cands, miss = passed or _streamed_pass(*args)
+    if miss is not None:
+        u_l, profile = miss
+        diagnosis = _conflict_diagnosis(interventions, images, profile)
+        ce = {"context": u_l}
+        if diagnosis is not None:
+            ce["conflict"] = diagnosis
+        return CheckReport(
+            False,
+            detail=f"low context {dict(u_l)} has no corresponding high context",
+            counterexample=ce,
+        )
 
     chosen = {u_l: found[0] for u_l, found in cands.items()}
     if require_surjective:
@@ -206,6 +215,151 @@ def find_compatible_tau_u(
         detail="compatible context map found",
         witness=witness,
     )
+
+
+# Both profile passes take (m_low, m_high, tau, interventions, low_contexts,
+# high_contexts, distinct omega-images, slots: the distinct-image index of
+# each intervention's image) and return (cands, None), cands mapping each
+# low context to its matching high contexts, or (None, (u_l, profile)) for
+# the first low context without a match and its abstracted profile.
+
+def _streamed_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots):
+    """Context by context: every high context under each distinct image,
+    then each low context under every intervention, up to the first miss."""
+    profile_to_high: dict[tuple, list[Assignment]] = {}
+    for u_h in high_contexts:
+        solved = [solve_under(m_high, u_h, j) for j in distinct]
+        profile_to_high.setdefault(tuple([solved[k] for k in slots]), []).append(u_h)
+
+    cands: dict[Assignment, list[Assignment]] = {}
+    for u_l in low_contexts:
+        profile = tuple([tau.apply(solve_under(m_low, u_l, i)) for i in interventions])
+        found = profile_to_high.get(profile)
+        if found is None:
+            # The first context without a correspondent decides; the rest
+            # are never solved.
+            return None, (u_l, profile)
+        cands[u_l] = found
+    return cands, None
+
+
+def _columns_pay(
+    m_low: CausalModel,
+    m_high: CausalModel,
+    interventions: Sequence[Assignment],
+    distinct: Sequence[Assignment],
+    n_low: int,
+    n_high: int,
+) -> bool:
+    """Whether the cone pass is expected to cost less than the streamed
+    pass, counting work in solves.
+
+    The cone pass solves each column (an intervention or a distinct image)
+    at its cone points and costs about four solves more per column in
+    lookups, which decides on small inputs. The streamed pass solves every
+    context under every column, but stops at the first unmatched low
+    context, halfway through on average, so the columns pay only below half
+    its full work.
+    """
+    stream_work = n_low * len(interventions) + n_high * len(distinct)
+    fixed = 4 * (len(interventions) + len(distinct))
+    if 2 * fixed > stream_work:
+        return False  # decided without computing a cone
+    cone_work = _cone_work(m_low, interventions) + _cone_work(m_high, distinct)
+    return 2 * (fixed + cone_work) <= stream_work
+
+
+def _cone_work(model: CausalModel, interventions: Sequence[Assignment]) -> int:
+    """The number of cone points over `interventions`."""
+    domains = model.signature.domains
+    sizes: dict[frozenset[str], int] = {}
+    for i in interventions:
+        if i._keys not in sizes:
+            sizes[i._keys] = prod([len(domains[n]) for n in model.cone(i._keys)])
+    return sum([sizes[i._keys] for i in interventions])
+
+
+def _cone_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots):
+    """Column by column: each intervention, and each distinct image, is
+    solved once per point of its cone and the results are spread over the
+    contexts.
+
+    Every high state, and the tau-image of every low state, gets an int id
+    from one dict, so profiles are tuples of ints that match exactly when
+    the streamed pass's tuples of states do. Solves and tau run ahead of
+    the matching, so an error may come from a context past the first miss;
+    the caller then runs the streamed pass instead.
+    """
+    image_id: dict[Assignment, int] = {}
+    high = _cone_columns(m_high, distinct, image_id, lambda v: state_of(m_high, v))
+    high_columns = [list(map(ids.__getitem__, index)) for index, ids in high]
+    profile_to_high: dict[tuple, list[Assignment]] = {}
+    for u_h, profile in zip(high_contexts, _rows([high_columns[k] for k in slots])):
+        profile_to_high.setdefault(profile, []).append(u_h)
+
+    low = _cone_columns(m_low, interventions, image_id, lambda v: tau.apply(state_of(m_low, v)))
+    # Lazy, so no interventions-by-contexts table is held.
+    low_columns = [map(ids.__getitem__, index) for index, ids in low]
+    cands: dict[Assignment, list[Assignment]] = {}
+    for u_l, profile in zip(low_contexts, _rows(low_columns)):
+        found = profile_to_high.get(profile)
+        if found is None:
+            n, states = len(cands), list(image_id)
+            return None, (u_l, tuple([states[ids[index[n]]] for index, ids in low]))
+        cands[u_l] = found
+    return cands, None
+
+
+def _rows(columns: list) -> Iterable[tuple]:
+    return zip(*columns) if columns else repeat(())
+
+
+def _cone_columns(
+    model: CausalModel, interventions: Iterable[Assignment], image_id: dict, image_of
+) -> list[tuple[list[int], list[int]]]:
+    """(index, ids) per intervention: ids[k] is the id of the image of the
+    solution at the k-th point of the intervention's cone, index[n] the
+    cone point of the n-th context in enumeration order."""
+    sig = model.signature
+    pick = _to_name_order(list(sig.exo_names))
+    shapes: dict[tuple[str, ...], tuple[list[tuple], list[int]]] = {}
+    known: dict[tuple, int] = {}  # state values -> image id
+    out = []
+    for i in interventions:
+        cone = model.cone(i._keys)
+        if cone not in shapes:
+            shapes[cone] = _cone_shape(sig, cone, pick)
+        points, index = shapes[cone]
+        solved = list(map(model.solver(i._keys), points, repeat(i._values)))
+        for values in solved:
+            if values not in known:
+                known[values] = image_id.setdefault(image_of(values), len(image_id))
+        out.append((index, list(map(known.__getitem__, solved))))
+    return out
+
+
+def _cone_shape(sig: Signature, cone: tuple[str, ...], pick) -> tuple[list[tuple], list[int]]:
+    """The cone's points and its index column.
+
+    The points run over the cone's product in declaration-order
+    lexicographic order, with the exogenous variables outside the cone at
+    their first domain value; each is a context's values, put in name order
+    by `pick`. The index column gives every context's point, in enumeration
+    order. It is built from the last declared variable up by block
+    replication: a variable outside the cone repeats the block, one inside
+    it also shifts each copy.
+    """
+    choices = [d.domain if d.name in cone else d.domain[:1] for d in sig.exogenous]
+    points = list(map(pick, product(*choices)))
+    index, stride = [0], 1
+    for d in reversed(sig.exogenous):
+        n = len(d.domain)
+        if d.name in cone:
+            index = [k + shift for shift in range(0, n * stride, stride) for k in index]
+            stride *= n
+        else:
+            index = index * n
+    return points, index
 
 
 def _match_high_side(

@@ -495,3 +495,19 @@ def test_malformed_document_shape_exits_2(capsys, emitted, tmp_path, doc, edit, 
     code, out, _ = run(capsys, *argv, "--partition", paths["partition"])
     assert code == 2
     assert reason in out["error"]
+
+
+def test_invalid_model_error_names_the_first_diagnostics_and_a_count(capsys, emitted, tmp_path):
+    # Every value of LU1 past the first two sends X1 outside its domain;
+    # the message used to list all of them (4.9 MB at 10**5 values).
+    paths = emitted("linear-sum")
+    low = loads(open(paths["low"], encoding="utf-8").read())
+    low["exogenous"][0]["domain"] = list(range(10**5))
+    path = tmp_path / "wide.low.json"
+    path.write_text(dumps(low), encoding="utf-8")
+    argv = ["check", "constructive", str(path), paths["high"], "--tau", paths["tau"]]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert len(out["error"]) < 4096
+    assert out["error"].count("outside its domain") == 5
+    assert out["error"].endswith(" more")

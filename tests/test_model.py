@@ -350,3 +350,52 @@ def test_solve_under_matches_reference_on_every_kind_of_context(seed):
             for i in interventions:
                 expected = outcome(reference_solve_under, model, context, i)
                 assert outcome(solve_under, model, context, i) == expected
+
+
+# ---------------------------------------------------------------------------
+# cones
+
+CHAIN3 = model_of(
+    [("U1", (0, 1)), ("U2", (0, 1)), ("U3", (0, 1))],
+    [("X1", (0, 1)), ("X2", (0, 1)), ("X3", (0, 1))],
+    {"X1": "U1", "X2": "X1 || U2", "X3": "X2 && U3"},
+)
+
+
+def test_forcing_a_chain_drops_the_exogenous_variables_upstream():
+    def cone(*names):
+        return CHAIN3.cone(frozenset(names))
+
+    assert cone() == ("U1", "U2", "U3")
+    assert cone("X1") == ("U2", "U3")
+    assert cone("X1", "X2") == ("U3",)
+    assert cone("X2") == ("U1", "U3")  # X1 is still solved and reads U1
+    assert cone("X1", "X2", "X3") == ()
+    assert cone("X3", "Q") == ("U1", "U2")  # names outside the model change nothing
+
+
+def test_cone_keeps_one_value_domains_and_skips_undeclared_names():
+    # Declaration order, not name order; Z is declared nowhere.
+    m = model_of(
+        [("U2", (0, 1)), ("U1", (5,))],
+        [("X1", (0, 1)), ("X2", (0, 1))],
+        {"X1": "U1 - 5 + U2", "X2": "Z"},
+    )
+    assert m.cone(frozenset()) == ("U2", "U1")
+    assert m.cone(frozenset({"X1"})) == ()
+    assert m.cone(frozenset({"X2"})) == ("U2", "U1")
+    for u in enumerate_contexts(m):
+        assert outcome(solve_under, m, u, EMPTY) == (KeyError, "'Z'")
+
+
+@given(st.integers(0, 2**32))
+def test_contexts_that_agree_on_the_cone_solve_alike(seed):
+    rng = random.Random(seed)
+    model = random_expr_model(rng) if seed % 2 else random_model(rng, max_exo=3)
+    for i in [EMPTY] + [random_intervention(rng, model) for _ in range(3)]:
+        cone = model.cone(i._keys)
+        by_point: dict[tuple, set] = {}
+        for u in enumerate_contexts(model):
+            result = outcome(solve_under, model, u, i)
+            by_point.setdefault(tuple(u[n] for n in cone), set()).add(result)
+        assert all(len(results) == 1 for results in by_point.values())

@@ -25,10 +25,12 @@ from cak.corpus import (
     build_linear_aggregate,
     build_unrelated_pair,
 )
-from cak import abstraction, transform
-from cak.abstraction import check_tau_abstraction
-from cak.corpus import build_voting
+from cak import abstraction, model as model_module, transform
+from cak.abstraction import check_strong_abstraction, check_tau_abstraction
+from cak.corpus import all_bundles, build_voting, evaluate_bundle
+from cak.expr import Table
 from cak.maps import ContextMap
+from cak.model import Signature, VariableDecl, _to_name_order
 from cak.serialize import dumps, report_to_obj
 from cak.transform import _match_high_side
 
@@ -36,6 +38,10 @@ from . import util
 from .test_model import CHAIN, model_of
 from .util import (
     corrupt_one_table_entry,
+    outcome,
+    random_expr_model,
+    random_model,
+    random_state_map,
     reference_find_compatible_tau_u,
     reference_match_high_side,
     sample_rational_dist,
@@ -293,6 +299,174 @@ def test_failing_pass_solves_each_low_context_up_to_the_first_miss_once(monkeypa
     assert not report.verdict
     k = enumerate_contexts(bundle.low).index(report.counterexample["context"])
     assert sum(low_solves) == (k + 1) * len(bundle.low.allowed_interventions)
+
+
+# ---------------------------------------------------------------------------
+# the cone pass
+
+
+def _with_cone_pass(monkeypatch, selected=True):
+    """Select the cone pass, or not, whatever the sizes. Returns how each of
+    its runs ended: "returned", or "raised", after which the streamed pass
+    ran."""
+    ends = []
+    cone_pass = transform._cone_pass
+
+    def recorded(*args):
+        try:
+            result = cone_pass(*args)
+        except Exception:
+            ends.append("raised")
+            raise
+        ends.append("returned")
+        return result
+
+    monkeypatch.setattr(transform, "_columns_pay", lambda *args: selected)
+    monkeypatch.setattr(transform, "_cone_pass", recorded)
+    return ends
+
+
+def _passes_taken(monkeypatch):
+    """Record the name of each profile pass that runs."""
+    taken = []
+    for name in ("_cone_pass", "_streamed_pass"):
+
+        def recorded(*args, _name=name, _pass=getattr(transform, name)):
+            taken.append(_name)
+            return _pass(*args)
+
+        monkeypatch.setattr(transform, name, recorded)
+    return taken
+
+
+def _report_bytes(result):
+    kind, value = result
+    return (kind, dumps(report_to_obj(value, True))) if kind == "value" else result
+
+
+def _differential_case(rng: random.Random):
+    """Two models, the low one allowing every intervention, with a state
+    map and an intervention map: the identity on one model, the identity
+    between a model and a copy with one table entry changed, or a random
+    state map and a random image per intervention between two models."""
+    low = random_model(rng, max_exo=3) if rng.random() < 0.5 else random_expr_model(rng)
+    i_low = enumerate_interventions(low)
+    shape = rng.choice(("identity", "corrupted", "random"))
+    if shape == "random":
+        high = random_model(rng, max_exo=3) if rng.random() < 0.5 else random_expr_model(rng)
+        pool = enumerate_interventions(high)
+        omega = InterventionMap.from_pairs([(i, rng.choice(pool)) for i in i_low])
+        return low, high, random_state_map(rng, low, high), omega
+    high = low
+    if shape == "corrupted" and any(isinstance(e, Table) for _, e in low.equations):
+        high = corrupt_one_table_entry(rng, low)
+    return low, high, StateMap.identity(low.signature), InterventionMap.identity(i_low)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cone_pass_matches_the_reference(monkeypatch, seed):
+    # Random expression models read the undeclared Z now and then, leave
+    # their domains and have partial tables; the cone pass then raises and
+    # the streamed pass decides. Every case reports or raises as the
+    # streamed pass does, and as the reference does unless the reference,
+    # which solves every low context before looking for a miss, raises at a
+    # context past the first miss.
+    rng = random.Random(seed)
+    ends = []
+    for _ in range(40):
+        low, high, tau, omega = _differential_case(rng)
+        args = (low, high, tau, omega, None, rng.random() < 0.5)
+        reference = _report_bytes(outcome(reference_find_compatible_tau_u, *args))
+        _with_cone_pass(monkeypatch, selected=False)
+        streamed = _report_bytes(outcome(find_compatible_tau_u, *args))
+        runs = _with_cone_pass(monkeypatch)
+        got = _report_bytes(outcome(find_compatible_tau_u, *args))
+        ends += runs
+        assert got == streamed
+        assert got == reference or (reference[0] != "value" and '"verdict": false' in got[1])
+    assert set(ends) == {"returned", "raised"}
+
+
+def test_cone_pass_matches_the_reference_on_the_corpus(monkeypatch):
+    monkeypatch.setattr(transform, "find_compatible_tau_u", reference_find_compatible_tau_u)
+    monkeypatch.setattr(abstraction, "find_compatible_tau_u", reference_find_compatible_tau_u)
+    expected = [
+        dumps(report_to_obj(r, True)) for b in all_bundles() for r in evaluate_bundle(b).values()
+    ]
+    monkeypatch.undo()
+    ends = _with_cone_pass(monkeypatch)
+    got = [dumps(report_to_obj(r, True)) for b in all_bundles() for r in evaluate_bundle(b).values()]
+    assert got == expected
+    assert ends and set(ends) == {"returned"}
+
+
+def test_cone_pass_handles_one_value_domains_and_an_undeclared_name(monkeypatch):
+    # Declared out of name order, with a one-value exogenous variable.
+    low = model_of(
+        [("U2", (0, 1)), ("U1", (5,)), ("U0", (0, 1, 2))],
+        [("X1", (0, 1, 2)), ("X2", (0, 1)), ("X0", (7,))],
+        {"X1": "U2 + U1 - 5", "X2": "X1 == U0", "X0": "7"},
+    )
+    broken = model_of([("U", (0, 1))], [("X", (0, 1))], {"X": "Z"})
+    ends = _with_cone_pass(monkeypatch)
+    for model in (low, broken):
+        _, tau, omega = _identity_setup(model)
+        args = (model, model, tau, omega, list(enumerate_interventions(model)), True)
+        expected = outcome(reference_find_compatible_tau_u, *args)
+        assert _report_bytes(outcome(find_compatible_tau_u, *args)) == _report_bytes(expected)
+    assert ends == ["returned", "raised"]
+    assert expected == (KeyError, "'Z'")
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cone_shape_places_every_context_at_its_cone_point(seed):
+    rng = random.Random(seed)
+    names = rng.sample(["A", "B", "C", "D"], rng.randint(1, 4))
+    decls = tuple(VariableDecl(n, tuple(rng.sample(range(-1, 4), rng.randint(1, 3)))) for n in names)
+    sig = Signature(decls, ())
+    cone = tuple(n for n in names if rng.random() < 0.5)
+    points, index = transform._cone_shape(sig, cone, _to_name_order(names))
+    first = {d.name: d.domain[0] for d in decls}
+    contexts = enumerate_contexts(sig)
+    assert len(index) == len(contexts)
+    assert sorted(set(index)) == list(range(len(points)))
+    for u, k in zip(contexts, index):
+        assert points[k] == Assignment({n: u[n] if n in cone else first[n] for n in names})._values
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 1), (6, 2, 1), (6, 3, 1)], ids=str)
+def test_allowed_set_checks_on_voting_stay_streamed(monkeypatch, shape):
+    # Three allowed interventions whose cones cover most contexts: the cone
+    # pass would do two thirds of the streamed pass's full work.
+    bundle = build_voting(*shape)
+    taken = _passes_taken(monkeypatch)
+    assert check_uniform(bundle.low, bundle.high, bundle.tau, bundle.omega).verdict
+    assert check_tau_abstraction(bundle.low, bundle.high, bundle.tau).verdict
+    assert taken == ["_streamed_pass"] * 2
+
+
+def test_strong_check_on_voting_takes_the_cone_pass(monkeypatch):
+    # Every solve runs a kernel the patched factory made, on fresh models:
+    # 9,600 low and 1,728 high cone points, where the streamed pass solves
+    # 512 contexts under 450 interventions and 162 under 144 images, 253,728.
+    solves = [0]
+    kernel = model_module._kernel
+
+    def counting_kernel(*args):
+        solve = kernel(*args)
+
+        def counted(u, f):
+            solves[0] += 1
+            return solve(u, f)
+
+        return counted
+
+    monkeypatch.setattr(model_module, "_kernel", counting_kernel)
+    bundle = build_voting(4, 2, 1)
+    taken = _passes_taken(monkeypatch)
+    assert check_strong_abstraction(bundle.low, bundle.high, bundle.tau).verdict
+    assert taken == ["_cone_pass"]
+    assert 0 < solves[0] <= 11_328
 
 
 @pytest.mark.parametrize("use_check_compatible", [False, True], ids=["find", "check"])
