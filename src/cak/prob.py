@@ -14,7 +14,7 @@ from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
 
-from .errors import InputError, SizeCapExceeded, contexts_cap
+from .errors import InputError
 from .interventions import enumerate_interventions
 from .maps import FiniteMap
 from .model import (
@@ -269,9 +269,6 @@ def to_uev(model: CausalModel, d: RationalDist, cap: int | None = None) -> tuple
     sig = model.signature
     contexts = enumerate_contexts(model, cap)
     k = len(contexts)
-    limit = contexts_cap(cap)
-    if k > limit:
-        raise SizeCapExceeded("context space", k, limit)
     codes = tuple(range(k))
     code_of = {c: i for i, c in enumerate(contexts)}
 

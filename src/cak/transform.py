@@ -11,8 +11,10 @@ refutes all of them.
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from collections import defaultdict
+from itertools import count, product, repeat
 from math import prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -29,6 +31,7 @@ from .model import (
     CausalModel,
     Signature,
     _to_name_order,
+    check_intervention,
     enumerate_contexts,
     solve_under,
     state_of,
@@ -106,10 +109,13 @@ def check_compatible(
     """Whether tau(solve_low(u, i)) == solve_high(tau_u(u), omega(i)) for
     every low context u and every intervention i in `i_low`."""
     interventions = resolve_interventions(m_low, i_low, cap)
+    images = [omega.apply(i) for i in interventions]
+    for j in dict.fromkeys(images):
+        check_intervention(m_high, j)
     for u in enumerate_contexts(m_low, cap):
-        for i in interventions:
+        for i, j in zip(interventions, images):
             low_side = tau.apply(solve_under(m_low, u, i))
-            high_side = solve_under(m_high, tau_u.apply(u), omega.apply(i))
+            high_side = solve_under(m_high, tau_u.apply(u), j)
             if low_side != high_side:
                 return CheckReport(
                     False,
@@ -165,8 +171,9 @@ def find_compatible_tau_u(
     With `require_surjective`, the assignment is additionally completed so
     that every high context is hit, via an exhaustive bipartite matching;
     the greedy choice is kept wherever the matching imposes nothing.
-    The witness is the full table. The profiles come from one of two
-    passes, picked by their expected work; both give the same report.
+    The witness is the full table. The profile pass builds its columns by
+    cone or by context, picked by their expected work; both give the same
+    report.
     """
     interventions = resolve_interventions(m_low, i_low, cap)
     low_contexts = enumerate_contexts(m_low, cap)
@@ -177,14 +184,9 @@ def find_compatible_tau_u(
     slot_of: dict[Assignment, int] = {}
     slots = [slot_of.setdefault(j, len(slot_of)) for j in images]
     distinct = list(slot_of)
-    args = (m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots)
-    passed = None
-    if _columns_pay(m_low, m_high, interventions, distinct, len(low_contexts), len(high_contexts)):
-        try:
-            passed = _cone_pass(*args)
-        except Exception:
-            pass  # the streamed pass below meets the context-major first error
-    cands, miss = passed or _streamed_pass(*args)
+    for j in distinct:
+        check_intervention(m_high, j)
+    cands, miss = _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots)
     if miss is not None:
         u_l, profile = miss
         diagnosis = _conflict_diagnosis(interventions, images, profile)
@@ -217,30 +219,81 @@ def find_compatible_tau_u(
     )
 
 
-# Both profile passes take (m_low, m_high, tau, interventions, low_contexts,
-# high_contexts, distinct omega-images, slots: the distinct-image index of
-# each intervention's image) and return (cands, None), cands mapping each
-# low context to its matching high contexts, or (None, (u_l, profile)) for
-# the first low context without a match and its abstracted profile.
+def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots):
+    """The high profiles, then the low ones in enumeration order up to the
+    first miss. Returns (cands, None), cands mapping each low context to
+    its matching high contexts, or (None, (u_l, profile)) for the first
+    low context without a match and its abstracted profile.
 
-def _streamed_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots):
-    """Context by context: every high context under each distinct image,
-    then each low context under every intervention, up to the first miss."""
+    A profile is a row of columns, one per distinct omega-image on the high
+    side (repeated per `slots`, the image index of each intervention) and
+    one per intervention on the low side. Every high state, and the
+    tau-image of every low state, gets an int id from one dict, so int
+    profiles match exactly when the profiles of states do.
+    """
+    by_cone = _columns_pay(m_low, m_high, interventions, distinct, len(low_contexts), len(high_contexts))
+    ids: dict[Assignment, int] = defaultdict(count().__next__)  # a new key gets the next id
     profile_to_high: dict[tuple, list[Assignment]] = {}
-    for u_h in high_contexts:
-        solved = [solve_under(m_high, u_h, j) for j in distinct]
-        profile_to_high.setdefault(tuple([solved[k] for k in slots]), []).append(u_h)
+    profiles = _rows(_columns(m_high, high_contexts, distinct, ids, by_cone))
+    if len(slots) > 1:  # else a row is its profile
+        profiles = map(itemgetter(*slots), profiles)
+    for u_h, profile in zip(high_contexts, profiles):
+        profile_to_high.setdefault(profile, []).append(u_h)
 
     cands: dict[Assignment, list[Assignment]] = {}
-    for u_l in low_contexts:
-        profile = tuple([tau.apply(solve_under(m_low, u_l, i)) for i in interventions])
+    low_columns = _columns(m_low, low_contexts, interventions, ids, by_cone, tau)
+    for u_l, profile in zip(low_contexts, _rows(low_columns)):
         found = profile_to_high.get(profile)
         if found is None:
             # The first context without a correspondent decides; the rest
-            # are never solved.
-            return None, (u_l, profile)
+            # are never read.
+            states = list(ids)
+            return None, (u_l, tuple([states[k] for k in profile]))
         cands[u_l] = found
     return cands, None
+
+
+def _rows(columns: list) -> Iterable[tuple]:
+    return zip(*columns) if columns else repeat(())
+
+
+def _columns(model, contexts, interventions, ids: dict, by_cone: bool, tau: StateMap | None = None):
+    """One lazy column of ids per intervention: the id of the solution
+    under it, or of its tau-image, at each context in `contexts`.
+
+    By context, a column calls solve_under and tau.apply once per context.
+    By cone, it calls the generated solver once per point of the
+    intervention's cone, applies tau once per distinct state, and spreads
+    the ids over the contexts through the cone's index column. A cone
+    column that raises is built by context instead, and raises at its own
+    first failing context; one that does not raise cannot fail at any
+    context, since a solution depends only on its cone. Read row by row,
+    the columns therefore raise the context-major first error.
+    """
+    sig = model.signature
+    pick = _to_name_order(list(sig.exo_names))
+    shapes: dict[tuple[str, ...], tuple[list[tuple], list[int]]] = {}
+    known: dict[tuple, int] = {}  # state values -> image id
+    out = []
+    for i in interventions:
+        if by_cone:
+            cone = model.cone(i._keys)
+            if cone not in shapes:
+                shapes[cone] = _cone_shape(sig, cone, pick)
+            points, index = shapes[cone]
+            try:
+                solved = list(map(model.solver(i._keys), points, repeat(i._values)))
+                for values in solved:
+                    if values not in known:
+                        state = state_of(model, values)
+                        known[values] = ids[state if tau is None else tau.apply(state)]
+                out.append(map(list(map(known.__getitem__, solved)).__getitem__, index))
+                continue
+            except Exception:  # by context, it raises again if the pass reads that far
+                pass
+        solved = map(solve_under, repeat(model), contexts, repeat(i))
+        out.append(map(ids.__getitem__, solved if tau is None else map(tau.apply, solved)))
+    return out
 
 
 def _columns_pay(
@@ -251,22 +304,21 @@ def _columns_pay(
     n_low: int,
     n_high: int,
 ) -> bool:
-    """Whether the cone pass is expected to cost less than the streamed
-    pass, counting work in solves.
+    """Whether columns built by cone are expected to cost less than
+    columns built by context, counting work in solves.
 
-    The cone pass solves each column (an intervention or a distinct image)
-    at its cone points and costs about four solves more per column in
-    lookups, which decides on small inputs. The streamed pass solves every
-    context under every column, but stops at the first unmatched low
-    context, halfway through on average, so the columns pay only below half
-    its full work.
+    A cone column (an intervention or a distinct image) solves at its cone
+    points and costs about four solves more in lookups, which decides on
+    small inputs. A column by context solves every context, but the pass
+    stops at the first unmatched low context, halfway through on average,
+    so the cones pay only below half the full work by context.
     """
-    stream_work = n_low * len(interventions) + n_high * len(distinct)
+    context_work = n_low * len(interventions) + n_high * len(distinct)
     fixed = 4 * (len(interventions) + len(distinct))
-    if 2 * fixed > stream_work:
+    if 2 * fixed > context_work:
         return False  # decided without computing a cone
     cone_work = _cone_work(m_low, interventions) + _cone_work(m_high, distinct)
-    return 2 * (fixed + cone_work) <= stream_work
+    return 2 * (fixed + cone_work) <= context_work
 
 
 def _cone_work(model: CausalModel, interventions: Sequence[Assignment]) -> int:
@@ -277,65 +329,6 @@ def _cone_work(model: CausalModel, interventions: Sequence[Assignment]) -> int:
         if i._keys not in sizes:
             sizes[i._keys] = prod([len(domains[n]) for n in model.cone(i._keys)])
     return sum([sizes[i._keys] for i in interventions])
-
-
-def _cone_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots):
-    """Column by column: each intervention, and each distinct image, is
-    solved once per point of its cone and the results are spread over the
-    contexts.
-
-    Every high state, and the tau-image of every low state, gets an int id
-    from one dict, so profiles are tuples of ints that match exactly when
-    the streamed pass's tuples of states do. Solves and tau run ahead of
-    the matching, so an error may come from a context past the first miss;
-    the caller then runs the streamed pass instead.
-    """
-    image_id: dict[Assignment, int] = {}
-    high = _cone_columns(m_high, distinct, image_id, lambda v: state_of(m_high, v))
-    high_columns = [list(map(ids.__getitem__, index)) for index, ids in high]
-    profile_to_high: dict[tuple, list[Assignment]] = {}
-    for u_h, profile in zip(high_contexts, _rows([high_columns[k] for k in slots])):
-        profile_to_high.setdefault(profile, []).append(u_h)
-
-    low = _cone_columns(m_low, interventions, image_id, lambda v: tau.apply(state_of(m_low, v)))
-    # Lazy, so no interventions-by-contexts table is held.
-    low_columns = [map(ids.__getitem__, index) for index, ids in low]
-    cands: dict[Assignment, list[Assignment]] = {}
-    for u_l, profile in zip(low_contexts, _rows(low_columns)):
-        found = profile_to_high.get(profile)
-        if found is None:
-            n, states = len(cands), list(image_id)
-            return None, (u_l, tuple([states[ids[index[n]]] for index, ids in low]))
-        cands[u_l] = found
-    return cands, None
-
-
-def _rows(columns: list) -> Iterable[tuple]:
-    return zip(*columns) if columns else repeat(())
-
-
-def _cone_columns(
-    model: CausalModel, interventions: Iterable[Assignment], image_id: dict, image_of
-) -> list[tuple[list[int], list[int]]]:
-    """(index, ids) per intervention: ids[k] is the id of the image of the
-    solution at the k-th point of the intervention's cone, index[n] the
-    cone point of the n-th context in enumeration order."""
-    sig = model.signature
-    pick = _to_name_order(list(sig.exo_names))
-    shapes: dict[tuple[str, ...], tuple[list[tuple], list[int]]] = {}
-    known: dict[tuple, int] = {}  # state values -> image id
-    out = []
-    for i in interventions:
-        cone = model.cone(i._keys)
-        if cone not in shapes:
-            shapes[cone] = _cone_shape(sig, cone, pick)
-        points, index = shapes[cone]
-        solved = list(map(model.solver(i._keys), points, repeat(i._values)))
-        for values in solved:
-            if values not in known:
-                known[values] = image_id.setdefault(image_of(values), len(image_id))
-        out.append((index, list(map(known.__getitem__, solved))))
-    return out
 
 
 def _cone_shape(sig: Signature, cone: tuple[str, ...], pick) -> tuple[list[tuple], list[int]]:

@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -387,7 +388,7 @@ def test_ill_typed_tau_exits_2_naming_its_file(capsys, emitted, tmp_path, kind, 
 
 
 def _write_dist(tmp_path, path, edit):
-    rows = loads(open(path, encoding="utf-8").read())
+    rows = loads(Path(path).read_text(encoding="utf-8"))
     edit(rows)
     out = tmp_path / "edited.dist.json"
     out.write_text(dumps(rows), encoding="utf-8")
@@ -485,7 +486,7 @@ def test_malformed_document_shape_exits_2(capsys, emitted, tmp_path, doc, edit, 
     # All but the boolean domain crashed with a traceback and exit 1; the
     # boolean domain was accepted.
     paths = emitted("linear-sum")
-    docs = {stem: loads(open(paths[stem], encoding="utf-8").read()) for stem in ("low", "tau")}
+    docs = {stem: loads(Path(paths[stem]).read_text(encoding="utf-8")) for stem in ("low", "tau")}
     docs["partition"] = {"cells": {"XS": ["X1", "X2"], "YS": ["Y"]}, "marginal": []}
     edit(docs[doc])
     for stem, obj in docs.items():
@@ -501,7 +502,7 @@ def test_invalid_model_error_names_the_first_diagnostics_and_a_count(capsys, emi
     # Every value of LU1 past the first two sends X1 outside its domain;
     # the message used to list all of them (4.9 MB at 10**5 values).
     paths = emitted("linear-sum")
-    low = loads(open(paths["low"], encoding="utf-8").read())
+    low = loads(Path(paths["low"]).read_text(encoding="utf-8"))
     low["exogenous"][0]["domain"] = list(range(10**5))
     path = tmp_path / "wide.low.json"
     path.write_text(dumps(low), encoding="utf-8")

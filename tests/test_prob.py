@@ -10,6 +10,7 @@ from cak import (
     EMPTY,
     InputError,
     RationalDist,
+    SizeCapExceeded,
     StateMap,
     check_exact,
     check_uev,
@@ -282,6 +283,14 @@ def test_rewire_random_models_property():
         m2, d2 = to_uev(m, d)
         assert check_uev(m2).verdict, f"case {k}"
         assert equivalent(m, d, m2, d2).verdict, f"case {k}"
+
+
+def test_rewire_refuses_a_context_space_past_the_cap():
+    d = RationalDist.uniform(enumerate_contexts(THREE_BITS))
+    k = len(enumerate_contexts(THREE_BITS))
+    assert to_uev(THREE_BITS, d, cap=k)[0].signature.exo_names
+    with pytest.raises(SizeCapExceeded, match=f"context space has {k} elements, exceeding the cap of {k - 1}"):
+        to_uev(THREE_BITS, d, cap=k - 1)
 
 
 def test_rewire_handles_tables_touching_exogenous():

@@ -5,6 +5,7 @@ import pytest
 from cak import (
     Assignment,
     EMPTY,
+    EvaluationError,
     InputError,
     InterventionMap,
     RationalDist,
@@ -302,19 +303,18 @@ def test_failing_pass_solves_each_low_context_up_to_the_first_miss_once(monkeypa
 
 
 # ---------------------------------------------------------------------------
-# the cone pass
+# cone columns
 
 
 def _with_cone_pass(monkeypatch, selected=True):
-    """Select the cone pass, or not, whatever the sizes. Returns how each of
-    its runs ended: "returned", or "raised", after which the streamed pass
-    ran."""
+    """Select the cone columns, or not, whatever the sizes. Returns how
+    each profile pass ended: "returned", or "raised"."""
     ends = []
-    cone_pass = transform._cone_pass
+    profile_pass = transform._profile_pass
 
     def recorded(*args):
         try:
-            result = cone_pass(*args)
+            result = profile_pass(*args)
         except Exception:
             ends.append("raised")
             raise
@@ -322,20 +322,22 @@ def _with_cone_pass(monkeypatch, selected=True):
         return result
 
     monkeypatch.setattr(transform, "_columns_pay", lambda *args: selected)
-    monkeypatch.setattr(transform, "_cone_pass", recorded)
+    monkeypatch.setattr(transform, "_profile_pass", recorded)
     return ends
 
 
 def _passes_taken(monkeypatch):
-    """Record the name of each profile pass that runs."""
+    """Record how each profile pass builds its columns: "by cone" or "by
+    context"."""
     taken = []
-    for name in ("_cone_pass", "_streamed_pass"):
+    columns_pay = transform._columns_pay
 
-        def recorded(*args, _name=name, _pass=getattr(transform, name)):
-            taken.append(_name)
-            return _pass(*args)
+    def recorded(*args):
+        pays = columns_pay(*args)
+        taken.append("by cone" if pays else "by context")
+        return pays
 
-        monkeypatch.setattr(transform, name, recorded)
+    monkeypatch.setattr(transform, "_columns_pay", recorded)
     return taken
 
 
@@ -366,9 +368,9 @@ def _differential_case(rng: random.Random):
 @pytest.mark.parametrize("seed", range(5))
 def test_cone_pass_matches_the_reference(monkeypatch, seed):
     # Random expression models read the undeclared Z now and then, leave
-    # their domains and have partial tables; the cone pass then raises and
-    # the streamed pass decides. Every case reports or raises as the
-    # streamed pass does, and as the reference does unless the reference,
+    # their domains and have partial tables; a cone column then raises and
+    # is built by context. Every case reports or raises as the pass by
+    # context does, and as the reference does unless the reference,
     # which solves every low context before looking for a miss, raises at a
     # context past the first miss.
     rng = random.Random(seed)
@@ -378,11 +380,11 @@ def test_cone_pass_matches_the_reference(monkeypatch, seed):
         args = (low, high, tau, omega, None, rng.random() < 0.5)
         reference = _report_bytes(outcome(reference_find_compatible_tau_u, *args))
         _with_cone_pass(monkeypatch, selected=False)
-        streamed = _report_bytes(outcome(find_compatible_tau_u, *args))
+        by_context = _report_bytes(outcome(find_compatible_tau_u, *args))
         runs = _with_cone_pass(monkeypatch)
         got = _report_bytes(outcome(find_compatible_tau_u, *args))
         ends += runs
-        assert got == streamed
+        assert got == by_context
         assert got == reference or (reference[0] != "value" and '"verdict": false' in got[1])
     assert set(ends) == {"returned", "raised"}
 
@@ -437,18 +439,17 @@ def test_cone_shape_places_every_context_at_its_cone_point(seed):
 @pytest.mark.parametrize("shape", [(4, 2, 1), (6, 2, 1), (6, 3, 1)], ids=str)
 def test_allowed_set_checks_on_voting_stay_streamed(monkeypatch, shape):
     # Three allowed interventions whose cones cover most contexts: the cone
-    # pass would do two thirds of the streamed pass's full work.
+    # columns would do two thirds of the full work by context.
     bundle = build_voting(*shape)
     taken = _passes_taken(monkeypatch)
     assert check_uniform(bundle.low, bundle.high, bundle.tau, bundle.omega).verdict
     assert check_tau_abstraction(bundle.low, bundle.high, bundle.tau).verdict
-    assert taken == ["_streamed_pass"] * 2
+    assert taken == ["by context"] * 2
 
 
-def test_strong_check_on_voting_takes_the_cone_pass(monkeypatch):
-    # Every solve runs a kernel the patched factory made, on fresh models:
-    # 9,600 low and 1,728 high cone points, where the streamed pass solves
-    # 512 contexts under 450 interventions and 162 under 144 images, 253,728.
+def _count_kernel_calls(monkeypatch):
+    """Count every call of a generated solver that the patched factory
+    makes from now on; returns the one-element count."""
     solves = [0]
     kernel = model_module._kernel
 
@@ -462,11 +463,84 @@ def test_strong_check_on_voting_takes_the_cone_pass(monkeypatch):
         return counted
 
     monkeypatch.setattr(model_module, "_kernel", counting_kernel)
+    return solves
+
+
+def test_strong_check_on_voting_takes_the_cone_pass(monkeypatch):
+    # Every solve runs a kernel the patched factory made, on fresh models:
+    # 9,600 low and 1,728 high cone points, where by context the pass solves
+    # 512 contexts under 450 interventions and 162 under 144 images, 253,728.
+    solves = _count_kernel_calls(monkeypatch)
     bundle = build_voting(4, 2, 1)
     taken = _passes_taken(monkeypatch)
     assert check_strong_abstraction(bundle.low, bundle.high, bundle.tau).verdict
-    assert taken == ["_cone_pass"]
+    assert taken == ["by cone"]
     assert 0 < solves[0] <= 11_328
+
+
+def test_a_failing_cone_column_falls_back_alone(monkeypatch):
+    # X's table misses U = 2, so the 5 of the 15 interventions that leave X
+    # unforced raise at a cone point, after 37 cone solves in all. Only
+    # those 5 columns are built by context; read row by row, they solve the
+    # 8 contexts before U = 2 and then the first of them raises at U = 2:
+    # 37 + 8 * 5 + 1. Rerunning the whole pass by context once the first
+    # column (the empty intervention) raised made 9 + 8 * 15 + 1 = 130.
+    model = model_of(
+        [("U", (0, 1, 2)), ("V", (0, 1, 2, 3))],
+        [("X", (0, 1)), ("Y", (0, 1, 2, 3))],
+        {"X": "table(U)[(0) -> 0, (1) -> 1]", "Y": "V"},
+    )
+    solves = _count_kernel_calls(monkeypatch)
+    _, tau, omega = _identity_setup(model)
+    args = (model, model, tau, omega, list(enumerate_interventions(model)))
+    _with_cone_pass(monkeypatch)
+    got = outcome(find_compatible_tau_u, *args)
+    assert solves[0] == 78
+    assert got == outcome(reference_find_compatible_tau_u, *args)
+    assert got == (EvaluationError, "table over ('U',) has no entry for (2,)")
+
+
+@pytest.mark.parametrize("selected", [True, False], ids=["by-cone", "by-context"])
+def test_empty_intervention_lists_give_the_reference_reports(monkeypatch, selected):
+    # No column at all: every low context matches every high context.
+    small = model_of([("U", (0, 1))], [("X", (0, 1))], {"X": "U"})
+    _with_cone_pass(monkeypatch, selected)
+    for low, high in [(CHAIN, CHAIN), (small, CHAIN), (CHAIN, small)]:
+        tau = random_state_map(random.Random(1), low, high)
+        for surjective in (False, True):
+            args = (low, high, tau, InterventionMap.identity(()), [], surjective)
+            expected = _report_bytes(outcome(reference_find_compatible_tau_u, *args))
+            assert _report_bytes(outcome(find_compatible_tau_u, *args)) == expected
+        low, high = low.with_allowed(()), high.with_allowed(())
+        args = (low, high, tau, InterventionMap.identity(()))
+        got = _report_bytes(outcome(check_uniform, *args))
+        monkeypatch.setattr(transform, "find_compatible_tau_u", reference_find_compatible_tau_u)
+        assert got == _report_bytes(outcome(check_uniform, *args))
+        monkeypatch.setattr(transform, "find_compatible_tau_u", find_compatible_tau_u)
+
+
+@pytest.mark.parametrize("use_check_compatible", [False, True], ids=["find", "check"])
+@pytest.mark.parametrize(
+    "image,reason",
+    [
+        ({"X": 7}, "intervention sets X to 7, outside its domain"),
+        ({"U": 1}, "intervention sets non-endogenous variable U"),
+        ({"Z": 0}, "intervention sets non-endogenous variable Z"),
+    ],
+    ids=["out-of-domain", "exogenous", "undeclared"],
+)
+def test_omega_images_are_checked_against_the_high_model(use_check_compatible, image, reason):
+    # Each gave a verdict: the generated solver ignores forced names that
+    # are not endogenous and does not check forced values.
+    model = model_of([("U", (0, 1))], [("X", (0, 1))], {"X": "U"})
+    tau = StateMap.identity(model.signature)
+    omega = InterventionMap.from_pairs([(EMPTY, Assignment(image))])
+    with pytest.raises(InputError, match=reason):
+        if use_check_compatible:
+            tau_u = ContextMap.from_table(tuple((u, u) for u in enumerate_contexts(model)))
+            check_compatible(tau_u, tau, omega, model, model, i_low=[EMPTY])
+        else:
+            find_compatible_tau_u(model, model, tau, omega, i_low=[EMPTY])
 
 
 @pytest.mark.parametrize("use_check_compatible", [False, True], ids=["find", "check"])
