@@ -54,12 +54,12 @@ class _TauTable:
     its own table or its cache of images.
     """
 
-    def __init__(self, m_low: CausalModel, m_high: CausalModel, tau: StateMap, cap: int | None):
+    def __init__(self, m_low: CausalModel, m_high: CausalModel, tau: StateMap):
         self.low, self.high, self.tau = m_low.signature, m_high.signature, tau
         names = self.low.endo_names
         self.by_values = {
             tuple(state[n] for n in names): image
-            for state, image in materialize_state_map(tau, self.low, self.high, cap).items()
+            for state, image in materialize_state_map(tau, self.low, self.high).items()
         }
 
     def induced(self, intervention: Assignment) -> Assignment | None:
@@ -91,14 +91,12 @@ class _TauTable:
         # equal to it exactly when the sizes match.
         return Assignment(fixed) if size == len(images) else None
 
-    def induced_sets(
-        self, cap: int | None
-    ) -> tuple[list[tuple[Assignment, Assignment]], tuple[Assignment, ...]]:
+    def induced_sets(self) -> tuple[list[tuple[Assignment, Assignment]], tuple[Assignment, ...]]:
         """Every low intervention with a defined image, paired with it, and
         the image set, both in deterministic order."""
         defined: list[tuple[Assignment, Assignment]] = []
         image_order: dict[Assignment, None] = {}
-        for i in enumerate_interventions(self.low, cap):
+        for i in enumerate_interventions(self.low):
             img = self.induced(i)
             if img is not None:
                 defined.append((i, img))
@@ -111,22 +109,18 @@ def derive_omega_tau(
     m_high: CausalModel,
     tau: StateMap,
     intervention: Assignment,
-    cap: int | None = None,
 ) -> Assignment | None:
     """Image of one low intervention under the induced map, or None."""
     check_intervention(m_low, intervention)
-    return _TauTable(m_low, m_high, tau, cap).induced(intervention)
+    return _TauTable(m_low, m_high, tau).induced(intervention)
 
 
 def compute_induced_sets(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    tau: StateMap,
-    cap: int | None = None,
+    m_low: CausalModel, m_high: CausalModel, tau: StateMap
 ) -> tuple[tuple[Assignment, ...], tuple[Assignment, ...], InterventionMap]:
     """The set of low interventions with a defined induced image, the image
     set, and the explicit induced map, all in deterministic order."""
-    defined, images = _TauTable(m_low, m_high, tau, cap).induced_sets(cap)
+    defined, images = _TauTable(m_low, m_high, tau).induced_sets()
     return tuple(i for i, _ in defined), images, InterventionMap.from_pairs(defined)
 
 
@@ -136,7 +130,6 @@ def check_tau_abstraction(
     tau: StateMap,
     i_low: Iterable[Assignment] | None = None,
     i_high: Iterable[Assignment] | None = None,
-    cap: int | None = None,
 ) -> CheckReport:
     """The three-part abstraction check for the given intervention sets
     (defaulting to the models' allowed sets):
@@ -151,9 +144,9 @@ def check_tau_abstraction(
     The report identifies the first failing part. Explicitly given
     interventions must be well-typed for their model.
     """
-    low_list = resolve_interventions(m_low, i_low, cap)
-    high_list = resolve_interventions(m_high, i_high, cap)
-    table = _TauTable(m_low, m_high, tau, cap)
+    low_list = resolve_interventions(m_low, i_low)
+    high_list = resolve_interventions(m_high, i_high)
+    table = _TauTable(m_low, m_high, tau)
     pairs = []
     for i in low_list:
         img = table.induced(i)
@@ -164,7 +157,7 @@ def check_tau_abstraction(
                 counterexample={"intervention": i},
             )
         pairs.append((i, img))
-    return _tau_abstraction(m_low, m_high, table, pairs, high_list, cap)
+    return _tau_abstraction(m_low, m_high, table, pairs, high_list)
 
 
 def _tau_abstraction(
@@ -173,13 +166,12 @@ def _tau_abstraction(
     table: _TauTable,
     pairs: list[tuple[Assignment, Assignment]],
     high_list: Sequence[Assignment],
-    cap: int | None,
 ) -> CheckReport:
     """Parts (a) to (c) of check_tau_abstraction, given every low
     intervention paired with its induced image."""
     omega_tau = InterventionMap.from_pairs(pairs)
     image = set(table.by_values.values())
-    for state in enumerate_states(m_high, cap):
+    for state in enumerate_states(m_high):
         if state not in image:
             return CheckReport(
                 False,
@@ -194,7 +186,6 @@ def _tau_abstraction(
         omega_tau,
         i_low=[i for i, _ in pairs],
         require_surjective=True,
-        cap=cap,
     )
     if not inner.verdict:
         return CheckReport(
@@ -220,23 +211,16 @@ def _tau_abstraction(
     )
 
 
-def check_strong_abstraction(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    tau: StateMap,
-    cap: int | None = None,
-) -> CheckReport:
+def check_strong_abstraction(m_low: CausalModel, m_high: CausalModel, tau: StateMap) -> CheckReport:
     """Strong abstraction: every high intervention is induced, and the
     tau-abstraction check holds between the induced sets."""
-    return _strong(m_low, m_high, _TauTable(m_low, m_high, tau, cap), cap)
+    return _strong(m_low, m_high, _TauTable(m_low, m_high, tau))
 
 
-def _strong(
-    m_low: CausalModel, m_high: CausalModel, table: _TauTable, cap: int | None
-) -> CheckReport:
+def _strong(m_low: CausalModel, m_high: CausalModel, table: _TauTable) -> CheckReport:
     """check_strong_abstraction on a table its caller already built."""
-    defined, i_high_tau = table.induced_sets(cap)
-    all_high = enumerate_interventions(m_high, cap)
+    defined, i_high_tau = table.induced_sets()
+    all_high = enumerate_interventions(m_high)
     induced = set(i_high_tau)
     missing = [h for h in all_high if h not in induced]
     if missing:
@@ -250,7 +234,7 @@ def _strong(
                 "first_missing_single": first_single,
             },
         )
-    inner = _tau_abstraction(m_low, m_high, table, defined, i_high_tau, cap)
+    inner = _tau_abstraction(m_low, m_high, table, defined, i_high_tau)
     if not inner.verdict:
         return CheckReport(
             False,
@@ -333,19 +317,13 @@ def _check_partition_shape(
         )
 
 
-def derive_component_maps(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    tau: StateMap,
-    partition: Partition,
-    cap: int | None = None,
-):
+def derive_component_maps(m_low: CausalModel, m_high: CausalModel, tau: StateMap, partition: Partition):
     """Project tau onto each cell. Returns (ComponentMaps, None) when tau's
     component for each high variable depends only on that variable's cell,
     else (None, counterexample) with two low states exhibiting the
     dependence on a variable outside the cell."""
     low_sig = m_low.signature
-    states = enumerate_states(low_sig, cap)
+    states = enumerate_states(low_sig)
     tables: dict[str, dict[tuple[int, ...], int]] = {h: {} for h, _ in partition.cells}
     first_state: dict[tuple[str, tuple[int, ...]], Assignment] = {}
     for state in states:
@@ -373,14 +351,13 @@ def check_constructive(
     tau: StateMap,
     partition: Partition,
     comps: ComponentMaps | None = None,
-    cap: int | None = None,
 ) -> CheckReport:
     """Constructive abstraction: tau factors through the partition as the
     concatenation of per-cell maps, and the strong abstraction check holds.
     When `comps` is omitted the per-cell maps are derived by projection."""
     _check_partition_shape(partition, m_low, m_high)
-    table = _TauTable(m_low, m_high, tau, cap)
-    derived, failure = derive_component_maps(m_low, m_high, table.tau, partition, cap)
+    table = _TauTable(m_low, m_high, tau)
+    derived, failure = derive_component_maps(m_low, m_high, table.tau, partition)
     if derived is None:
         return CheckReport(
             False,
@@ -401,7 +378,7 @@ def check_constructive(
                     detail=f"supplied component map for {high_var} disagrees with tau",
                     counterexample={"high_var": high_var, "cell_values": mismatch},
                 )
-    strong = _strong(m_low, m_high, table, cap)
+    strong = _strong(m_low, m_high, table)
     if not strong.verdict:
         return CheckReport(
             False,
@@ -437,13 +414,12 @@ def _semantic_supports(table: _TauTable) -> dict[str, set[str]]:
     return supports
 
 
-def search_constructive_partition(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    tau: StateMap,
-    max_low_vars: int = 10,
-    cap: int | None = None,
-):
+# The constructive search refuses a low model with more endogenous variables
+# than this before any tau work. Unlike the enumeration caps it is fixed.
+MAX_SEARCH_LOW_VARS = 10
+
+
+def search_constructive_partition(m_low: CausalModel, m_high: CausalModel, tau: StateMap):
     """Find a partition and component maps certifying constructiveness, or
     None.
 
@@ -455,9 +431,9 @@ def search_constructive_partition(
     are the projections of tau, so what remains is the strong check.
     """
     low_names = m_low.signature.endo_names
-    if len(low_names) > max_low_vars:
-        raise SizeCapExceeded("low variable set", len(low_names), max_low_vars)
-    table = _TauTable(m_low, m_high, tau, cap)
+    if len(low_names) > MAX_SEARCH_LOW_VARS:
+        raise SizeCapExceeded("low variable set", len(low_names), MAX_SEARCH_LOW_VARS)
+    table = _TauTable(m_low, m_high, tau)
     supports = _semantic_supports(table)
     used: set[str] = set()
     for high_var, support in supports.items():
@@ -474,9 +450,9 @@ def search_constructive_partition(
             support = {unused.pop(0)}
         cells.append((d.name, tuple(v for v in low_names if v in support)))
     partition = Partition(tuple(cells), tuple(unused))
-    comps, failure = derive_component_maps(m_low, m_high, table.tau, partition, cap)
+    comps, failure = derive_component_maps(m_low, m_high, table.tau, partition)
     if comps is None:
         raise AssertionError(f"disjoint supports must factor, got {failure}")
-    if not _strong(m_low, m_high, table, cap).verdict:
+    if not _strong(m_low, m_high, table).verdict:
         return None
     return partition, comps

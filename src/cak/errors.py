@@ -39,11 +39,11 @@ class CyclicModelError(CakError):
 class SizeCapExceeded(InputError):
     """A requested enumeration exceeds the configured size cap."""
 
-    def __init__(self, what: str, size: int, cap: int):
+    def __init__(self, what: str, size: int, limit: int):
         self.what = what
         self.size = size
-        self.cap = cap
-        super().__init__(f"{what} has {size} elements, exceeding the cap of {cap}")
+        self.limit = limit
+        super().__init__(f"{what} has {size} elements, exceeding the cap of {limit}")
 
 
 def _cap_from_env(name: str, default: int) -> int:
@@ -59,15 +59,11 @@ def _cap_from_env(name: str, default: int) -> int:
     return value
 
 
-def interventions_cap(override: int | None = None) -> int:
+def interventions_cap() -> int:
     """Effective cap on intervention-space enumerations."""
-    if override is not None:
-        return override
     return _cap_from_env(ENV_MAX_INTERVENTIONS, DEFAULT_MAX_INTERVENTIONS)
 
 
-def contexts_cap(override: int | None = None) -> int:
+def contexts_cap() -> int:
     """Effective cap on context/state-space enumerations."""
-    if override is not None:
-        return override
     return _cap_from_env(ENV_MAX_CONTEXTS, DEFAULT_MAX_CONTEXTS)

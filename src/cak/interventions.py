@@ -21,7 +21,7 @@ def natural_lt(i1: Assignment, i2: Assignment) -> bool:
     return len(i1) < len(i2) and natural_leq(i1, i2)
 
 
-def enumerate_interventions(model_or_sig, cap: int | None = None) -> list[Assignment]:
+def enumerate_interventions(model_or_sig) -> list[Assignment]:
     """Every partial endogenous assignment, the empty one first.
 
     The count is prod_X (|domain(X)| + 1); enumeration refuses to start
@@ -34,7 +34,7 @@ def enumerate_interventions(model_or_sig, cap: int | None = None) -> list[Assign
     size = 1
     for d in decls:
         size *= len(d.domain) + 1
-    limit = interventions_cap(cap)
+    limit = interventions_cap()
     if size > limit:
         raise SizeCapExceeded("intervention space", size, limit)
     names = [d.name for d in decls]
@@ -46,9 +46,7 @@ def enumerate_interventions(model_or_sig, cap: int | None = None) -> list[Assign
 
 
 def resolve_interventions(
-    model: CausalModel,
-    interventions: Iterable[Assignment] | None = None,
-    cap: int | None = None,
+    model: CausalModel, interventions: Iterable[Assignment] | None = None
 ) -> tuple[Assignment, ...]:
     """`interventions` when given, each checked against the model, else
     the model's allowed set, with "all" enumerated."""
@@ -58,7 +56,7 @@ def resolve_interventions(
             check_intervention(model, i)
         return interventions
     if isinstance(model.allowed_interventions, str):
-        return tuple(enumerate_interventions(model, cap))
+        return tuple(enumerate_interventions(model))
     return model.allowed_interventions
 
 

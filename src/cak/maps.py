@@ -143,12 +143,12 @@ class StateMap(FiniteMap):
         return frozenset(first)
 
 
-def materialize_state_map(tau: StateMap, low: Signature, high: Signature, cap: int | None = None) -> dict[Assignment, Assignment]:
+def materialize_state_map(tau: StateMap, low: Signature, high: Signature) -> dict[Assignment, Assignment]:
     """Explicit table of `tau` over the full low state space.
 
     Verifies totality and that outputs are well-typed high states.
     """
-    states = enumerate_states(low, cap)
+    states = enumerate_states(low)
     high_names = set(high.endo_names)
     table: dict[Assignment, Assignment] = {}
     for s in states:
@@ -166,15 +166,9 @@ def materialize_state_map(tau: StateMap, low: Signature, high: Signature, cap: i
     return table
 
 
-def compose_state_maps(
-    first: StateMap,
-    second: StateMap,
-    low: Signature,
-    mid: Signature,
-    cap: int | None = None,
-) -> StateMap:
+def compose_state_maps(first: StateMap, second: StateMap, low: Signature, mid: Signature) -> StateMap:
     """Table computing second(first(s)) over the full low state space."""
-    inner = materialize_state_map(first, low, mid, cap)
+    inner = materialize_state_map(first, low, mid)
     return StateMap.from_table(tuple((s, second.apply(v)) for s, v in inner.items()))
 
 

@@ -449,6 +449,10 @@ def solve_under(model: CausalModel, context: Assignment, intervention: Assignmen
     but without rebuilding the model. The model is assumed valid; an
     out-of-domain equation output raises EvaluationError rather than
     being clamped. Equal solutions of one model are the same object.
+    It checks the context's variables, not their values: an out-of-domain
+    value may give a solution rather than an error, so a caller holding a
+    context from outside the library calls check_context first, as
+    `cak solve` does.
     """
     keys = context._keys
     if keys is not model._exo_keyset and keys != model._exo_keyset:
@@ -591,25 +595,23 @@ def eval_formula(model: CausalModel, context: Assignment, formula: CausalFormula
 # ---------------------------------------------------------------------------
 # Enumeration helpers
 
-def enumerate_contexts(model_or_sig, cap: int | None = None) -> list[Assignment]:
+def enumerate_contexts(model_or_sig) -> list[Assignment]:
     """Every context, in declaration-order lexicographic order."""
     sig = getattr(model_or_sig, "signature", model_or_sig)
-    return _enumerate_total(sig.exogenous, sig.exo_keyset, "context space", cap)
+    return _enumerate_total(sig.exogenous, sig.exo_keyset, "context space")
 
 
-def enumerate_states(model_or_sig, cap: int | None = None) -> list[Assignment]:
+def enumerate_states(model_or_sig) -> list[Assignment]:
     """Every total endogenous state, in declaration-order lexicographic order."""
     sig = getattr(model_or_sig, "signature", model_or_sig)
-    return _enumerate_total(sig.endogenous, sig.endo_keyset, "endogenous state space", cap)
+    return _enumerate_total(sig.endogenous, sig.endo_keyset, "endogenous state space")
 
 
-def _enumerate_total(
-    decls: tuple[VariableDecl, ...], keys: frozenset[str], what: str, cap: int | None
-) -> list[Assignment]:
+def _enumerate_total(decls: tuple[VariableDecl, ...], keys: frozenset[str], what: str) -> list[Assignment]:
     size = 1
     for d in decls:
         size *= len(d.domain)
-    limit = contexts_cap(cap)
+    limit = contexts_cap()
     if size > limit:
         raise SizeCapExceeded(what, size, limit)
     return Assignment._product(decls, keys)

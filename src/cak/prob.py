@@ -206,7 +206,6 @@ def equivalent(
     m2: CausalModel,
     d2: RationalDist,
     interventions: Iterable[Assignment] | None = None,
-    cap: int | None = None,
 ) -> CheckReport:
     """Whether the two probabilistic models give every causal formula the
     same probability, for formulas whose prefixes lie in `interventions`
@@ -224,7 +223,7 @@ def equivalent(
     ):
         raise InputError("models must share endogenous variables and domains")
     if interventions is None:
-        interventions = enumerate_interventions(m1, cap)
+        interventions = enumerate_interventions(m1)
     ilist = list(interventions)
 
     def profile_dist(model: CausalModel, d: RationalDist) -> dict[tuple, Fraction]:
@@ -255,7 +254,7 @@ def equivalent(
     raise AssertionError("unreachable")
 
 
-def to_uev(model: CausalModel, d: RationalDist, cap: int | None = None) -> tuple[CausalModel, RationalDist]:
+def to_uev(model: CausalModel, d: RationalDist) -> tuple[CausalModel, RationalDist]:
     """Rewire a model so each endogenous variable reads a private exogenous
     variable, preserving every causal formula's probability.
 
@@ -267,7 +266,7 @@ def to_uev(model: CausalModel, d: RationalDist, cap: int | None = None) -> tuple
     """
     check_distribution(model, d)
     sig = model.signature
-    contexts = enumerate_contexts(model, cap)
+    contexts = enumerate_contexts(model)
     k = len(contexts)
     codes = tuple(range(k))
     code_of = {c: i for i, c in enumerate(contexts)}

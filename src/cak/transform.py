@@ -31,6 +31,7 @@ from .model import (
     CausalModel,
     Signature,
     _to_name_order,
+    check_context,
     check_intervention,
     enumerate_contexts,
     solve_under,
@@ -40,13 +41,11 @@ from .prob import RationalDist, check_distribution, interventional_dist, tau_pus
 from .report import CheckReport
 
 
-def _admissible(
-    m_low: CausalModel, m_high: CausalModel, omega: InterventionMap, cap: int | None
-) -> tuple[Assignment, ...]:
+def _admissible(m_low: CausalModel, m_high: CausalModel, omega: InterventionMap) -> tuple[Assignment, ...]:
     """The low allowed set, once omega is admissible between the two
     models' allowed sets; an inadmissible omega is an input error."""
-    i_low = resolve_interventions(m_low, cap=cap)
-    gate = check_omega(omega, i_low, resolve_interventions(m_high, cap=cap))
+    i_low = resolve_interventions(m_low)
+    gate = check_omega(omega, i_low, resolve_interventions(m_high))
     if not gate.verdict:
         raise InputError(f"omega is not admissible: {gate.detail}")
     return i_low
@@ -59,7 +58,6 @@ def check_exact(
     d_high: RationalDist,
     tau: StateMap,
     omega: InterventionMap,
-    cap: int | None = None,
 ) -> CheckReport:
     """Whether, for every allowed low intervention i, the high
     interventional distribution under omega(i) equals the tau-pushforward
@@ -71,7 +69,7 @@ def check_exact(
     """
     check_distribution(m_low, d_low)
     check_distribution(m_high, d_high)
-    i_low = _admissible(m_low, m_high, omega, cap)
+    i_low = _admissible(m_low, m_high, omega)
     # One high distribution per distinct omega-image.
     high_dists: dict[Assignment, RationalDist] = {}
     for i in i_low:
@@ -104,18 +102,22 @@ def check_compatible(
     m_low: CausalModel,
     m_high: CausalModel,
     i_low: Iterable[Assignment] | None = None,
-    cap: int | None = None,
 ) -> CheckReport:
     """Whether tau(solve_low(u, i)) == solve_high(tau_u(u), omega(i)) for
-    every low context u and every intervention i in `i_low`."""
-    interventions = resolve_interventions(m_low, i_low, cap)
+    every low context u and every intervention i in `i_low`. Each distinct
+    tau_u-image and omega-image is checked against the high model first."""
+    interventions = resolve_interventions(m_low, i_low)
     images = [omega.apply(i) for i in interventions]
     for j in dict.fromkeys(images):
         check_intervention(m_high, j)
-    for u in enumerate_contexts(m_low, cap):
+    low_contexts = enumerate_contexts(m_low)
+    high_contexts = [tau_u.apply(u) for u in low_contexts]
+    for v in dict.fromkeys(high_contexts):
+        check_context(m_high, v)
+    for u, v in zip(low_contexts, high_contexts):
         for i, j in zip(interventions, images):
             low_side = tau.apply(solve_under(m_low, u, i))
-            high_side = solve_under(m_high, tau_u.apply(u), j)
+            high_side = solve_under(m_high, v, j)
             if low_side != high_side:
                 return CheckReport(
                     False,
@@ -161,7 +163,6 @@ def find_compatible_tau_u(
     omega: InterventionMap,
     i_low: Iterable[Assignment] | None = None,
     require_surjective: bool = False,
-    cap: int | None = None,
 ) -> CheckReport:
     """Search for a context map compatible with `tau`.
 
@@ -175,9 +176,9 @@ def find_compatible_tau_u(
     cone or by context, picked by their expected work; both give the same
     report.
     """
-    interventions = resolve_interventions(m_low, i_low, cap)
-    low_contexts = enumerate_contexts(m_low, cap)
-    high_contexts = enumerate_contexts(m_high, cap)
+    interventions = resolve_interventions(m_low, i_low)
+    low_contexts = enumerate_contexts(m_low)
+    high_contexts = enumerate_contexts(m_high)
     images = [omega.apply(i) for i in interventions]
     # Each high context is solved once per distinct image; the profile
     # repeats a solution wherever interventions share an image.
@@ -411,7 +412,6 @@ def check_uniform(
     m_high: CausalModel,
     tau: StateMap,
     omega: InterventionMap,
-    cap: int | None = None,
 ) -> CheckReport:
     """Distribution-free transformation check.
 
@@ -420,9 +420,7 @@ def check_uniform(
     context map (no surjectivity demanded). omega must be admissible
     between the two allowed sets.
     """
-    return find_compatible_tau_u(
-        m_low, m_high, tau, omega, i_low=_admissible(m_low, m_high, omega, cap), cap=cap
-    )
+    return find_compatible_tau_u(m_low, m_high, tau, omega, i_low=_admissible(m_low, m_high, omega))
 
 
 def compose_transformations(
@@ -432,7 +430,6 @@ def compose_transformations(
     omega_mid_high: InterventionMap,
     m_low: CausalModel,
     m_mid: CausalModel,
-    cap: int | None = None,
 ) -> tuple[StateMap, InterventionMap]:
     """Compose two transformation legs into a single low-to-high pair of
     explicit tables (the low-to-mid maps are applied first)."""
@@ -442,8 +439,6 @@ def compose_transformations(
             raise InputError(
                 f"intervention maps do not chain: {dst!r} is not in the second leg's domain"
             )
-    tau = compose_state_maps(
-        tau_low_mid, tau_mid_high, m_low.signature, m_mid.signature, cap
-    )
+    tau = compose_state_maps(tau_low_mid, tau_mid_high, m_low.signature, m_mid.signature)
     omega = compose_intervention_maps(omega_low_mid, omega_mid_high)
     return tau, omega

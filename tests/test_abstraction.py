@@ -9,6 +9,7 @@ from cak import (
     EMPTY,
     InputError,
     Partition,
+    SizeCapExceeded,
     Signature,
     StateMap,
     VariableDecl,
@@ -33,11 +34,12 @@ from cak.corpus import (
     build_pixel_grid,
     build_voting,
 )
+from cak.abstraction import MAX_SEARCH_LOW_VARS
 from cak.expr import Lit
 from cak.maps import materialize_state_map
 from cak.serialize import dumps, to_jsonable
 
-from .test_model import CHAIN, THREE_BITS
+from .test_model import CHAIN, THREE_BITS, model_of
 from .util import brute_force_omega_tau, outcome, random_model, random_state_map, voting_natural_partition
 
 
@@ -314,11 +316,21 @@ def test_search_returns_none_for_overlapping_supports():
 
 
 def test_search_respects_low_variable_cap():
-    from cak import SizeCapExceeded
+    # The guard comes before any tau work: the empty tau table below is
+    # never read past the limit, and raises its own error at the limit.
+    def chain(n):
+        names = [f"X{k}" for k in range(n)]
+        eqs = {name: prev for prev, name in zip(["U", *names], names)}
+        return model_of([("U", (0, 1))], [(name, (0, 1)) for name in names], eqs)
 
-    b = build_pixel_grid(2, "merged")
-    with pytest.raises(SizeCapExceeded):
-        search_constructive_partition(b.low, b.high, b.tau, max_low_vars=3)
+    assert MAX_SEARCH_LOW_VARS == 10
+    high = chain(1)
+    untouched = StateMap.from_table(())
+    with pytest.raises(SizeCapExceeded, match="^low variable set has 11 elements, exceeding the cap of 10$"):
+        search_constructive_partition(chain(11), high, untouched)
+    with pytest.raises(InputError, match="undefined") as info:
+        search_constructive_partition(chain(10), high, untouched)
+    assert not isinstance(info.value, SizeCapExceeded)
 
 
 def test_each_check_materializes_tau_once(monkeypatch):

@@ -10,11 +10,12 @@ from cak import (
     InterventionMap,
     SizeCapExceeded,
     check_omega,
+    enumerate_contexts,
     enumerate_interventions,
     natural_leq,
     natural_lt,
 )
-from cak.errors import ENV_MAX_INTERVENTIONS
+from cak.errors import ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS
 
 from .test_model import CHAIN, THREE_BITS, model_of
 from .util import random_model
@@ -47,10 +48,12 @@ def test_enumerate_size_matches_closed_form():
         assert len(enumerate_interventions(m)) == expected
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    monkeypatch.setenv(ENV_MAX_INTERVENTIONS, "26")
     with pytest.raises(SizeCapExceeded):
-        enumerate_interventions(THREE_BITS, cap=26)
-    assert len(enumerate_interventions(THREE_BITS, cap=27)) == 27
+        enumerate_interventions(THREE_BITS)
+    monkeypatch.setenv(ENV_MAX_INTERVENTIONS, "27")
+    assert len(enumerate_interventions(THREE_BITS)) == 27
 
 
 def test_enumerate_cap_from_env(monkeypatch):
@@ -60,6 +63,19 @@ def test_enumerate_cap_from_env(monkeypatch):
     monkeypatch.setenv(ENV_MAX_INTERVENTIONS, "not-a-number")
     with pytest.raises(InputError):
         enumerate_interventions(THREE_BITS)
+
+
+@pytest.mark.parametrize(
+    "name,enumerate",
+    [(ENV_MAX_INTERVENTIONS, enumerate_interventions), (ENV_MAX_CONTEXTS, enumerate_contexts)],
+    ids=["interventions", "contexts"],
+)
+@pytest.mark.parametrize("raw", ["0", "-1"])
+def test_nonpositive_cap_is_an_input_error(monkeypatch, name, enumerate, raw):
+    monkeypatch.setenv(name, raw)
+    with pytest.raises(InputError, match=f"{name} must be positive, got {raw}") as info:
+        enumerate(THREE_BITS)
+    assert not isinstance(info.value, SizeCapExceeded)
 
 
 def test_natural_order_basics():

@@ -26,6 +26,7 @@ from cak import (
     to_uev,
 )
 from cak import transform
+from cak.errors import ENV_MAX_CONTEXTS
 from cak.maps import ContextMap
 from cak.model import check_context
 from cak.prob import check_distribution
@@ -285,12 +286,14 @@ def test_rewire_random_models_property():
         assert equivalent(m, d, m2, d2).verdict, f"case {k}"
 
 
-def test_rewire_refuses_a_context_space_past_the_cap():
+def test_rewire_refuses_a_context_space_past_the_cap(monkeypatch):
     d = RationalDist.uniform(enumerate_contexts(THREE_BITS))
     k = len(enumerate_contexts(THREE_BITS))
-    assert to_uev(THREE_BITS, d, cap=k)[0].signature.exo_names
+    monkeypatch.setenv(ENV_MAX_CONTEXTS, str(k))
+    assert to_uev(THREE_BITS, d)[0].signature.exo_names
+    monkeypatch.setenv(ENV_MAX_CONTEXTS, str(k - 1))
     with pytest.raises(SizeCapExceeded, match=f"context space has {k} elements, exceeding the cap of {k - 1}"):
-        to_uev(THREE_BITS, d, cap=k - 1)
+        to_uev(THREE_BITS, d)
 
 
 def test_rewire_handles_tables_touching_exogenous():

@@ -9,6 +9,7 @@ from cak import (
     InputError,
     InterventionMap,
     RationalDist,
+    SizeCapExceeded,
     StateMap,
     check_compatible,
     check_exact,
@@ -29,6 +30,7 @@ from cak.corpus import (
 from cak import abstraction, model as model_module, transform
 from cak.abstraction import check_strong_abstraction, check_tau_abstraction
 from cak.corpus import all_bundles, build_voting, evaluate_bundle
+from cak.errors import ENV_MAX_CONTEXTS
 from cak.expr import Table
 from cak.maps import ContextMap
 from cak.model import Signature, VariableDecl, _to_name_order
@@ -543,6 +545,19 @@ def test_omega_images_are_checked_against_the_high_model(use_check_compatible, i
             find_compatible_tau_u(model, model, tau, omega, i_low=[EMPTY])
 
 
+def test_context_map_images_are_checked_against_the_high_model():
+    # This gave "compatible": the generated solver does not check context
+    # values, and solve_under checks only the context's variables.
+    model = model_of([("U", (0, 1, 2))], [("X", (0, 1))], {"X": "U == 0"})
+    tau = StateMap.identity(model.signature)
+    omega = InterventionMap.from_pairs([(EMPTY, EMPTY)])
+    tau_u = ContextMap.from_table(
+        tuple((u, Assignment(U=5) if u["U"] == 1 else u) for u in enumerate_contexts(model))
+    )
+    with pytest.raises(InputError, match="context sets U to 5, outside its domain"):
+        check_compatible(tau_u, tau, omega, model, model, i_low=[EMPTY])
+
+
 @pytest.mark.parametrize("use_check_compatible", [False, True], ids=["find", "check"])
 @pytest.mark.parametrize(
     "intervention,reason",
@@ -618,6 +633,17 @@ def test_compatible_pixel_count_encoding():
     report = check_compatible(tau_u, b.tau, omega, b.low, b.high, i_low=i_low)
     assert report.verdict
     assert len(i_low) == 24
+
+
+def test_context_cap_from_env_reaches_the_uniform_check(monkeypatch):
+    fwd, _, _ = build_chain_vs_independent()
+    k = len(enumerate_contexts(fwd.low))
+    enough = max(k, len(enumerate_contexts(fwd.high)))
+    monkeypatch.setenv(ENV_MAX_CONTEXTS, str(k - 1))
+    with pytest.raises(SizeCapExceeded, match=f"^context space has {k} elements, exceeding the cap of {k - 1}$"):
+        check_uniform(fwd.low, fwd.high, fwd.tau, fwd.omega)
+    monkeypatch.setenv(ENV_MAX_CONTEXTS, str(enough))
+    assert check_uniform(fwd.low, fwd.high, fwd.tau, fwd.omega).verdict
 
 
 def test_uniform_chain_bundles():

@@ -255,17 +255,16 @@ def uniform_distribution_probe(
     n_samples: int = 50,
     seed: int = 0,
     max_denominator: int = 64,
-    cap: int | None = None,
 ) -> CheckReport:
     """Empirical cross-check of a compatible context map: for seeded
     pseudo-random low distributions, the pushforward through tau_u must
     make the transformation exact. Reports the first failure."""
     rng = random.Random(seed)
-    space = enumerate_contexts(m_low, cap)
+    space = enumerate_contexts(m_low)
     for k in range(n_samples):
         d_low = sample_rational_dist(space, rng, max_denominator)
         d_high = tau_pushforward(tau_u, d_low)
-        report = check_exact(m_low, d_low, m_high, d_high, tau, omega, cap)
+        report = check_exact(m_low, d_low, m_high, d_high, tau, omega)
         if not report.verdict:
             return CheckReport(
                 False,
@@ -331,16 +330,14 @@ def brute_force_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, in
     return result
 
 
-def reference_find_compatible_tau_u(
-    m_low, m_high, tau, omega, i_low=None, require_surjective=False, cap=None
-):
+def reference_find_compatible_tau_u(m_low, m_high, tau, omega, i_low=None, require_surjective=False):
     """The full-pass form of transform.find_compatible_tau_u: every low
     context's matching high contexts are computed up front, with one solve
     per high context and intervention, and the first context without a
     match is diagnosed by solving it again."""
-    interventions = resolve_interventions(m_low, i_low, cap)
-    low_contexts = enumerate_contexts(m_low, cap)
-    high_contexts = enumerate_contexts(m_high, cap)
+    interventions = resolve_interventions(m_low, i_low)
+    low_contexts = enumerate_contexts(m_low)
+    high_contexts = enumerate_contexts(m_high)
     high_images = [omega.apply(i) for i in interventions]
     profile_to_high = {}
     for u_h in high_contexts:
