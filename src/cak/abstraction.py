@@ -124,28 +124,23 @@ def compute_induced_sets(
     return tuple(i for i, _ in defined), images, InterventionMap.from_pairs(defined)
 
 
-def check_tau_abstraction(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    tau: StateMap,
-    i_low: Iterable[Assignment] | None = None,
-    i_high: Iterable[Assignment] | None = None,
-) -> CheckReport:
-    """The three-part abstraction check for the given intervention sets
-    (defaulting to the models' allowed sets):
+def check_tau_abstraction(m_low: CausalModel, m_high: CausalModel, tau: StateMap) -> CheckReport:
+    """The three-part abstraction check between the models' allowed sets
+    I_L and I_H:
 
     (a) tau is surjective onto the high state space;
     (b) a surjective context map compatible with tau exists, taking the
-        intervention map to be the induced one restricted to `i_low`;
-    (c) `i_high` equals the induced image of `i_low` as a set.
+        intervention map to be the induced one restricted to I_L;
+    (c) I_H equals the induced image of I_L as a set.
 
-    Every intervention in `i_low` must have a defined induced image;
+    Every intervention in I_L must have a defined induced image;
     otherwise the check fails at (c) naming the offending intervention.
-    The report identifies the first failing part. Explicitly given
-    interventions must be well-typed for their model.
+    The report identifies the first failing part. An explicit allowed set
+    must be well-typed for its model. To check other sets, restrict the
+    models with `with_allowed`.
     """
-    low_list = resolve_interventions(m_low, i_low)
-    high_list = resolve_interventions(m_high, i_high)
+    low_list = resolve_interventions(m_low)
+    high_list = resolve_interventions(m_high)
     table = _TauTable(m_low, m_high, tau)
     pairs = []
     for i in low_list:
@@ -167,8 +162,8 @@ def _tau_abstraction(
     pairs: list[tuple[Assignment, Assignment]],
     high_list: Sequence[Assignment],
 ) -> CheckReport:
-    """Parts (a) to (c) of check_tau_abstraction, given every low
-    intervention paired with its induced image."""
+    """Parts (a) to (c) of check_tau_abstraction, given every intervention
+    of the low allowed set paired with its induced image."""
     omega_tau = InterventionMap.from_pairs(pairs)
     image = set(table.by_values.values())
     for state in enumerate_states(m_high):
@@ -179,14 +174,7 @@ def _tau_abstraction(
                 counterexample={"unreached_high_state": state},
             )
 
-    inner = find_compatible_tau_u(
-        m_low,
-        m_high,
-        table.tau,
-        omega_tau,
-        i_low=[i for i, _ in pairs],
-        require_surjective=True,
-    )
+    inner = find_compatible_tau_u(m_low, m_high, table.tau, omega_tau, require_surjective=True)
     if not inner.verdict:
         return CheckReport(
             False,
@@ -234,7 +222,8 @@ def _strong(m_low: CausalModel, m_high: CausalModel, table: _TauTable) -> CheckR
                 "first_missing_single": first_single,
             },
         )
-    inner = _tau_abstraction(m_low, m_high, table, defined, i_high_tau)
+    induced_low = m_low.with_allowed([i for i, _ in defined])
+    inner = _tau_abstraction(induced_low, m_high, table, defined, i_high_tau)
     if not inner.verdict:
         return CheckReport(
             False,
@@ -269,12 +258,6 @@ class ComponentMaps:
     value tuples (in cell order) to a high value."""
 
     maps: tuple[tuple[str, tuple[tuple[tuple[int, ...], int], ...]], ...]
-
-    def table(self, high_var: str) -> dict[tuple[int, ...], int]:
-        for h, entries in self.maps:
-            if h == high_var:
-                return dict(entries)
-        raise InputError(f"no component map for {high_var}")
 
     @staticmethod
     def from_tables(tables: dict[str, dict[tuple[int, ...], int]]) -> "ComponentMaps":
@@ -318,66 +301,58 @@ def _check_partition_shape(
 
 
 def derive_component_maps(m_low: CausalModel, m_high: CausalModel, tau: StateMap, partition: Partition):
-    """Project tau onto each cell. Returns (ComponentMaps, None) when tau's
-    component for each high variable depends only on that variable's cell,
-    else (None, counterexample) with two low states exhibiting the
-    dependence on a variable outside the cell."""
-    low_sig = m_low.signature
-    states = enumerate_states(low_sig)
+    """Project tau onto each cell of the partition, which must be well
+    formed. Returns (ComponentMaps, None) when tau's component for each
+    high variable depends only on that variable's cell, else (None,
+    counterexample) with two low states exhibiting the dependence on a
+    variable outside the cell."""
+    _check_partition_shape(partition, m_low, m_high)
+    return _components(_TauTable(m_low, m_high, tau), partition)
+
+
+def _components(table: _TauTable, partition: Partition):
+    """derive_component_maps on a table its caller already built, reading
+    the low states in enumeration order."""
+    names = table.low.endo_names
+    position = {n: k for k, n in enumerate(names)}
+    cells = [(h, cell, [position[v] for v in cell]) for h, cell in partition.cells]
     tables: dict[str, dict[tuple[int, ...], int]] = {h: {} for h, _ in partition.cells}
-    first_state: dict[tuple[str, tuple[int, ...]], Assignment] = {}
-    for state in states:
-        image = tau.apply(state)
-        for high_var, cell in partition.cells:
-            key = tuple(state[v] for v in cell)
+    first_state: dict[tuple[str, tuple[int, ...]], tuple[int, ...]] = {}
+    for values, image in table.by_values.items():
+        for high_var, cell, picks in cells:
+            key = tuple([values[k] for k in picks])
             value = image[high_var]
             tbl = tables[high_var]
             if key not in tbl:
                 tbl[key] = value
-                first_state[(high_var, key)] = state
+                first_state[(high_var, key)] = values
             elif tbl[key] != value:
                 return None, {
                     "high_var": high_var,
                     "cell": cell,
-                    "states": (first_state[(high_var, key)], state),
+                    "states": tuple(
+                        Assignment(zip(names, t)) for t in (first_state[(high_var, key)], values)
+                    ),
                     "values": (tbl[key], value),
                 }
     return ComponentMaps.from_tables(tables), None
 
 
 def check_constructive(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    tau: StateMap,
-    partition: Partition,
-    comps: ComponentMaps | None = None,
+    m_low: CausalModel, m_high: CausalModel, tau: StateMap, partition: Partition
 ) -> CheckReport:
     """Constructive abstraction: tau factors through the partition as the
-    concatenation of per-cell maps, and the strong abstraction check holds.
-    When `comps` is omitted the per-cell maps are derived by projection."""
+    concatenation of per-cell maps, its projections onto the cells, and
+    the strong abstraction check holds."""
     _check_partition_shape(partition, m_low, m_high)
     table = _TauTable(m_low, m_high, tau)
-    derived, failure = derive_component_maps(m_low, m_high, table.tau, partition)
-    if derived is None:
+    comps, failure = _components(table, partition)
+    if comps is None:
         return CheckReport(
             False,
             detail=f"tau does not factor through the partition (component {failure['high_var']})",
             counterexample=failure,
         )
-    if comps is not None:
-        for high_var, cell in partition.cells:
-            given = comps.table(high_var)
-            if given != derived.table(high_var):
-                mismatch = next(
-                    k
-                    for k in set(given) | set(derived.table(high_var))
-                    if given.get(k) != derived.table(high_var).get(k)
-                )
-                return CheckReport(
-                    False,
-                    detail=f"supplied component map for {high_var} disagrees with tau",
-                    counterexample={"high_var": high_var, "cell_values": mismatch},
-                )
     strong = _strong(m_low, m_high, table)
     if not strong.verdict:
         return CheckReport(
@@ -388,7 +363,7 @@ def check_constructive(
     return CheckReport(
         True,
         detail="constructive abstraction holds",
-        witness={"partition": partition, "components": comps or derived, **strong.witness},
+        witness={"partition": partition, "components": comps, **strong.witness},
     )
 
 
@@ -450,7 +425,7 @@ def search_constructive_partition(m_low: CausalModel, m_high: CausalModel, tau: 
             support = {unused.pop(0)}
         cells.append((d.name, tuple(v for v in low_names if v in support)))
     partition = Partition(tuple(cells), tuple(unused))
-    comps, failure = derive_component_maps(m_low, m_high, table.tau, partition)
+    comps, failure = _components(table, partition)
     if comps is None:
         raise AssertionError(f"disjoint supports must factor, got {failure}")
     if not _strong(m_low, m_high, table).verdict:

@@ -28,6 +28,7 @@ from .abstraction import (
 )
 from .corpus import all_bundles, get_bundle
 from .errors import ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS, CakError, InputError, SizeCapExceeded
+from .errors import contexts_cap, interventions_cap
 from .maps import materialize_state_map
 from .model import EMPTY, check_context, check_intervention, solve_under, validate
 from .prob import equivalent, to_uev
@@ -60,12 +61,10 @@ def _load_model(path: str):
 
 
 def _load_tau(path: str, low, high):
-    """The state map in `path`, checked to send every low state to a high
-    state, so that a malformed map exits 2 before any check runs."""
+    """The state map in `path`, checked to read only low variables and to
+    send every low state to a high state, so that a malformed map exits 2
+    before any check runs."""
     tau = serialize.state_map_from_obj(_load(path))
-    unknown = sorted(tau.referenced() - set(low.signature.endo_names))
-    if unknown:
-        raise InputError(f"{path} reads variables that are not low endogenous: {unknown}")
     try:
         materialize_state_map(tau, low.signature, high.signature)
     except SizeCapExceeded:
@@ -339,6 +338,9 @@ def main(argv=None) -> int:
         parser.error("corpus emit needs a bundle name")
     with _caps(args):
         try:
+            # Read once here, so a bad flag exits 2 on every command.
+            interventions_cap()
+            contexts_cap()
             return args.func(args)
         except CakError as exc:
             sys.stdout.write(serialize.dumps({"command": args.command, "error": str(exc)}))

@@ -226,19 +226,17 @@ def build_chain_vs_independent() -> tuple[ExampleBundle, ExampleBundle, ExampleB
 # ---------------------------------------------------------------------------
 # Gating extension: high model with an extra master-switch variable
 
-def build_gated_extension(
-    base: CausalModel | None = None, branch_seed: int | None = None
-) -> ExampleBundle:
-    """Extend a base model with a gate: a fresh high endogenous variable G,
+def build_gated_extension(branch_seed: int | None = None) -> ExampleBundle:
+    """Extend the chain model with a gate: a fresh high endogenous variable G,
     driven by its own exogenous input, feeds every other equation. With
-    G=1 the high model replays the base; with G=0 every equation returns a
+    G=1 the high model replays the chain; with G=0 every equation returns a
     fixed constant profile (all zeros by default, seeded-random with
     `branch_seed`). Embedding low states at G=1 passes the
     distribution-free check no matter what the G=0 branch does, but the
     embedding misses every G=0 state, so the abstraction check fails on
     surjectivity.
     """
-    low = base if base is not None else _chain_model()
+    low = _chain_model()
     sig = low.signature
     rng = random.Random(branch_seed)
     constants = {}

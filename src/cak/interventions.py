@@ -8,7 +8,7 @@ from typing import Iterable
 
 from .errors import InputError, SizeCapExceeded, interventions_cap
 from .maps import InterventionMap
-from .model import Assignment, CausalModel, check_intervention
+from .model import Assignment, CausalModel
 from .report import CheckReport
 
 
@@ -45,37 +45,30 @@ def enumerate_interventions(model_or_sig) -> list[Assignment]:
     return out
 
 
-def resolve_interventions(
-    model: CausalModel, interventions: Iterable[Assignment] | None = None
-) -> tuple[Assignment, ...]:
-    """`interventions` when given, each checked against the model, else
-    the model's allowed set, with "all" enumerated."""
-    if interventions is not None:
-        interventions = tuple(interventions)
-        for i in interventions:
-            check_intervention(model, i)
-        return interventions
+def resolve_interventions(model: CausalModel) -> tuple[Assignment, ...]:
+    """The model's allowed set: "all" enumerated, an explicit set checked
+    against the model intervention by intervention (once per model)."""
     if isinstance(model.allowed_interventions, str):
         return tuple(enumerate_interventions(model))
-    return model.allowed_interventions
+    return model._checked_allowed
 
 
 def check_omega(
     omega: InterventionMap,
-    i_low: Iterable[Assignment],
-    i_high: Iterable[Assignment],
+    low_allowed: Iterable[Assignment],
+    high_allowed: Iterable[Assignment],
 ) -> CheckReport:
-    """Surjectivity onto `i_high` and order preservation on `i_low`.
+    """Surjectivity onto `high_allowed` and order preservation on `low_allowed`.
 
     Order preservation is monotonicity over strictly comparable pairs:
     i1 < i2 in the natural order must give omega(i1) <= omega(i2). The
     image side cannot demand strictness, because a map induced by a state
     map may collapse comparable interventions onto one image. The map
-    must be total on `i_low` and land inside `i_high`; violating either is
-    an input error, not a verdict.
+    must be total on `low_allowed` and land inside `high_allowed`;
+    violating either is an input error, not a verdict.
     """
-    low = list(i_low)
-    high = list(i_high)
+    low = list(low_allowed)
+    high = list(high_allowed)
     high_set = set(high)
     for i in low:
         img = omega.apply(i)

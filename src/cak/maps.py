@@ -132,22 +132,29 @@ class StateMap(FiniteMap):
             )
         return image
 
-    def referenced(self) -> frozenset[str]:
-        """Low variables the map reads (table maps read all keys' variables)."""
+    @cached_property
+    def _reads(self) -> frozenset[str]:
+        # A table map reads its keys' variables.
         if self.exprs is not None:
-            out: frozenset[str] = frozenset()
-            for _, e in self.exprs:
-                out |= variables(e)
-            return out
-        first = self.entries[0][0] if self.entries else Assignment()
-        return frozenset(first)
+            return frozenset().union(*[variables(e) for _, e in self.exprs])
+        return frozenset(self.entries[0][0] if self.entries else ())
+
+
+def check_reads(tau: StateMap, low: Signature) -> None:
+    """Raise InputError when `tau` reads a variable that is not low
+    endogenous."""
+    unknown = sorted(tau._reads - low.endo_keyset)
+    if unknown:
+        raise InputError(f"state map reads variables that are not low endogenous: {unknown}")
 
 
 def materialize_state_map(tau: StateMap, low: Signature, high: Signature) -> dict[Assignment, Assignment]:
     """Explicit table of `tau` over the full low state space.
 
-    Verifies totality and that outputs are well-typed high states.
+    Verifies that tau reads only low variables, that it is total and that
+    its outputs are well-typed high states.
     """
+    check_reads(tau, low)
     states = enumerate_states(low)
     high_names = set(high.endo_names)
     table: dict[Assignment, Assignment] = {}

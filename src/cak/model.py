@@ -246,6 +246,14 @@ class CausalModel:
         return {}
 
     @cached_property
+    def _checked_allowed(self) -> tuple[Assignment, ...]:
+        # An explicit allowed set, each intervention checked; a failed
+        # check is not kept, so it fails again on every call.
+        for i in self.allowed_interventions:
+            check_intervention(self, i)
+        return self.allowed_interventions
+
+    @cached_property
     def _cones(self) -> dict[frozenset[str], tuple[str, ...]]:
         return {}
 
@@ -272,8 +280,12 @@ class CausalModel:
         return kernel
 
     def with_allowed(self, interventions) -> "CausalModel":
-        """Copy of this model with a different allowed-intervention set."""
-        return CausalModel(self.signature, self.equations, interventions)
+        """Copy of this model with a different allowed-intervention set. It
+        solves as this model does, so the two share their generated solvers
+        and cones."""
+        copy = CausalModel(self.signature, self.equations, interventions)
+        copy.__dict__.update(_kernels=self._kernels, _cones=self._cones)
+        return copy
 
 
 def dependency_order(model: CausalModel) -> list[str]:
@@ -414,9 +426,8 @@ def check_context(model: CausalModel, context: Assignment) -> None:
 
 def check_intervention(model: CausalModel, intervention: Assignment) -> None:
     sig = model.signature
-    endo = set(sig.endo_names)
     for name, value in intervention.items_sorted:
-        if name not in endo:
+        if name not in sig.endo_keyset:
             raise InputError(f"intervention sets non-endogenous variable {name}")
         if value not in sig.domains[name]:
             raise InputError(f"intervention sets {name} to {value}, outside its domain")

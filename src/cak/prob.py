@@ -200,19 +200,13 @@ def tau_pushforward(tau: FiniteMap, d: RationalDist) -> RationalDist:
     return RationalDist._from_numerators(out, d._den)
 
 
-def equivalent(
-    m1: CausalModel,
-    d1: RationalDist,
-    m2: CausalModel,
-    d2: RationalDist,
-    interventions: Iterable[Assignment] | None = None,
-) -> CheckReport:
+def equivalent(m1: CausalModel, d1: RationalDist, m2: CausalModel, d2: RationalDist) -> CheckReport:
     """Whether the two probabilistic models give every causal formula the
-    same probability, for formulas whose prefixes lie in `interventions`
-    (default: the full intervention space, size-guarded).
+    same probability, for formulas whose prefixes lie in the full
+    intervention space (size-guarded).
 
     Decided by comparing the pushforwards of the two context distributions
-    under the response-profile map u -> (solution under each listed
+    under the response-profile map u -> (solution under each
     intervention). Profile-distribution equality is stronger than
     per-formula equality and implies it, including for Boolean
     combinations across prefixes.
@@ -222,9 +216,7 @@ def equivalent(
         s1.domains[n] != s2.domains[n] for n in s1.endo_names
     ):
         raise InputError("models must share endogenous variables and domains")
-    if interventions is None:
-        interventions = enumerate_interventions(m1)
-    ilist = list(interventions)
+    ilist = enumerate_interventions(m1)
 
     def profile_dist(model: CausalModel, d: RationalDist) -> dict[tuple, Fraction]:
         out: dict[tuple, int] = {}

@@ -205,7 +205,7 @@ def partition_to_obj(partition: Partition) -> dict:
     }
 
 
-def partition_from_obj(obj: Any, high: Signature | None = None) -> Partition:
+def partition_from_obj(obj: Any, high: Signature) -> Partition:
     if not isinstance(obj, dict) or "cells" not in obj:
         raise InputError("partition document needs a 'cells' field")
     if not isinstance(obj["cells"], dict):
@@ -214,17 +214,14 @@ def partition_from_obj(obj: Any, high: Signature | None = None) -> Partition:
         str(h): tuple(str(v) for v in _array(vs, f"partition cell for {h}"))
         for h, vs in obj["cells"].items()
     }
-    if high is not None:
-        ordered = []
-        for d in high.endogenous:
-            if d.name not in cells:
-                raise InputError(f"partition has no cell for high variable {d.name}")
-            ordered.append((d.name, cells[d.name]))
-        if len(cells) != len(ordered):
-            extra = set(cells) - {n for n, _ in ordered}
-            raise InputError(f"partition has cells for unknown variables {sorted(extra)}")
-    else:
-        ordered = list(cells.items())
+    ordered = []
+    for d in high.endogenous:
+        if d.name not in cells:
+            raise InputError(f"partition has no cell for high variable {d.name}")
+        ordered.append((d.name, cells[d.name]))
+    if len(cells) != len(ordered):
+        extra = set(cells) - {n for n, _ in ordered}
+        raise InputError(f"partition has cells for unknown variables {sorted(extra)}")
     marginal = tuple(str(v) for v in _array(obj.get("marginal", []), "partition marginal"))
     return Partition(tuple(ordered), marginal)
 

@@ -23,6 +23,7 @@ from .maps import (
     ContextMap,
     InterventionMap,
     StateMap,
+    check_reads,
     compose_intervention_maps,
     compose_state_maps,
 )
@@ -69,6 +70,7 @@ def check_exact(
     """
     check_distribution(m_low, d_low)
     check_distribution(m_high, d_high)
+    check_reads(tau, m_low.signature)
     i_low = _admissible(m_low, m_high, omega)
     # One high distribution per distinct omega-image.
     high_dists: dict[Assignment, RationalDist] = {}
@@ -101,12 +103,13 @@ def check_compatible(
     omega: InterventionMap,
     m_low: CausalModel,
     m_high: CausalModel,
-    i_low: Iterable[Assignment] | None = None,
 ) -> CheckReport:
     """Whether tau(solve_low(u, i)) == solve_high(tau_u(u), omega(i)) for
-    every low context u and every intervention i in `i_low`. Each distinct
-    tau_u-image and omega-image is checked against the high model first."""
-    interventions = resolve_interventions(m_low, i_low)
+    every low context u and every allowed low intervention i. tau's reads,
+    and each distinct tau_u-image and omega-image, are checked against the
+    models first."""
+    check_reads(tau, m_low.signature)
+    interventions = resolve_interventions(m_low)
     images = [omega.apply(i) for i in interventions]
     for j in dict.fromkeys(images):
         check_intervention(m_high, j)
@@ -161,10 +164,10 @@ def find_compatible_tau_u(
     m_high: CausalModel,
     tau: StateMap,
     omega: InterventionMap,
-    i_low: Iterable[Assignment] | None = None,
     require_surjective: bool = False,
 ) -> CheckReport:
-    """Search for a context map compatible with `tau`.
+    """Search for a context map compatible with `tau` over the low allowed
+    set.
 
     Each low context gets the first (enumeration-order) high context whose
     response profile under the omega-images matches its own abstracted
@@ -176,7 +179,8 @@ def find_compatible_tau_u(
     cone or by context, picked by their expected work; both give the same
     report.
     """
-    interventions = resolve_interventions(m_low, i_low)
+    check_reads(tau, m_low.signature)
+    interventions = resolve_interventions(m_low)
     low_contexts = enumerate_contexts(m_low)
     high_contexts = enumerate_contexts(m_high)
     images = [omega.apply(i) for i in interventions]
@@ -420,7 +424,8 @@ def check_uniform(
     context map (no surjectivity demanded). omega must be admissible
     between the two allowed sets.
     """
-    return find_compatible_tau_u(m_low, m_high, tau, omega, i_low=_admissible(m_low, m_high, omega))
+    _admissible(m_low, m_high, omega)
+    return find_compatible_tau_u(m_low, m_high, tau, omega)
 
 
 def compose_transformations(

@@ -1,11 +1,13 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from cak import (
     Assignment,
     CausalModel,
+    ContextMap,
     EMPTY,
     InputError,
     Partition,
@@ -13,7 +15,9 @@ from cak import (
     Signature,
     StateMap,
     VariableDecl,
+    check_compatible,
     check_constructive,
+    check_exact,
     check_omega,
     check_strong_abstraction,
     check_tau_abstraction,
@@ -21,8 +25,11 @@ from cak import (
     compute_induced_sets,
     derive_component_maps,
     derive_omega_tau,
+    enumerate_contexts,
     enumerate_interventions,
     enumerate_states,
+    find_compatible_tau_u,
+    parse_expr,
     rst,
     search_constructive_partition,
 )
@@ -31,6 +38,7 @@ from cak.corpus import (
     build_disjunctive_merge,
     build_energy_discrete,
     build_gated_extension,
+    build_linear_aggregate,
     build_pixel_grid,
     build_voting,
 )
@@ -180,27 +188,117 @@ def test_abstraction_checks_high_set_equality():
     # Everything induced, compatible map exists, but the declared high set
     # disagrees with the induced image.
     ident = StateMap.identity(CHAIN.signature)
-    i_low = (EMPTY,)
-    i_high = (EMPTY, Assignment(X1=0))
-    report = check_tau_abstraction(CHAIN, CHAIN, ident, i_low, i_high)
+    low = CHAIN.with_allowed((EMPTY,))
+    high = CHAIN.with_allowed((EMPTY, Assignment(X1=0)))
+    report = check_tau_abstraction(low, high, ident)
     assert not report.verdict
     assert report.detail.startswith("(c)")
     assert Assignment(X1=0) in report.counterexample["missing_from_image"]
 
 
 @pytest.mark.parametrize(
-    "i_low, i_high",
+    "i_low, i_high, reason",
     [
-        ([Assignment(X1=7)], None),
-        ([Assignment(NOPE=1)], None),
-        (None, [Assignment(Y1=7)]),
-        (None, [Assignment(NOPE=1)]),
+        ([Assignment(X1=7)], None, "intervention sets X1 to 7, outside its domain"),
+        ([Assignment(NOPE=1)], None, "intervention sets non-endogenous variable NOPE"),
+        (None, [Assignment(Y1=7)], "intervention sets Y1 to 7, outside its domain"),
+        (None, [Assignment(NOPE=1)], "intervention sets non-endogenous variable NOPE"),
     ],
     ids=["low-out-of-domain", "low-undeclared", "high-out-of-domain", "high-undeclared"],
 )
-def test_abstraction_rejects_ill_typed_explicit_interventions(i_low, i_high):
-    with pytest.raises(InputError, match="intervention sets"):
-        check_tau_abstraction(DM.low, DM.high, DM.tau, i_low, i_high)
+def test_abstraction_rejects_ill_typed_explicit_interventions(i_low, i_high, reason):
+    # The allowed sets of library-built models, which validate() alone
+    # would flag: each raised a KeyError or gave a verdict.
+    low = DM.low if i_low is None else DM.low.with_allowed(i_low)
+    high = DM.high if i_high is None else DM.high.with_allowed(i_high)
+    with pytest.raises(InputError, match=reason):
+        check_tau_abstraction(low, high, DM.tau)
+
+
+LINEAR = build_linear_aggregate(2)
+LINEAR_CELLS = Partition((("XS", ("X1", "X2")), ("YS", ("Y",))))
+
+
+def _entry_points(b, tau):
+    """Every library call that takes tau with two models, on bundle `b`."""
+    first_high = enumerate_contexts(b.high)[0]
+    tau_u = ContextMap.from_table(tuple((u, first_high) for u in enumerate_contexts(b.low)))
+    return {
+        "materialize_state_map": lambda: materialize_state_map(tau, b.low.signature, b.high.signature),
+        "derive_omega_tau": lambda: derive_omega_tau(b.low, b.high, tau, EMPTY),
+        "compute_induced_sets": lambda: compute_induced_sets(b.low, b.high, tau),
+        "check_exact": lambda: check_exact(b.low, b.low_dist, b.high, b.high_dist, tau, b.omega),
+        "check_compatible": lambda: check_compatible(tau_u, tau, b.omega, b.low, b.high),
+        "find_compatible_tau_u": lambda: find_compatible_tau_u(b.low, b.high, tau, b.omega),
+        "check_uniform": lambda: check_uniform(b.low, b.high, tau, b.omega),
+        "check_tau_abstraction": lambda: check_tau_abstraction(b.low, b.high, tau),
+        "check_strong_abstraction": lambda: check_strong_abstraction(b.low, b.high, tau),
+        "derive_component_maps": lambda: derive_component_maps(b.low, b.high, tau, LINEAR_CELLS),
+        "check_constructive": lambda: check_constructive(b.low, b.high, tau, LINEAR_CELLS),
+        "search_constructive_partition": lambda: search_constructive_partition(b.low, b.high, tau),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_entry_points(LINEAR, LINEAR.tau)))
+def test_tau_reading_an_undeclared_variable_is_an_input_error(entry):
+    # Each raised KeyError: 'Q' from the first evaluation of tau; only the
+    # CLI tested what tau reads.
+    tau = StateMap.from_exprs({"XS": parse_expr("X1 + Q"), "YS": parse_expr("Y")})
+    with pytest.raises(InputError, match=re.escape("not low endogenous: ['Q']")):
+        _entry_points(LINEAR, tau)[entry]()
+
+
+@pytest.mark.parametrize(
+    "check,side,intervention,reason",
+    [
+        pytest.param(check, side, intervention, reason, id=f"{check}-{side}-{kind}")
+        for check in ("check_tau_abstraction", "check_uniform", "find_compatible_tau_u")
+        for side, kind, intervention, reason in [
+            ("low", "out-of-domain", {"X1": 7}, "intervention sets X1 to 7, outside its domain"),
+            ("low", "undeclared", {"Z": 0}, "intervention sets non-endogenous variable Z"),
+            ("high", "out-of-domain", {"XS": 7}, "intervention sets XS to 7, outside its domain"),
+            ("high", "undeclared", {"Z": 0}, "intervention sets non-endogenous variable Z"),
+        ]
+        # The search reads the low allowed set and omega, not the high set.
+        if not (check == "find_compatible_tau_u" and side == "high")
+    ],
+)
+def test_allowed_sets_are_checked_against_their_models(check, side, intervention, reason):
+    # Library-built models whose allowed sets validate() would flag: on
+    # the tau-abstraction check the low one raised KeyError: (7, 0, 0) and
+    # the undeclared high one gave verdict False at (c).
+    b = LINEAR
+    low, high = b.low, b.high
+    if side == "low":
+        low = low.with_allowed(low.allowed_interventions + (Assignment(intervention),))
+    else:
+        high = high.with_allowed(high.allowed_interventions + (Assignment(intervention),))
+    run = {
+        "check_tau_abstraction": lambda: check_tau_abstraction(low, high, b.tau),
+        "check_uniform": lambda: check_uniform(low, high, b.tau, b.omega),
+        "find_compatible_tau_u": lambda: find_compatible_tau_u(low, high, b.tau, b.omega),
+    }[check]
+    with pytest.raises(InputError, match=reason):
+        run()
+
+
+@pytest.mark.parametrize(
+    "tau_exprs,partition,reason",
+    [
+        ({"XS": "X1 + X2"}, LINEAR_CELLS, "does not assign exactly the high endogenous variables"),
+        (
+            {"XS": "X1 + X2", "YS": "Y"},
+            Partition((("XS", ("X1", "Z9")), ("YS", ("Y",))), ("X2",)),
+            "cell for XS contains unknown low variable Z9",
+        ),
+    ],
+    ids=["tau-without-YS", "unknown-Z9"],
+)
+def test_component_maps_check_tau_and_the_partition(tau_exprs, partition, reason):
+    # Both raised a bare KeyError ('YS', 'Z9').
+    tau = StateMap.from_exprs({h: parse_expr(e) for h, e in tau_exprs.items()})
+    with pytest.raises(InputError, match=reason):
+        derive_component_maps(LINEAR.low, LINEAR.high, tau, partition)
 
 
 def test_strong_fails_for_pixel_two_counter_naming_a_lone_counter():
@@ -252,8 +350,9 @@ def test_constructive_voting_natural_partition():
     partition, comps = voting_natural_partition(b)
     assert dict(partition.cells)["G1"] == ("X1", "X2")
     assert dict(partition.cells)["G2"] == ("X3", "X4")
-    report = check_constructive(b.low, b.high, b.tau, partition, comps)
+    report = check_constructive(b.low, b.high, b.tau, partition)
     assert report.verdict
+    assert report.witness["components"] == comps
 
 
 def test_constructive_rejects_non_factoring_partition():
@@ -278,20 +377,6 @@ def test_constructive_rejects_malformed_partitions():
         )
 
 
-def test_wrong_component_map_is_reported():
-    ident = StateMap.identity(CHAIN.signature)
-    partition = Partition((("X1", ("X1",)), ("X2", ("X2",))))
-    good, _ = derive_component_maps(CHAIN, CHAIN, ident, partition)
-    tables = {h: good.table(h) for h, _ in partition.cells}
-    tables["X1"][(0,)] = 1  # corrupt one entry
-    from cak import ComponentMaps
-
-    bad = ComponentMaps.from_tables(tables)
-    report = check_constructive(CHAIN, CHAIN, ident, partition, bad)
-    assert not report.verdict
-    assert "disagrees" in report.detail
-
-
 def test_search_finds_singleton_partition_for_identity():
     ident = StateMap.identity(THREE_BITS.signature)
     found = search_constructive_partition(THREE_BITS, THREE_BITS, ident)
@@ -308,7 +393,7 @@ def test_search_merged_pixel_marginalizes_the_corner():
     partition, comps = found
     assert dict(partition.cells)["TLH"] == ("X11", "X12", "X21")
     assert partition.marginal == ("X22",)
-    assert comps.table("TLH")[(1, 1, 0)] == 2
+    assert dict(dict(comps.maps)["TLH"])[(1, 1, 0)] == 2
 
 
 def test_search_returns_none_for_overlapping_supports():
@@ -335,9 +420,11 @@ def test_search_respects_low_variable_cap():
 
 def test_each_check_materializes_tau_once(monkeypatch):
     # One tau table serves every level a check runs: the strong check's
-    # inner tau-abstraction and the constructive search's strong core
-    # read the table their caller built, and the layers that apply tau
-    # apply the caller's map, building no second StateMap.
+    # inner tau-abstraction, the constructive checks' component maps and
+    # strong core read the table their caller built, and the layers that
+    # apply tau apply the caller's map, building no second StateMap. Tau
+    # walks the low states once, to build the table (tau walks a signature;
+    # part (a) walks the high model's states).
     import cak.abstraction
     import cak.maps
 
@@ -353,12 +440,22 @@ def test_each_check_materializes_tau_once(monkeypatch):
     built = []
     post_init = cak.maps.StateMap.__post_init__
     monkeypatch.setattr(cak.maps.StateMap, "__post_init__", lambda m: (built.append(m), post_init(m)))
+    walks = []
+    for module in (cak.maps, cak.abstraction):
+        states = module.enumerate_states
+        monkeypatch.setattr(
+            module,
+            "enumerate_states",
+            lambda space, states=states: (walks.append(isinstance(space, Signature)), states(space))[1],
+        )
 
     def count(check, *args):
         calls.clear()
         built.clear()
+        walks.clear()
         result = check(*args)
         assert not built, check.__name__
+        assert sum(walks) == 1, check.__name__
         return len(calls), result
 
     non_factoring = Partition((("Y1", ("X1",)), ("Y2", ("X2",))), ("X3",))
@@ -369,8 +466,12 @@ def test_each_check_materializes_tau_once(monkeypatch):
         n, found = count(search_constructive_partition, *args)
         assert n == 1, b.name
         if found is not None:
-            assert count(check_constructive, *args, *found)[0] == 1, b.name
+            partition, comps = found
+            assert count(check_constructive, *args, partition)[0] == 1, b.name
+            assert count(derive_component_maps, *args, partition) == (1, (comps, None)), b.name
     assert count(check_constructive, DM.low, DM.high, DM.tau, non_factoring)[0] == 1
+    n, (comps, failure) = count(derive_component_maps, DM.low, DM.high, DM.tau, non_factoring)
+    assert n == 1 and comps is None and failure["high_var"] in ("Y1", "Y2")
 
 
 # ---------------------------------------------------------------------------

@@ -192,8 +192,9 @@ def test_criterion_6_voting_uniform_and_constructive():
     from cak import check_constructive
 
     partition, comps = voting_natural_partition(bundle)
-    report = check_constructive(bundle.low, bundle.high, bundle.tau, partition, comps)
+    report = check_constructive(bundle.low, bundle.high, bundle.tau, partition)
     assert report.verdict
+    assert report.witness["components"] == comps
     budget.check()
 
 
@@ -290,12 +291,7 @@ def test_criterion_10_induced_map_structure_and_hierarchy():
             assert strong.verdict, bundle.name
         if strong.verdict:
             i_low, i_high, omega_tau = compute_induced_sets(low_all, bundle.high, bundle.tau)
-            inner = check_tau_abstraction(bundle.low, bundle.high, bundle.tau, i_low, i_high)
-            assert inner.verdict, bundle.name
-            assert check_uniform(
-                bundle.low.with_allowed(i_low),
-                bundle.high.with_allowed(i_high),
-                bundle.tau,
-                omega_tau,
-            ).verdict, bundle.name
+            low, high = bundle.low.with_allowed(i_low), bundle.high.with_allowed(i_high)
+            assert check_tau_abstraction(low, high, bundle.tau).verdict, bundle.name
+            assert check_uniform(low, high, bundle.tau, omega_tau).verdict, bundle.name
     budget.check()

@@ -323,6 +323,32 @@ def test_size_cap_flag_applies_to_one_call(capsys, emitted):
     assert len(out["induced_low"]) == 24
 
 
+@pytest.mark.parametrize(
+    "flag,value,command",
+    [("--max-interventions", "-5", "check"), ("--max-contexts", "0", "solve")],
+    ids=["interventions-check", "contexts-solve"],
+)
+def test_nonpositive_cap_flag_exits_2_on_every_command(capsys, emitted, flag, value, command):
+    # Both exited 0 with a normal report: neither command read the cap it set.
+    import os
+
+    from cak.model import enumerate_contexts
+    from cak.serialize import assignment_to_obj
+
+    paths = emitted("voting-4-2-1")
+    if command == "check":
+        argv = ["check", "abstraction", paths["low"], paths["high"], "--tau", paths["tau"]]
+    else:
+        context = enumerate_contexts(get_bundle("voting-4-2-1").low)[0]
+        argv = ["solve", paths["low"], "--context", dumps(assignment_to_obj(context))]
+    before = dict(os.environ)
+    code, out, _ = run(capsys, flag, value, *argv)
+    assert code == 2
+    assert f"must be positive, got {value}" in out["error"]
+    assert dict(os.environ) == before
+    assert run(capsys, *argv)[0] == 0
+
+
 def _write_tau(tmp_path, exprs):
     path = tmp_path / "tau.json"
     path.write_text(dumps({"exprs": exprs}), encoding="utf-8")

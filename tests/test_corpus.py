@@ -51,10 +51,8 @@ def test_hierarchy_monotonicity_across_corpus(bundle_results):
             i_low, i_high, omega_tau = compute_induced_sets(
                 b.low.with_allowed("all"), b.high, b.tau
             )
-            inner = check_tau_abstraction(b.low, b.high, b.tau, i_low, i_high)
-            assert inner.verdict, name
-            high = b.high.with_allowed(i_high)
-            low = b.low.with_allowed(i_low)
+            low, high = b.low.with_allowed(i_low), b.high.with_allowed(i_high)
+            assert check_tau_abstraction(low, high, b.tau).verdict, name
             assert check_uniform(low, high, b.tau, omega_tau).verdict, name
 
 

@@ -219,18 +219,20 @@ def test_equivalent_reflexive():
     assert equivalent(CHAIN, d, CHAIN, d).verdict
 
 
-def test_chain_vs_independent_not_equivalent_without_interventions():
+def test_chain_vs_independent_not_equivalent():
     indep = model_of(
         [("U1", (0, 1)), ("U2", (0, 1))],
         [("X1", (0, 1)), ("X2", (0, 1))],
         {"X1": "U1", "X2": "U2"},
     )
     d = RationalDist.uniform(enumerate_contexts(CHAIN))
-    report = equivalent(CHAIN, d, indep, d, interventions=(EMPTY,))
+    report = equivalent(CHAIN, d, indep, d)
     assert not report.verdict
+    # Profiles run over the full intervention space, the empty one first.
+    assert report.counterexample["interventions"] == tuple(enumerate_interventions(CHAIN))
     profile = report.counterexample["profile"]
-    assert profile == (Assignment(X1=0, X2=0),)
-    assert report.counterexample["mass_left"] == Fraction(1, 2)
+    assert profile[:3] == (Assignment(X1=0, X2=0), Assignment(X1=0, X2=0), Assignment(X1=0, X2=1))
+    assert report.counterexample["mass_left"] == 0
     assert report.counterexample["mass_right"] == Fraction(1, 4)
 
 
@@ -353,9 +355,8 @@ def test_integer_sums_match_the_fraction_reference():
         got = outcome(push_to_states, model, d)
         assert result(got) == result(outcome(reference_interventional_dist, model, d, EMPTY))
         d2 = mixed_dist(rng, enumerate_contexts(model))
-        ilist = enumerate_interventions(model)
-        assert report(outcome(equivalent, model, d, model, d2, ilist)) == report(
-            outcome(reference_equivalent, model, d, model, d2, ilist)
+        assert report(outcome(equivalent, model, d, model, d2)) == report(
+            outcome(reference_equivalent, model, d, model, d2)
         )
         if trial % 2:
             high = random_model(rng)
@@ -363,8 +364,8 @@ def test_integer_sums_match_the_fraction_reference():
             states = mixed_dist(rng, enumerate_states(model))
             assert tau_pushforward(tau, states).entries == reference_tau_pushforward(tau, states).entries
             uev, d_uev = to_uev(model, d)
-            assert report(outcome(equivalent, model, d, uev, d_uev, ilist)) == report(
-                outcome(reference_equivalent, model, d, uev, d_uev, ilist)
+            assert report(outcome(equivalent, model, d, uev, d_uev)) == report(
+                outcome(reference_equivalent, model, d, uev, d_uev)
             )
 
 

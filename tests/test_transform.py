@@ -191,9 +191,7 @@ def test_conflict_diagnosis_names_colliding_interventions():
     i_low, _, omega_tau = compute_induced_sets(
         main.low.with_allowed("all"), main.high, main.tau
     )
-    report = find_compatible_tau_u(
-        main.low, main.high, main.tau, omega_tau, i_low=i_low
-    )
+    report = find_compatible_tau_u(main.low.with_allowed(i_low), main.high, main.tau, omega_tau)
     assert not report.verdict
     conflict = report.counterexample["conflict"]
     assert set(conflict["interventions"]) == {EMPTY, Assignment(X3=0)}
@@ -379,7 +377,7 @@ def test_cone_pass_matches_the_reference(monkeypatch, seed):
     ends = []
     for _ in range(40):
         low, high, tau, omega = _differential_case(rng)
-        args = (low, high, tau, omega, None, rng.random() < 0.5)
+        args = (low, high, tau, omega, rng.random() < 0.5)
         reference = _report_bytes(outcome(reference_find_compatible_tau_u, *args))
         _with_cone_pass(monkeypatch, selected=False)
         by_context = _report_bytes(outcome(find_compatible_tau_u, *args))
@@ -415,7 +413,7 @@ def test_cone_pass_handles_one_value_domains_and_an_undeclared_name(monkeypatch)
     ends = _with_cone_pass(monkeypatch)
     for model in (low, broken):
         _, tau, omega = _identity_setup(model)
-        args = (model, model, tau, omega, list(enumerate_interventions(model)), True)
+        args = (model.with_allowed(enumerate_interventions(model)), model, tau, omega, True)
         expected = outcome(reference_find_compatible_tau_u, *args)
         assert _report_bytes(outcome(find_compatible_tau_u, *args)) == _report_bytes(expected)
     assert ends == ["returned", "raised"]
@@ -494,7 +492,7 @@ def test_a_failing_cone_column_falls_back_alone(monkeypatch):
     )
     solves = _count_kernel_calls(monkeypatch)
     _, tau, omega = _identity_setup(model)
-    args = (model, model, tau, omega, list(enumerate_interventions(model)))
+    args = (model.with_allowed(enumerate_interventions(model)), model, tau, omega)
     _with_cone_pass(monkeypatch)
     got = outcome(find_compatible_tau_u, *args)
     assert solves[0] == 78
@@ -509,11 +507,11 @@ def test_empty_intervention_lists_give_the_reference_reports(monkeypatch, select
     _with_cone_pass(monkeypatch, selected)
     for low, high in [(CHAIN, CHAIN), (small, CHAIN), (CHAIN, small)]:
         tau = random_state_map(random.Random(1), low, high)
+        low, high = low.with_allowed(()), high.with_allowed(())
         for surjective in (False, True):
-            args = (low, high, tau, InterventionMap.identity(()), [], surjective)
+            args = (low, high, tau, InterventionMap.identity(()), surjective)
             expected = _report_bytes(outcome(reference_find_compatible_tau_u, *args))
             assert _report_bytes(outcome(find_compatible_tau_u, *args)) == expected
-        low, high = low.with_allowed(()), high.with_allowed(())
         args = (low, high, tau, InterventionMap.identity(()))
         got = _report_bytes(outcome(check_uniform, *args))
         monkeypatch.setattr(transform, "find_compatible_tau_u", reference_find_compatible_tau_u)
@@ -535,14 +533,15 @@ def test_omega_images_are_checked_against_the_high_model(use_check_compatible, i
     # Each gave a verdict: the generated solver ignores forced names that
     # are not endogenous and does not check forced values.
     model = model_of([("U", (0, 1))], [("X", (0, 1))], {"X": "U"})
+    low = model.with_allowed([EMPTY])
     tau = StateMap.identity(model.signature)
     omega = InterventionMap.from_pairs([(EMPTY, Assignment(image))])
     with pytest.raises(InputError, match=reason):
         if use_check_compatible:
             tau_u = ContextMap.from_table(tuple((u, u) for u in enumerate_contexts(model)))
-            check_compatible(tau_u, tau, omega, model, model, i_low=[EMPTY])
+            check_compatible(tau_u, tau, omega, low, model)
         else:
-            find_compatible_tau_u(model, model, tau, omega, i_low=[EMPTY])
+            find_compatible_tau_u(low, model, tau, omega)
 
 
 def test_context_map_images_are_checked_against_the_high_model():
@@ -555,7 +554,7 @@ def test_context_map_images_are_checked_against_the_high_model():
         tuple((u, Assignment(U=5) if u["U"] == 1 else u) for u in enumerate_contexts(model))
     )
     with pytest.raises(InputError, match="context sets U to 5, outside its domain"):
-        check_compatible(tau_u, tau, omega, model, model, i_low=[EMPTY])
+        check_compatible(tau_u, tau, omega, model.with_allowed([EMPTY]), model)
 
 
 @pytest.mark.parametrize("use_check_compatible", [False, True], ids=["find", "check"])
@@ -572,14 +571,14 @@ def test_explicit_low_interventions_are_checked(use_check_compatible, interventi
     # The first two were ignored and the checks held; the third raised a
     # table miss from inside the solver.
     bundle = build_voting(4, 2, 1)
-    i_low = [Assignment(intervention)]
-    omega = InterventionMap.from_pairs([(i_low[0], EMPTY)])
+    low = bundle.low.with_allowed([Assignment(intervention)])
+    omega = InterventionMap.from_pairs([(Assignment(intervention), EMPTY)])
     with pytest.raises(InputError, match=reason):
         if use_check_compatible:
             tau_u = find_compatible_tau_u(bundle.low, bundle.high, bundle.tau, bundle.omega).witness
-            check_compatible(tau_u, bundle.tau, omega, bundle.low, bundle.high, i_low=i_low)
+            check_compatible(tau_u, bundle.tau, omega, low, bundle.high)
         else:
-            find_compatible_tau_u(bundle.low, bundle.high, bundle.tau, omega, i_low=i_low)
+            find_compatible_tau_u(low, bundle.high, bundle.tau, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +629,7 @@ def test_compatible_pixel_count_encoding():
         )
         table.append((u, Assignment(C=code_of[pair])))
     tau_u = ContextMap.from_table(tuple(table))
-    report = check_compatible(tau_u, b.tau, omega, b.low, b.high, i_low=i_low)
+    report = check_compatible(tau_u, b.tau, omega, b.low.with_allowed(i_low), b.high)
     assert report.verdict
     assert len(i_low) == 24
 

@@ -330,12 +330,12 @@ def brute_force_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, in
     return result
 
 
-def reference_find_compatible_tau_u(m_low, m_high, tau, omega, i_low=None, require_surjective=False):
+def reference_find_compatible_tau_u(m_low, m_high, tau, omega, require_surjective=False):
     """The full-pass form of transform.find_compatible_tau_u: every low
     context's matching high contexts are computed up front, with one solve
     per high context and intervention, and the first context without a
     match is diagnosed by solving it again."""
-    interventions = resolve_interventions(m_low, i_low)
+    interventions = resolve_interventions(m_low)
     low_contexts = enumerate_contexts(m_low)
     high_contexts = enumerate_contexts(m_high)
     high_images = [omega.apply(i) for i in interventions]
@@ -546,11 +546,10 @@ def reference_tau_pushforward(tau, d: RationalDist) -> RationalDist:
     return RationalDist(tuple(out.items()))
 
 
-def reference_equivalent(m1, d1, m2, d2, interventions) -> CheckReport:
-    """prob.equivalent over the listed interventions, with one reference
-    solve per context and intervention and one Fraction addition per
-    context of nonzero mass."""
-    ilist = list(interventions)
+def reference_equivalent(m1, d1, m2, d2) -> CheckReport:
+    """prob.equivalent, with one reference solve per context and
+    intervention and one Fraction addition per context of nonzero mass."""
+    ilist = enumerate_interventions(m1)
 
     def profile_dist(model, d):
         out = {}
