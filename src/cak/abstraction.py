@@ -14,12 +14,13 @@ remainder).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import compress, product, repeat
+from operator import is_not, or_
 from typing import Iterable, Sequence
 
 from .errors import InputError, SizeCapExceeded
-from .interventions import enumerate_interventions, resolve_interventions
+from .interventions import enumerate_interventions, intervention_options, interventions_from, resolve_interventions
 from .maps import InterventionMap, StateMap, materialize_state_map
 from .model import Assignment, CausalModel, VariableDecl, check_intervention, enumerate_states
 from .report import CheckReport
@@ -27,7 +28,7 @@ from .transform import find_compatible_tau_u
 
 
 def _product(decls: Sequence[VariableDecl], partial: Assignment) -> Iterable[tuple[int, ...]]:
-    return itertools.product(
+    return product(
         *(((partial[d.name],) if d.name in partial else d.domain) for d in decls)
     )
 
@@ -45,13 +46,32 @@ def rst(decls: Sequence[VariableDecl], partial: Assignment) -> list[Assignment]:
     return [Assignment(zip(names, combo)) for combo in _product(decls, partial)]
 
 
+def _mask(ids: Iterable[int], width: int) -> int:
+    """The int whose set bits are `ids`, all below `width`, built in time
+    linear in `width` (ORing one bit at a time is quadratic)."""
+    digits = bytearray(b"0") * width
+    for k in ids:
+        digits[k] = 49  # ord("1")
+    return int(digits[::-1], 2)
+
+
 class _TauTable:
     """tau materialized once for a whole check.
 
     `by_values` maps each low state's value tuple, in declaration order
-    (what restriction-set products yield), to its image. The layers that
-    apply tau apply the caller's map: once materialized, it answers from
-    its own table or its cache of images.
+    (what restriction-set products yield), to its image, in the low
+    states' enumeration order. The layers that apply tau apply the
+    caller's map: once materialized, it answers from its own table or its
+    cache of images.
+
+    For the induced map, `ids` numbers the distinct images in order of
+    first appearance, so a set of images is an int mask no wider than the
+    low state space, whatever the size of the high one. `value_masks`
+    holds, for each high variable with more than one value, its domain
+    size and each value that some image takes, with the mask of those
+    images; a variable whose whole domain is one value is constant in
+    every restriction set, and leaving it out keeps the candidate minimal
+    and the empty intervention's image empty.
     """
 
     def __init__(self, m_low: CausalModel, m_high: CausalModel, tau: StateMap):
@@ -61,47 +81,82 @@ class _TauTable:
             tuple(state[n] for n in names): image
             for state, image in materialize_state_map(tau, self.low, self.high).items()
         }
+        self.ids = {image: k for k, image in enumerate(dict.fromkeys(self.by_values.values()))}
+        self.value_masks = []
+        for d in self.high.endogenous:
+            if len(d.domain) > 1:
+                taking: dict[int, list[int]] = {}
+                for image, k in self.ids.items():
+                    taking.setdefault(image[d.name], []).append(k)
+                masks = [(v, _mask(taking[v], len(self.ids))) for v in d.domain if v in taking]
+                self.value_masks.append((d.name, len(d.domain), masks))
+        self._images: dict[int, Assignment | None] = {}  # decoded masks
+
+    def _image(self, mask: int) -> Assignment | None:
+        """The high intervention whose restriction set is the set of
+        images in `mask`, or None.
+
+        Any such intervention fixes exactly the variables that one value
+        mask meets (up to one-value domains), so the candidate is unique.
+        Every image in `mask` agrees with it on those variables, so `mask`
+        is a subset of its restriction set, and equal to it exactly when
+        the sizes match.
+        """
+        if mask not in self._images:
+            fixed: dict[str, int] = {}
+            size = 1
+            for name, n, masks in self.value_masks:
+                meet = [v for v, m in masks if mask & m]
+                if len(meet) == 1:
+                    fixed[name] = meet[0]
+                else:
+                    size *= n
+            self._images[mask] = Assignment(fixed) if mask.bit_count() == size else None
+        return self._images[mask]
 
     def induced(self, intervention: Assignment) -> Assignment | None:
-        """Image of one low intervention under the induced map, or None.
-
-        The tau-image S of the low restriction set fixes some high
-        coordinates; any valid high intervention must set exactly those (up
-        to variables with one-value domains, which are dropped), so the
-        candidate is unique and it remains to verify that S is exactly the
-        candidate's restriction set.
-        """
+        """Image of one low intervention under the induced map, or None:
+        the mask of the images over its restriction set, decoded."""
         images = {self.by_values[t] for t in _product(self.low.endogenous, intervention)}
+        return self._image(_mask(map(self.ids.__getitem__, images), len(self.ids)))
 
-        # A variable whose whole domain is a single value is constant in
-        # every restriction set; leaving it out keeps the candidate minimal
-        # and the empty intervention's image empty.
-        fixed: dict[str, int] = {}
-        size = 1
-        for d in self.high.endogenous:
-            if len(d.domain) == 1:
-                continue
-            values = {state[d.name] for state in images}
-            if len(values) == 1:
-                fixed[d.name] = next(iter(values))
-            else:
-                size *= len(d.domain)
-        # Every image agrees with the candidate on its fixed coordinates and
-        # lies in the high domains, so S is a subset of Rst(candidate) and
-        # equal to it exactly when the sizes match.
-        return Assignment(fixed) if size == len(images) else None
+    def _lattice(self) -> list[int]:
+        """The image mask of every low intervention, in
+        `enumerate_interventions` order, filled bottom-up. The caller has
+        checked the intervention cap.
+
+        It starts from the total states' bits. One variable at a time, from
+        the last declared to the first, each block of its value slots gains
+        an unset slot in front, the OR of the value slots.
+        """
+        masks = [1 << self.ids[image] for image in self.by_values.values()]
+        inner = 1  # slots per value of the current variable
+        for d in reversed(self.low.endogenous):
+            block = len(d.domain) * inner
+            filled: list[int] = []
+            for start in range(0, len(masks), block):
+                values = masks[start : start + block]
+                unset = values[:inner]
+                for k in range(inner, block, inner):
+                    unset = list(map(or_, unset, values[k : k + inner]))
+                filled += unset
+                filled += values
+            masks = filled
+            inner += block
+        return masks
 
     def induced_sets(self) -> tuple[list[tuple[Assignment, Assignment]], tuple[Assignment, ...]]:
         """Every low intervention with a defined image, paired with it, and
-        the image set, both in deterministic order."""
-        defined: list[tuple[Assignment, Assignment]] = []
-        image_order: dict[Assignment, None] = {}
-        for i in enumerate_interventions(self.low):
-            img = self.induced(i)
-            if img is not None:
-                defined.append((i, img))
-                image_order.setdefault(img)
-        return defined, tuple(image_order)
+        the image set, both in deterministic order. Only these
+        interventions and their images are built."""
+        names, options = intervention_options(self.low)
+        masks = self._lattice()
+        images = {m: self._image(m) for m in set(masks)}
+        found = list(map(images.__getitem__, masks))
+        # EMPTY is falsy, so definedness is `is not None`.
+        lows = interventions_from(names, compress(product(*options), map(is_not, found, repeat(None))))
+        defined = list(zip(lows, [img for img in found if img is not None]))
+        return defined, tuple(dict.fromkeys([img for _, img in defined]))
 
 
 def derive_omega_tau(
@@ -165,9 +220,8 @@ def _tau_abstraction(
     """Parts (a) to (c) of check_tau_abstraction, given every intervention
     of the low allowed set paired with its induced image."""
     omega_tau = InterventionMap.from_pairs(pairs)
-    image = set(table.by_values.values())
     for state in enumerate_states(m_high):
-        if state not in image:
+        if state not in table.ids:
             return CheckReport(
                 False,
                 detail="(a) tau is not surjective",

@@ -21,13 +21,12 @@ def natural_lt(i1: Assignment, i2: Assignment) -> bool:
     return len(i1) < len(i2) and natural_leq(i1, i2)
 
 
-def enumerate_interventions(model_or_sig) -> list[Assignment]:
-    """Every partial endogenous assignment, the empty one first.
+def intervention_options(model_or_sig) -> tuple[list[str], list[tuple[int | None, ...]]]:
+    """The endogenous names and each variable's options in enumeration
+    order: unset (None), then each domain value in declared order.
 
-    The count is prod_X (|domain(X)| + 1); enumeration refuses to start
-    above the configured cap. Order is deterministic: the product over
-    variables in declaration order of (unset, then each domain value in
-    declared order).
+    The space's size is prod_X (|domain(X)| + 1); this refuses it above
+    the configured cap, before anything is built over it.
     """
     sig = getattr(model_or_sig, "signature", model_or_sig)
     decls = sig.endogenous
@@ -37,12 +36,23 @@ def enumerate_interventions(model_or_sig) -> list[Assignment]:
     limit = interventions_cap()
     if size > limit:
         raise SizeCapExceeded("intervention space", size, limit)
-    names = [d.name for d in decls]
-    options = [(None, *d.domain) for d in decls]
-    out = []
-    for combo in itertools.product(*options):
-        out.append(Assignment({n: v for n, v in zip(names, combo) if v is not None}))
-    return out
+    return [d.name for d in decls], [(None, *d.domain) for d in decls]
+
+
+def interventions_from(names: list[str], combos: Iterable[tuple[int | None, ...]]) -> list[Assignment]:
+    """The interventions that `combos`, tuples of options over `names`,
+    stand for."""
+    return [Assignment({n: v for n, v in zip(names, combo) if v is not None}) for combo in combos]
+
+
+def enumerate_interventions(model_or_sig) -> list[Assignment]:
+    """Every partial endogenous assignment, the empty one first.
+
+    Order is deterministic: the product over variables in declaration
+    order of their `intervention_options`.
+    """
+    names, options = intervention_options(model_or_sig)
+    return interventions_from(names, itertools.product(*options))
 
 
 def resolve_interventions(model: CausalModel) -> tuple[Assignment, ...]:

@@ -148,6 +148,23 @@ def check_reads(tau: StateMap, low: Signature) -> None:
         raise InputError(f"state map reads variables that are not low endogenous: {unknown}")
 
 
+def check_image(tau: StateMap, image: Assignment, high: Signature, state: Assignment | None = None) -> None:
+    """Raise InputError unless `image`, tau's image of the low state
+    `state`, is a high state. Without `state`, the message names a state
+    that tau has sent to `image`."""
+    if image._keys != high.endo_keyset:
+        problem = f"{image!r}, which does not assign exactly the high endogenous variables"
+    else:
+        bad = [f"{name}={value}" for name, value in image._items if value not in high.domains[name]]
+        if not bad:
+            return
+        problem = f"out-of-domain value {bad[0]}"
+    if state is None:
+        items = next(k for k, v in tau._images.items() if v == image)
+        state = Assignment._from_sorted_items(items)
+    raise InputError(f"state map sends {state!r} to {problem}")
+
+
 def materialize_state_map(tau: StateMap, low: Signature, high: Signature) -> dict[Assignment, Assignment]:
     """Explicit table of `tau` over the full low state space.
 
@@ -155,21 +172,10 @@ def materialize_state_map(tau: StateMap, low: Signature, high: Signature) -> dic
     its outputs are well-typed high states.
     """
     check_reads(tau, low)
-    states = enumerate_states(low)
-    high_names = set(high.endo_names)
     table: dict[Assignment, Assignment] = {}
-    for s in states:
-        image = tau.apply(s)
-        if set(image) != high_names:
-            raise InputError(
-                f"state map sends {s!r} to {image!r}, which does not assign exactly the high endogenous variables"
-            )
-        for name, value in image.items_sorted:
-            if value not in high.domains[name]:
-                raise InputError(
-                    f"state map sends {s!r} to out-of-domain value {name}={value}"
-                )
-        table[s] = image
+    for s in enumerate_states(low):
+        table[s] = image = tau.apply(s)
+        check_image(tau, image, high, s)
     return table
 
 

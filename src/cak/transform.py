@@ -11,8 +11,7 @@ refutes all of them.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import count, product, repeat
+from itertools import product, repeat
 from math import prod
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -23,6 +22,7 @@ from .maps import (
     ContextMap,
     InterventionMap,
     StateMap,
+    check_image,
     check_reads,
     compose_intervention_maps,
     compose_state_maps,
@@ -72,14 +72,20 @@ def check_exact(
     check_distribution(m_high, d_high)
     check_reads(tau, m_low.signature)
     i_low = _admissible(m_low, m_high, omega)
-    # One high distribution per distinct omega-image.
+    # One high distribution per distinct omega-image, and one check per
+    # distinct pushed state.
     high_dists: dict[Assignment, RationalDist] = {}
+    pushed_states: set[Assignment] = set()
     for i in i_low:
         image = omega.apply(i)
         high_dist = high_dists.get(image)
         if high_dist is None:
             high_dist = high_dists[image] = interventional_dist(m_high, d_high, image)
         pushed = tau_pushforward(tau, interventional_dist(m_low, d_low, i))
+        for state in pushed.support():
+            if state not in pushed_states:
+                check_image(tau, state, m_high.signature)
+                pushed_states.add(state)
         if high_dist != pushed:
             for state in sorted(set(high_dist.support()) | set(pushed.support())):
                 a, b = high_dist.mass(state), pushed.mass(state)
@@ -107,7 +113,7 @@ def check_compatible(
     """Whether tau(solve_low(u, i)) == solve_high(tau_u(u), omega(i)) for
     every low context u and every allowed low intervention i. tau's reads,
     and each distinct tau_u-image and omega-image, are checked against the
-    models first."""
+    models first; a tau-image that is not a high state is an input error."""
     check_reads(tau, m_low.signature)
     interventions = resolve_interventions(m_low)
     images = [omega.apply(i) for i in interventions]
@@ -122,6 +128,8 @@ def check_compatible(
             low_side = tau.apply(solve_under(m_low, u, i))
             high_side = solve_under(m_high, v, j)
             if low_side != high_side:
+                # An image that is not a high state never matches, so it is caught here.
+                check_image(tau, low_side, m_high.signature)
                 return CheckReport(
                     False,
                     detail="abstract-then-solve disagrees with solve-then-abstract",
@@ -234,10 +242,11 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
     side (repeated per `slots`, the image index of each intervention) and
     one per intervention on the low side. Every high state, and the
     tau-image of every low state, gets an int id from one dict, so int
-    profiles match exactly when the profiles of states do.
+    profiles match exactly when the profiles of states do. A tau-image
+    that is not a high state raises when it would get its id.
     """
     by_cone = _columns_pay(m_low, m_high, interventions, distinct, len(low_contexts), len(high_contexts))
-    ids: dict[Assignment, int] = defaultdict(count().__next__)  # a new key gets the next id
+    ids = _Ids(tau, m_high.signature)
     profile_to_high: dict[tuple, list[Assignment]] = {}
     profiles = _rows(_columns(m_high, high_contexts, distinct, ids, by_cone))
     if len(slots) > 1:  # else a row is its profile
@@ -256,6 +265,20 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
             return None, (u_l, tuple([states[k] for k in profile]))
         cands[u_l] = found
     return cands, None
+
+
+class _Ids(dict):
+    """Ids of states: a new key, which must be a high state, gets the next
+    id. High solutions are; a tau-image is checked here, once."""
+
+    def __init__(self, tau: StateMap, high: Signature):
+        super().__init__()
+        self.tau, self.high = tau, high
+
+    def __missing__(self, state: Assignment) -> int:
+        check_image(self.tau, state, self.high)
+        self[state] = new = len(self)
+        return new
 
 
 def _rows(columns: list) -> Iterable[tuple]:

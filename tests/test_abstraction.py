@@ -10,6 +10,7 @@ from cak import (
     ContextMap,
     EMPTY,
     InputError,
+    InterventionMap,
     Partition,
     SizeCapExceeded,
     Signature,
@@ -42,13 +43,21 @@ from cak.corpus import (
     build_pixel_grid,
     build_voting,
 )
-from cak.abstraction import MAX_SEARCH_LOW_VARS
-from cak.expr import Lit
+from cak.abstraction import MAX_SEARCH_LOW_VARS, _TauTable
+from cak.errors import DEFAULT_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS
+from cak.expr import Lit, Var
 from cak.maps import materialize_state_map
 from cak.serialize import dumps, to_jsonable
 
 from .test_model import CHAIN, THREE_BITS, model_of
-from .util import brute_force_omega_tau, outcome, random_model, random_state_map, voting_natural_partition
+from .util import (
+    brute_force_omega_tau,
+    outcome,
+    random_model,
+    random_state_map,
+    reference_induced_sets,
+    voting_natural_partition,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +616,103 @@ def test_derive_omega_tau_brute_force_beyond_binary_domains(seed, low_domain, hi
             if constant:
                 assert image is None or "K" not in image
     assert partial_images and undefined
+
+
+def _assert_lattice_matches_reference(low, high, tau):
+    """Both forms of the induced sets, against one walk per low
+    intervention: the same pairs, in the same order, with the images in
+    the same order."""
+    expected = reference_induced_sets(low, high, tau)
+    assert _TauTable(low, high, tau).induced_sets() == expected
+    i_low, i_high, omega = compute_induced_sets(low, high, tau)
+    assert list(i_low) == [i for i, _ in expected[0]]
+    assert i_high == expected[1]
+    assert omega == InterventionMap.from_pairs(expected[0])
+    return expected
+
+
+def test_induced_sets_match_the_reference_on_random_models():
+    rng = random.Random(47)
+    undefined = partial = 0
+    for k in range(24):
+        domain = ((0, 1), (0, 1, 2))[k % 2]
+        low = random_model(rng, max_endo=3, max_exo=1, domain=domain)
+        high = random_model(rng, max_endo=3, max_exo=1, domain=((0, 1), (0, 1, 2))[k // 2 % 2])
+        if k % 3 == 0:
+            high = _with_constant(high, "K", 7)
+        tau = (random_state_map if k % 4 < 2 else _coordinatewise_tau)(rng, low, high)
+        defined, _ = _assert_lattice_matches_reference(low, high, tau)
+        undefined += len(enumerate_interventions(low)) - len(defined)
+        partial += sum(0 < len(img) < len(high.signature.endo_names) for _, img in defined)
+    assert undefined and partial
+
+
+@pytest.mark.parametrize("bundle", all_bundles(), ids=lambda b: b.name)
+def test_induced_sets_match_the_reference_on_every_bundle(bundle):
+    _assert_lattice_matches_reference(bundle.low, bundle.high, bundle.tau)
+
+
+def test_induced_sets_match_the_reference_with_a_one_value_high_domain():
+    low = model_of([("U", (0, 1, 2))], [("X", (0, 1, 2)), ("V", (0, 1))], {"X": "U", "V": "U == 1"})
+    high = model_of([("W", (0, 1))], [("Y", (0, 1)), ("Z", (5,))], {"Y": "W", "Z": "5"})
+    tau = StateMap.from_exprs({"Y": parse_expr("1 < X + V"), "Z": parse_expr("5")})
+    defined, images = _assert_lattice_matches_reference(low, high, tau)
+    assert EMPTY in images and all("Z" not in img for img in images)
+
+
+def test_induced_map_answers_when_the_high_state_space_exceeds_the_caps():
+    # 2**30 high states, more than the contexts cap, and tau reaches two of
+    # them: the masks are over tau's images, so nothing is sized by the
+    # high state space and only the checks that enumerate it refuse.
+    low = model_of([("U", (0, 1))], [("X", (0, 1))], {"X": "U"})
+    ys = [f"Y{k}" for k in range(30)]
+    high = model_of([("W", (0, 1))], [(y, (0, 1)) for y in ys], dict.fromkeys(ys, "W"))
+    tau = StateMap.from_exprs(dict.fromkeys(ys, Var("X")))
+    assert 2 ** len(ys) > DEFAULT_MAX_CONTEXTS
+    assert derive_omega_tau(low, high, tau, EMPTY) is None
+    assert derive_omega_tau(low, high, tau, Assignment(X=1)) == Assignment(dict.fromkeys(ys, 1))
+    i_low, i_high, _ = compute_induced_sets(low, high, tau)
+    assert i_low == (Assignment(X=0), Assignment(X=1))
+    assert i_high == tuple(Assignment(dict.fromkeys(ys, v)) for v in (0, 1))
+    for check in (check_tau_abstraction, check_strong_abstraction):
+        with pytest.raises(SizeCapExceeded):
+            check(low, high, tau)
+
+
+@pytest.mark.parametrize("bundle", [LINEAR, build_voting()], ids=lambda b: b.name)
+def test_induced_sets_keep_the_intervention_cap_error(bundle, monkeypatch):
+    # The cap is checked before the lattice is filled, with the error that
+    # enumerating the low interventions raised.
+    size = len(enumerate_interventions(bundle.low))
+    assert len(enumerate_interventions(bundle.high)) < size
+    monkeypatch.setenv(ENV_MAX_INTERVENTIONS, str(size - 1))
+    message = f"^intervention space has {size} elements, exceeding the cap of {size - 1}$"
+    for check in (check_strong_abstraction, search_constructive_partition, compute_induced_sets):
+        with pytest.raises(SizeCapExceeded, match=message):
+            check(bundle.low, bundle.high, bundle.tau)
+    monkeypatch.setenv(ENV_MAX_INTERVENTIONS, str(size))
+    assert check_strong_abstraction(bundle.low, bundle.high, bundle.tau).verdict
+
+
+@pytest.mark.parametrize(
+    "exprs,reason",
+    [
+        ({"XS": "X1 + X2"}, "to Assignment(XS=0), which does not assign exactly the high endogenous variables"),
+        ({"XS": "X1 + X2 + 9", "YS": "Y"}, "to out-of-domain value XS=9"),
+    ],
+    ids=["without-YS", "out-of-domain"],
+)
+@pytest.mark.parametrize("backing", ["exprs", "table"])
+@pytest.mark.parametrize("entry", sorted(_entry_points(LINEAR, LINEAR.tau)))
+def test_tau_images_that_are_not_high_states_are_input_errors(entry, backing, exprs, reason):
+    # check_uniform, find_compatible_tau_u, check_exact and check_compatible
+    # returned False ("has no corresponding high context", "interventional
+    # distributions differ"); the tau-level checks raised.
+    tau = StateMap.from_exprs({h: parse_expr(e) for h, e in exprs.items()})
+    if backing == "table":
+        tau = StateMap.from_table(tuple((s, tau.apply(s)) for s in enumerate_states(LINEAR.low)))
+    with pytest.raises(InputError, match=re.escape("state map sends Assignment(X1=0, X2=0, Y=0) " + reason)):
+        _entry_points(LINEAR, tau)[entry]()
 
 
 @pytest.mark.parametrize("bundle", all_bundles(), ids=lambda b: b.name)

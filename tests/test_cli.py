@@ -1,12 +1,25 @@
+import hashlib
 import json
 import time
 from pathlib import Path
 
 import pytest
 
+from cak import InterventionMap, enumerate_interventions
 from cak.cli import main
-from cak.corpus import get_bundle
-from cak.serialize import dumps, bundle_to_objs, loads, model_from_obj, dist_from_obj
+from cak.corpus import all_bundles, get_bundle
+from cak.errors import ENV_MAX_INTERVENTIONS
+from cak.serialize import (
+    assignment_to_obj,
+    bundle_to_objs,
+    dist_from_obj,
+    dumps,
+    intervention_map_to_obj,
+    loads,
+    model_from_obj,
+)
+
+from .util import reference_induced_sets
 
 
 @pytest.fixture()
@@ -372,6 +385,36 @@ def test_tau_reading_an_undeclared_variable_exits_2(capsys, emitted, tmp_path):
     code, out, _ = run(capsys, "check", "strong", paths["low"], paths["high"], "--tau", tau)
     assert code == 2
     assert "['Q']" in out["error"]
+
+
+@pytest.mark.parametrize("name", [b.name for b in all_bundles()])
+def test_derive_omega_table_matches_the_reference_on_every_bundle(capsys, emitted, name):
+    # The digest gate covers only check reports; this pins the order of
+    # induced_low and induced_high.
+    paths = emitted(name)
+    bundle = get_bundle(name)
+    defined, images = reference_induced_sets(bundle.low, bundle.high, bundle.tau)
+    files = [paths["low"], paths["high"], paths["tau"]]
+    expected = {
+        "command": "derive-omega",
+        "inputs": {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in files},
+        "induced_low": [assignment_to_obj(i) for i, _ in defined],
+        "induced_high": [assignment_to_obj(j) for j in images],
+        "omega_tau": intervention_map_to_obj(InterventionMap.from_pairs(defined)),
+    }
+    code, out, _ = run(capsys, "derive-omega", paths["low"], paths["high"], "--tau", paths["tau"])
+    assert code == 0
+    out.pop("timing_ms")
+    assert out == expected
+
+
+def test_derive_omega_keeps_the_intervention_cap_error(capsys, emitted, monkeypatch):
+    paths = emitted("voting-4-2-1")
+    size = len(enumerate_interventions(get_bundle("voting-4-2-1").low))
+    monkeypatch.setenv(ENV_MAX_INTERVENTIONS, str(size - 1))
+    code, out, _ = run(capsys, "derive-omega", paths["low"], paths["high"], "--tau", paths["tau"])
+    assert code == 2
+    assert out["error"] == f"intervention space has {size} elements, exceeding the cap of {size - 1}"
 
 
 def test_derive_omega_rejects_an_out_of_domain_intervention(capsys, emitted):

@@ -302,18 +302,45 @@ def voting_natural_partition(bundle: ExampleBundle):
     return partition, comps
 
 
-def brute_force_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, intervention):
-    """derive_omega_tau, checked against a search over every high
-    intervention for one whose restriction set is exactly the tau-image of
-    the low restriction set. Returns the library's answer."""
-    result = derive_omega_tau(low, high, tau, intervention)
-    high_sig = high.signature
+def walk_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, intervention) -> Assignment | None:
+    """The induced image by a walk over the low restriction set: the
+    tau-images' values fix each high variable (but one-value ones) that
+    takes one value among them, and the image is defined exactly when the
+    images are as many as the candidate's restriction set holds."""
     images = {tau.apply(s) for s in rst(low.signature.endogenous, intervention)}
-    hits = [
-        cand
-        for cand in enumerate_interventions(high_sig)
-        if set(rst(high_sig.endogenous, cand)) == images
-    ]
+    fixed: dict[str, int] = {}
+    size = 1
+    for d in high.signature.endogenous:
+        if len(d.domain) == 1:
+            continue
+        values = {state[d.name] for state in images}
+        if len(values) == 1:
+            fixed[d.name] = next(iter(values))
+        else:
+            size *= len(d.domain)
+    return Assignment(fixed) if size == len(images) else None
+
+
+def high_restriction_sets(high: CausalModel) -> dict[frozenset, list[Assignment]]:
+    """Every high intervention, keyed by its restriction set."""
+    out: dict[frozenset, list[Assignment]] = {}
+    for cand in enumerate_interventions(high.signature):
+        out.setdefault(frozenset(rst(high.signature.endogenous, cand)), []).append(cand)
+    return out
+
+
+def brute_force_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, intervention, high_sets=None):
+    """derive_omega_tau, checked against the walk and against a search over
+    every high intervention for one whose restriction set is exactly the
+    tau-image of the low restriction set. Returns the library's answer.
+    `high_sets` is `high_restriction_sets(high)`, when the caller has it."""
+    result = derive_omega_tau(low, high, tau, intervention)
+    walked = walk_omega_tau(low, high, tau, intervention)
+    if result != walked:
+        raise AssertionError(f"induced image {result!r} differs from the walk's {walked!r}")
+    high_sig = high.signature
+    images = frozenset(tau.apply(s) for s in rst(low.signature.endogenous, intervention))
+    hits = (high_restriction_sets(high) if high_sets is None else high_sets).get(images, [])
     if (result is None) != (not hits):
         raise AssertionError(
             f"constant-coordinate candidate {result!r} disagrees with brute force {hits}"
@@ -328,6 +355,20 @@ def brute_force_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, in
         if set(result) - set(hit) or any(len(high_sig.domains[v]) > 1 for v in extra):
             raise AssertionError(f"induced image is not unique: {hits}")
     return result
+
+
+def reference_induced_sets(low: CausalModel, high: CausalModel, tau: StateMap):
+    """The induced sets one low intervention at a time, in enumeration
+    order, each image from `brute_force_omega_tau`: the defined
+    (intervention, image) pairs and the images in order of first
+    appearance."""
+    high_sets = high_restriction_sets(high)
+    defined = []
+    for i in enumerate_interventions(low):
+        image = brute_force_omega_tau(low, high, tau, i, high_sets)
+        if image is not None:
+            defined.append((i, image))
+    return defined, tuple(dict.fromkeys(image for _, image in defined))
 
 
 def reference_find_compatible_tau_u(m_low, m_high, tau, omega, require_surjective=False):
