@@ -24,7 +24,7 @@ from .interventions import enumerate_interventions, intervention_options, interv
 from .maps import InterventionMap, StateMap, materialize_state_map
 from .model import Assignment, CausalModel, VariableDecl, check_intervention, enumerate_states
 from .report import CheckReport
-from .transform import find_compatible_tau_u
+from .transform import _find_compatible
 
 
 def _product(decls: Sequence[VariableDecl], partial: Assignment) -> Iterable[tuple[int, ...]]:
@@ -217,8 +217,9 @@ def _tau_abstraction(
     pairs: list[tuple[Assignment, Assignment]],
     high_list: Sequence[Assignment],
 ) -> CheckReport:
-    """Parts (a) to (c) of check_tau_abstraction, given every intervention
-    of the low allowed set paired with its induced image."""
+    """Parts (a) to (c) of check_tau_abstraction over the low interventions
+    of `pairs`, each paired with its induced image: the low allowed set,
+    or for the strong check the induced set."""
     omega_tau = InterventionMap.from_pairs(pairs)
     for state in enumerate_states(m_high):
         if state not in table.ids:
@@ -228,7 +229,8 @@ def _tau_abstraction(
                 counterexample={"unreached_high_state": state},
             )
 
-    inner = find_compatible_tau_u(m_low, m_high, table.tau, omega_tau, require_surjective=True)
+    i_low = [i for i, _ in pairs]
+    inner = _find_compatible(m_low, m_high, table.tau, omega_tau, i_low, require_surjective=True)
     if not inner.verdict:
         return CheckReport(
             False,
@@ -276,8 +278,7 @@ def _strong(m_low: CausalModel, m_high: CausalModel, table: _TauTable) -> CheckR
                 "first_missing_single": first_single,
             },
         )
-    induced_low = m_low.with_allowed([i for i, _ in defined])
-    inner = _tau_abstraction(induced_low, m_high, table, defined, i_high_tau)
+    inner = _tau_abstraction(m_low, m_high, table, defined, i_high_tau)
     if not inner.verdict:
         return CheckReport(
             False,

@@ -116,15 +116,14 @@ class Assignment(Mapping[str, int]):
         return self
 
     @classmethod
-    def _product(cls, decls: "tuple[VariableDecl, ...]", keys: frozenset[str]) -> "list[Assignment]":
-        # Every total assignment of `decls`, in declaration-order
+    def _product(cls, decls: "tuple[VariableDecl, ...]", keys: frozenset[str]) -> "Iterator[Assignment]":
+        # Every total assignment of `decls`, lazily, in declaration-order
         # lexicographic order, all sharing the key set `keys` and one
         # (name, value) pair per value.
         pick = _to_name_order([d.name for d in decls])
         pairs = itertools.product(*(tuple((d.name, v) for v in d.domain) for d in decls))
         values = itertools.product(*(d.domain for d in decls))
         new = object.__new__
-        out = []
         for combo, vals in zip(pairs, values):
             self = new(cls)
             self._items = items = pick(combo)
@@ -132,8 +131,7 @@ class Assignment(Mapping[str, int]):
             self._dict = dict(combo)
             self._hash = hash(items)
             self._keys = keys
-            out.append(self)
-        return out
+            yield self
 
     @property
     def items_sorted(self) -> tuple[tuple[str, int], ...]:
@@ -281,10 +279,10 @@ class CausalModel:
 
     def with_allowed(self, interventions) -> "CausalModel":
         """Copy of this model with a different allowed-intervention set. It
-        solves as this model does, so the two share their generated solvers
-        and cones."""
+        solves as this model does, so the two share their generated solvers,
+        cones and solutions."""
         copy = CausalModel(self.signature, self.equations, interventions)
-        copy.__dict__.update(_kernels=self._kernels, _cones=self._cones)
+        copy.__dict__.update(_kernels=self._kernels, _cones=self._cones, _states=self._states)
         return copy
 
 
@@ -608,6 +606,12 @@ def eval_formula(model: CausalModel, context: Assignment, formula: CausalFormula
 
 def enumerate_contexts(model_or_sig) -> list[Assignment]:
     """Every context, in declaration-order lexicographic order."""
+    return list(iter_contexts(model_or_sig))
+
+
+def iter_contexts(model_or_sig) -> Iterator[Assignment]:
+    """The contexts of enumerate_contexts, built one at a time as they are
+    read. The size cap is checked on the call, before the first is built."""
     sig = getattr(model_or_sig, "signature", model_or_sig)
     return _enumerate_total(sig.exogenous, sig.exo_keyset, "context space")
 
@@ -615,10 +619,10 @@ def enumerate_contexts(model_or_sig) -> list[Assignment]:
 def enumerate_states(model_or_sig) -> list[Assignment]:
     """Every total endogenous state, in declaration-order lexicographic order."""
     sig = getattr(model_or_sig, "signature", model_or_sig)
-    return _enumerate_total(sig.endogenous, sig.endo_keyset, "endogenous state space")
+    return list(_enumerate_total(sig.endogenous, sig.endo_keyset, "endogenous state space"))
 
 
-def _enumerate_total(decls: tuple[VariableDecl, ...], keys: frozenset[str], what: str) -> list[Assignment]:
+def _enumerate_total(decls: tuple[VariableDecl, ...], keys: frozenset[str], what: str) -> Iterator[Assignment]:
     size = 1
     for d in decls:
         size *= len(d.domain)

@@ -11,10 +11,11 @@ refutes all of them.
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from functools import partial
+from itertools import chain, islice, product, repeat
 from math import prod
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import InputError
 from .interventions import check_omega, resolve_interventions
@@ -35,6 +36,7 @@ from .model import (
     check_context,
     check_intervention,
     enumerate_contexts,
+    iter_contexts,
     solve_under,
     state_of,
 )
@@ -188,8 +190,20 @@ def find_compatible_tau_u(
     report.
     """
     check_reads(tau, m_low.signature)
-    interventions = resolve_interventions(m_low)
-    low_contexts = enumerate_contexts(m_low)
+    return _find_compatible(m_low, m_high, tau, omega, resolve_interventions(m_low), require_surjective)
+
+
+def _find_compatible(
+    m_low: CausalModel,
+    m_high: CausalModel,
+    tau: StateMap,
+    omega: InterventionMap,
+    interventions: Sequence[Assignment],
+    require_surjective: bool = False,
+) -> CheckReport:
+    """find_compatible_tau_u over `interventions`, the low allowed set its
+    caller has resolved, with tau's reads already checked."""
+    low_contexts = iter_contexts(m_low)  # checks the cap; builds nothing yet
     high_contexts = enumerate_contexts(m_high)
     images = [omega.apply(i) for i in interventions]
     # Each high context is solved once per distinct image; the profile
@@ -214,7 +228,7 @@ def find_compatible_tau_u(
 
     chosen = {u_l: found[0] for u_l, found in cands.items()}
     if require_surjective:
-        matched = _match_high_side(low_contexts, high_contexts, cands)
+        matched = _match_high_side(high_contexts, cands)
         if matched is None:
             hit = set(chosen.values())
             unhit = [u_h for u_h in high_contexts if u_h not in hit]
@@ -238,6 +252,10 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
     its matching high contexts, or (None, (u_l, profile)) for the first
     low context without a match and its abstracted profile.
 
+    `low_contexts` is an iterator over the low context space, read as
+    `_blocks` reads it: a miss at context k has built at most 2(k + 1) + 64
+    low contexts.
+
     A profile is a row of columns, one per distinct omega-image on the high
     side (repeated per `slots`, the image index of each intervention) and
     one per intervention on the low side. Every high state, and the
@@ -245,22 +263,21 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
     profiles match exactly when the profiles of states do. A tau-image
     that is not a high state raises when it would get its id.
     """
-    by_cone = _columns_pay(m_low, m_high, interventions, distinct, len(low_contexts), len(high_contexts))
+    by_cone = _columns_pay(m_low, m_high, interventions, distinct)
     ids = _Ids(tau, m_high.signature)
     profile_to_high: dict[tuple, list[Assignment]] = {}
-    profiles = _rows(_columns(m_high, high_contexts, distinct, ids, by_cone))
-    if len(slots) > 1:  # else a row is its profile
-        profiles = map(itemgetter(*slots), profiles)
-    for u_h, profile in zip(high_contexts, profiles):
-        profile_to_high.setdefault(profile, []).append(u_h)
+    high_columns = _columns(m_high, distinct, ids, by_cone)
+    expand = itemgetter(*slots) if len(slots) > 1 else tuple  # else a row is its profile
+    for u_h, row in chain.from_iterable(_blocks(high_columns, iter(high_contexts))):
+        profile_to_high.setdefault(expand(row), []).append(u_h)
 
     cands: dict[Assignment, list[Assignment]] = {}
-    low_columns = _columns(m_low, low_contexts, interventions, ids, by_cone, tau)
-    for u_l, profile in zip(low_contexts, _rows(low_columns)):
+    low_columns = _columns(m_low, interventions, ids, by_cone, tau)
+    for u_l, profile in chain.from_iterable(_blocks(low_columns, low_contexts)):
         found = profile_to_high.get(profile)
         if found is None:
             # The first context without a correspondent decides; the rest
-            # are never read.
+            # are never read, and past its block never built.
             states = list(ids)
             return None, (u_l, tuple([states[k] for k in profile]))
         cands[u_l] = found
@@ -281,18 +298,33 @@ class _Ids(dict):
         return new
 
 
-def _rows(columns: list) -> Iterable[tuple]:
-    return zip(*columns) if columns else repeat(())
+def _blocks(columns: list, contexts: Iterator[Assignment]) -> Iterator[Iterator[tuple]]:
+    """The contexts that `contexts` yields, in blocks of 64, 128, 256, ...
+    contexts: for each block, its contexts in order, each with its row of
+    `columns`, as lazily as the columns give them.
+
+    No context past the block being read is built: the block of context k
+    ends before 2(k + 1) + 64. Read through `chain.from_iterable`, a
+    block's rows are read up to its last context and no further, so a
+    column may be one iterator read on block by block.
+    """
+    size = 64
+    while block := list(islice(contexts, size)):
+        yield zip(block, zip(*[column(block) for column in columns]) if columns else repeat(()))
+        size *= 2
 
 
-def _columns(model, contexts, interventions, ids: dict, by_cone: bool, tau: StateMap | None = None):
-    """One lazy column of ids per intervention: the id of the solution
-    under it, or of its tau-image, at each context in `contexts`.
+def _columns(model, interventions, ids: dict, by_cone: bool, tau: StateMap | None = None):
+    """One column of ids per intervention: called on each block of
+    contexts in turn, as `_blocks` does, `column(block)` lazily gives the id
+    of the solution under it, or of its tau-image, at each context of the
+    block.
 
     By context, a column calls solve_under and tau.apply once per context.
     By cone, it calls the generated solver once per point of the
-    intervention's cone, applies tau once per distinct state, and spreads
-    the ids over the contexts through the cone's index column. A cone
+    intervention's cone when it is made, and applies tau once per distinct
+    state; it is then one iterator that spreads the ids over all contexts
+    through the cone's index column, and each block reads it on. A cone
     column that raises is built by context instead, and raises at its own
     first failing context; one that does not raise cannot fail at any
     context, since a solution depends only on its cone. Read row by row,
@@ -315,13 +347,24 @@ def _columns(model, contexts, interventions, ids: dict, by_cone: bool, tau: Stat
                     if values not in known:
                         state = state_of(model, values)
                         known[values] = ids[state if tau is None else tau.apply(state)]
-                out.append(map(list(map(known.__getitem__, solved)).__getitem__, index))
+                ids_at = map(list(map(known.__getitem__, solved)).__getitem__, index)
+                out.append(partial(_cone_column, ids_at))
                 continue
             except Exception:  # by context, it raises again if the pass reads that far
                 pass
-        solved = map(solve_under, repeat(model), contexts, repeat(i))
-        out.append(map(ids.__getitem__, solved if tau is None else map(tau.apply, solved)))
+        out.append(partial(_context_column, model, i, ids, tau))
     return out
+
+
+def _cone_column(ids_at: Iterator[int], block: list[Assignment]) -> Iterator[int]:
+    return ids_at
+
+
+def _context_column(
+    model: CausalModel, i: Assignment, ids: dict, tau: StateMap | None, block: list[Assignment]
+) -> Iterator[int]:
+    solved = map(solve_under, repeat(model), block, repeat(i))
+    return map(ids.__getitem__, solved if tau is None else map(tau.apply, solved))
 
 
 def _columns_pay(
@@ -329,8 +372,6 @@ def _columns_pay(
     m_high: CausalModel,
     interventions: Sequence[Assignment],
     distinct: Sequence[Assignment],
-    n_low: int,
-    n_high: int,
 ) -> bool:
     """Whether columns built by cone are expected to cost less than
     columns built by context, counting work in solves.
@@ -341,12 +382,16 @@ def _columns_pay(
     stops at the first unmatched low context, halfway through on average,
     so the cones pay only below half the full work by context.
     """
-    context_work = n_low * len(interventions) + n_high * len(distinct)
+    context_work = _n_contexts(m_low) * len(interventions) + _n_contexts(m_high) * len(distinct)
     fixed = 4 * (len(interventions) + len(distinct))
     if 2 * fixed > context_work:
         return False  # decided without computing a cone
     cone_work = _cone_work(m_low, interventions) + _cone_work(m_high, distinct)
     return 2 * (fixed + cone_work) <= context_work
+
+
+def _n_contexts(model: CausalModel) -> int:
+    return prod([len(d.domain) for d in model.signature.exogenous])
 
 
 def _cone_work(model: CausalModel, interventions: Sequence[Assignment]) -> int:
@@ -384,19 +429,18 @@ def _cone_shape(sig: Signature, cone: tuple[str, ...], pick) -> tuple[list[tuple
 
 
 def _match_high_side(
-    low_contexts: Sequence[Assignment],
     high_contexts: Sequence[Assignment],
     cands: dict[Assignment, list[Assignment]],
 ):
     """Assign a distinct low context to every high context (edge when the
-    high context is among the low one's correspondents). Returns the
-    partial map low -> matched high, or None when no saturating matching
-    exists."""
+    high context is among the low one's correspondents, the low contexts
+    taken in the order of `cands`). Returns the partial map low -> matched
+    high, or None when no saturating matching exists."""
     candidates_of_high: dict[Assignment, list[Assignment]] = {
         u_h: [] for u_h in high_contexts
     }
-    for u_l in low_contexts:
-        for u_h in cands[u_l]:
+    for u_l, found in cands.items():
+        for u_h in found:
             candidates_of_high[u_h].append(u_l)
 
     match_of_low: dict[Assignment, Assignment] = {}
@@ -447,8 +491,9 @@ def check_uniform(
     context map (no surjectivity demanded). omega must be admissible
     between the two allowed sets.
     """
-    _admissible(m_low, m_high, omega)
-    return find_compatible_tau_u(m_low, m_high, tau, omega)
+    i_low = _admissible(m_low, m_high, omega)
+    check_reads(tau, m_low.signature)
+    return _find_compatible(m_low, m_high, tau, omega, i_low)
 
 
 def compose_transformations(

@@ -27,13 +27,13 @@ from cak.corpus import (
     build_linear_aggregate,
     build_unrelated_pair,
 )
-from cak import abstraction, model as model_module, transform
+from cak import abstraction, interventions as interventions_module, model as model_module, transform
 from cak.abstraction import check_strong_abstraction, check_tau_abstraction
 from cak.corpus import all_bundles, build_voting, evaluate_bundle
 from cak.errors import ENV_MAX_CONTEXTS
-from cak.expr import Table
+from cak.expr import Table, parse_expr
 from cak.maps import ContextMap
-from cak.model import Signature, VariableDecl, _to_name_order
+from cak.model import ALL, Signature, VariableDecl, _to_name_order
 from cak.serialize import dumps, report_to_obj
 from cak.transform import _match_high_side
 
@@ -45,6 +45,7 @@ from .util import (
     random_expr_model,
     random_model,
     random_state_map,
+    reference_find_compatible,
     reference_find_compatible_tau_u,
     reference_match_high_side,
     sample_rational_dist,
@@ -231,7 +232,7 @@ def test_matcher_follows_a_3000_step_augmenting_path():
     lows = list(range(n))
     highs = list(range(1, n)) + [0]
     cands = {i: ([i + 1] if i + 1 < n else []) + [i] for i in lows}
-    matched = _match_high_side(lows, highs, cands)
+    matched = _match_high_side(highs, cands)
     assert matched == {i: i for i in lows}
 
 
@@ -245,7 +246,7 @@ def test_matcher_agrees_with_recursive_reference():
         cands = {
             u_l: rng.sample(highs, rng.randint(0, len(highs))) for u_l in lows
         }
-        got = _match_high_side(lows, highs, cands)
+        got = _match_high_side(highs, cands)
         assert got == reference_match_high_side(lows, highs, cands)
         outcomes.add(got is None)
     assert outcomes == {True, False}
@@ -279,8 +280,8 @@ def test_streamed_profile_pass_stops_at_the_first_unmatched_context(monkeypatch,
     for check in checks:
         streamed.append((check(), sum(low_solves)))
         low_solves.clear()
-    monkeypatch.setattr(transform, "find_compatible_tau_u", reference_find_compatible_tau_u)
-    monkeypatch.setattr(abstraction, "find_compatible_tau_u", reference_find_compatible_tau_u)
+    monkeypatch.setattr(transform, "_find_compatible", reference_find_compatible)
+    monkeypatch.setattr(abstraction, "_find_compatible", reference_find_compatible)
     for check, (report, solves) in zip(checks, streamed):
         reference = check()
         assert not report.verdict and report.counterexample["context"]
@@ -390,8 +391,8 @@ def test_cone_pass_matches_the_reference(monkeypatch, seed):
 
 
 def test_cone_pass_matches_the_reference_on_the_corpus(monkeypatch):
-    monkeypatch.setattr(transform, "find_compatible_tau_u", reference_find_compatible_tau_u)
-    monkeypatch.setattr(abstraction, "find_compatible_tau_u", reference_find_compatible_tau_u)
+    monkeypatch.setattr(transform, "_find_compatible", reference_find_compatible)
+    monkeypatch.setattr(abstraction, "_find_compatible", reference_find_compatible)
     expected = [
         dumps(report_to_obj(r, True)) for b in all_bundles() for r in evaluate_bundle(b).values()
     ]
@@ -505,6 +506,7 @@ def test_empty_intervention_lists_give_the_reference_reports(monkeypatch, select
     # No column at all: every low context matches every high context.
     small = model_of([("U", (0, 1))], [("X", (0, 1))], {"X": "U"})
     _with_cone_pass(monkeypatch, selected)
+    search = transform._find_compatible
     for low, high in [(CHAIN, CHAIN), (small, CHAIN), (CHAIN, small)]:
         tau = random_state_map(random.Random(1), low, high)
         low, high = low.with_allowed(()), high.with_allowed(())
@@ -514,9 +516,141 @@ def test_empty_intervention_lists_give_the_reference_reports(monkeypatch, select
             assert _report_bytes(outcome(find_compatible_tau_u, *args)) == expected
         args = (low, high, tau, InterventionMap.identity(()))
         got = _report_bytes(outcome(check_uniform, *args))
-        monkeypatch.setattr(transform, "find_compatible_tau_u", reference_find_compatible_tau_u)
+        monkeypatch.setattr(transform, "_find_compatible", reference_find_compatible)
         assert got == _report_bytes(outcome(check_uniform, *args))
-        monkeypatch.setattr(transform, "find_compatible_tau_u", find_compatible_tau_u)
+        monkeypatch.setattr(transform, "_find_compatible", search)
+
+
+# ---------------------------------------------------------------------------
+# the low context stream
+
+
+def _count_built_contexts(monkeypatch, sig):
+    """Count the contexts of `sig` that the enumeration builds from now on;
+    returns the one-element count."""
+    built = [0]
+    product = Assignment._product.__func__
+
+    def counted(cls, decls, keys):
+        for assignment in product(cls, decls, keys):
+            built[0] += keys is sig.exo_keyset
+            yield assignment
+
+    monkeypatch.setattr(Assignment, "_product", classmethod(counted))
+    return built
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_refutation_builds_the_low_contexts_up_to_its_first_miss(monkeypatch, seed):
+    # The pass reads blocks of 64, 128, 256, ... contexts: a miss at k
+    # lies in a block that ends before 2(k + 1) + 64. The parent built all
+    # 8,192 contexts before reading the first.
+    bundle = build_voting(6, 2, 1)
+    high = corrupt_one_table_entry(random.Random(seed), bundle.high)
+    built = _count_built_contexts(monkeypatch, bundle.low.signature)
+    counts, reports = [], []
+    for check in (
+        lambda: check_uniform(bundle.low, high, bundle.tau, bundle.omega),
+        lambda: check_tau_abstraction(bundle.low, high, bundle.tau),
+    ):
+        built[0] = 0
+        reports.append(check())
+        counts.append(built[0])
+    monkeypatch.undo()
+    contexts = enumerate_contexts(bundle.low)
+    for report, count in zip(reports, counts):
+        k = contexts.index(report.counterexample["context"])
+        assert k < count <= 2 * (k + 1) + 64
+
+
+def test_a_passing_check_builds_each_low_context_once(monkeypatch):
+    bundle = build_voting(6, 2, 1)
+    built = _count_built_contexts(monkeypatch, bundle.low.signature)
+    report = check_uniform(bundle.low, bundle.high, bundle.tau, bundle.omega)
+    assert report.verdict and len(report.witness.entries) == built[0] == 8192
+
+
+# Corruptions of voting-4-2-1 whose first miss is at context 0 (first
+# block), 64 (the first of the second block), 224 (third block) and 480
+# (last block) of 512.
+@pytest.mark.parametrize("seed,miss", [(15, 0), (22, 64), (8, 224), (3, 480)])
+def test_refutations_in_every_block_give_the_reference_reports(monkeypatch, seed, miss):
+    bundle = build_voting(4, 2, 1)
+    high = corrupt_one_table_entry(random.Random(seed), bundle.high)
+    checks = [
+        lambda: check_uniform(bundle.low, high, bundle.tau, bundle.omega),
+        lambda: check_tau_abstraction(bundle.low, high, bundle.tau),
+        lambda: check_strong_abstraction(bundle.low, high, bundle.tau),
+    ]
+    taken = _passes_taken(monkeypatch)
+    got = [dumps(report_to_obj(check(), True)) for check in checks]
+    assert taken == ["by context", "by context", "by cone"]
+    monkeypatch.setattr(transform, "_find_compatible", reference_find_compatible)
+    monkeypatch.setattr(abstraction, "_find_compatible", reference_find_compatible)
+    assert got == [dumps(report_to_obj(check(), True)) for check in checks]
+    context = check_uniform(bundle.low, high, bundle.tau, bundle.omega).counterexample["context"]
+    assert enumerate_contexts(bundle.low).index(context) == miss
+
+
+@pytest.mark.parametrize("selected", [True, False], ids=["by-cone", "by-context"])
+def test_a_low_model_without_exogenous_variables_has_one_empty_context(monkeypatch, selected):
+    low = model_of([], [("X", (0, 1)), ("Y", (0, 1))], {"X": "1", "Y": "X"})
+    _with_cone_pass(monkeypatch, selected)
+    assert enumerate_contexts(low) == [EMPTY]
+    verdicts = []
+    onto_chain = StateMap.from_exprs({"X1": parse_expr("X"), "X2": parse_expr("Y")})
+    for high, tau in [(low, StateMap.identity(low.signature)), (CHAIN, onto_chain)]:
+        args = (low.with_allowed((EMPTY,)), high.with_allowed((EMPTY,)), tau, InterventionMap.identity((EMPTY,)))
+        for surjective in (False, True):
+            expected = outcome(reference_find_compatible_tau_u, *args, surjective)
+            assert _report_bytes(outcome(find_compatible_tau_u, *args, surjective)) == _report_bytes(expected)
+            verdicts.append(expected[1].verdict)
+    # One low context matches one of CHAIN's four but cannot cover them.
+    assert verdicts == [True, True, True, False]
+
+
+@pytest.mark.parametrize("cap", [511, 161], ids=["low-over", "both-over"])
+def test_the_low_context_cap_is_raised_before_any_solve(monkeypatch, cap):
+    # 512 low and 162 high contexts: the low space is refused first.
+    solves = _count_kernel_calls(monkeypatch)
+    bundle = build_voting(4, 2, 1)
+    built = _count_built_contexts(monkeypatch, bundle.low.signature)
+    monkeypatch.setenv(ENV_MAX_CONTEXTS, str(cap))
+    message = f"^context space has 512 elements, exceeding the cap of {cap}$"
+    for check in (
+        lambda: check_uniform(bundle.low, bundle.high, bundle.tau, bundle.omega),
+        lambda: find_compatible_tau_u(bundle.low, bundle.high, bundle.tau, bundle.omega),
+        lambda: check_tau_abstraction(bundle.low, bundle.high, bundle.tau),
+        lambda: check_strong_abstraction(bundle.low, bundle.high, bundle.tau),
+    ):
+        with pytest.raises(SizeCapExceeded, match=message):
+            check()
+    assert solves[0] == built[0] == 0
+
+
+def test_each_check_enumerates_each_all_set_once(monkeypatch):
+    # check_tau_abstraction enumerated the low set twice: once itself and
+    # once more in the search; check_uniform too, in its omega gate.
+    fwd, _, _ = build_chain_vs_independent()
+    low, high = fwd.low.with_allowed(ALL), fwd.high.with_allowed(ALL)
+    omega = InterventionMap.from_pairs(
+        [(i, abstraction.derive_omega_tau(low, high, fwd.tau, i)) for i in enumerate_interventions(low)]
+    )
+    enumerated = []
+    enumerate_all = interventions_module.enumerate_interventions
+
+    def counted(model):
+        enumerated.append(model)
+        return enumerate_all(model)
+
+    monkeypatch.setattr(interventions_module, "enumerate_interventions", counted)
+    for check in (
+        lambda: check_tau_abstraction(low, high, fwd.tau),
+        lambda: check_uniform(low, high, fwd.tau, omega),
+    ):
+        enumerated.clear()
+        check()
+        assert sorted(map(id, enumerated)) == sorted([id(low), id(high)])
 
 
 @pytest.mark.parametrize("use_check_compatible", [False, True], ids=["find", "check"])

@@ -376,7 +376,12 @@ def reference_find_compatible_tau_u(m_low, m_high, tau, omega, require_surjectiv
     context's matching high contexts are computed up front, with one solve
     per high context and intervention, and the first context without a
     match is diagnosed by solving it again."""
-    interventions = resolve_interventions(m_low)
+    return reference_find_compatible(m_low, m_high, tau, omega, resolve_interventions(m_low), require_surjective)
+
+
+def reference_find_compatible(m_low, m_high, tau, omega, interventions, require_surjective=False):
+    """reference_find_compatible_tau_u over a resolved low allowed set: the
+    form of transform._find_compatible, which the checks call."""
     low_contexts = enumerate_contexts(m_low)
     high_contexts = enumerate_contexts(m_high)
     high_images = [omega.apply(i) for i in interventions]
