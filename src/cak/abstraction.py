@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .errors import InputError, SizeCapExceeded
 from .interventions import enumerate_interventions, intervention_options, interventions_from, resolve_interventions
-from .maps import InterventionMap, StateMap, materialize_state_map
+from .maps import InterventionMap, StateMap, tabulate
 from .model import Assignment, CausalModel, VariableDecl, check_intervention, enumerate_states
 from .report import CheckReport
 from .transform import _find_compatible
@@ -60,9 +60,8 @@ class _TauTable:
 
     `by_values` maps each low state's value tuple, in declaration order
     (what restriction-set products yield), to its image, in the low
-    states' enumeration order. The layers that apply tau apply the
-    caller's map: once materialized, it answers from its own table or its
-    cache of images.
+    states' enumeration order, from `tabulate`: equal images are one
+    object. The layers that apply tau apply the caller's map.
 
     For the induced map, `ids` numbers the distinct images in order of
     first appearance, so a set of images is an int mask no wider than the
@@ -76,11 +75,7 @@ class _TauTable:
 
     def __init__(self, m_low: CausalModel, m_high: CausalModel, tau: StateMap):
         self.low, self.high, self.tau = m_low.signature, m_high.signature, tau
-        names = self.low.endo_names
-        self.by_values = {
-            tuple(state[n] for n in names): image
-            for state, image in materialize_state_map(tau, self.low, self.high).items()
-        }
+        self.by_values = tabulate(tau, self.low, self.high)
         self.ids = {image: k for k, image in enumerate(dict.fromkeys(self.by_values.values()))}
         self.value_masks = []
         for d in self.high.endogenous:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import ClassVar, Iterable, Mapping
+from functools import cached_property, lru_cache
+from itertools import product
+from typing import Callable, ClassVar, Iterable, Mapping
 
 from .errors import InputError
-from .expr import Expr, Var, compile_expr, variables
-from .model import Assignment, Signature, _shared, enumerate_states
+from .expr import Emitter, Expr, Var, generate, variables
+from .model import Assignment, Signature, _enumerate_total, _shared, _to_name_order, enumerate_states
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,24 @@ class StateMap(FiniteMap):
         return StateMap.from_exprs({d.name: Var(d.name) for d in signature.endogenous})
 
     @cached_property
-    def _compiled(self):
-        return sorted(
-            ((name, compile_expr(e)) for name, e in self.exprs), key=lambda p: p[0]
-        )
+    def _names(self) -> tuple[str, ...]:
+        return tuple(sorted(name for name, _ in self.exprs))
+
+    @cached_property
+    def _kernels(self) -> dict[frozenset[str], Callable]:
+        return {}
+
+    def _kernel(self, keys: frozenset[str]) -> Callable[[tuple], tuple]:
+        """Generated `tau(state_values) -> image_values` for states with
+        the key set `keys`, both in name order, as `Assignment._values`."""
+        kernel = self._kernels.get(keys)
+        if kernel is None:
+            exprs = tuple(sorted(self.exprs, key=lambda p: p[0]))
+            kernel = self._kernels[keys] = _kernel(exprs, tuple(sorted(keys)))
+        return kernel
+
+    def _image(self, values: tuple) -> Assignment:
+        return Assignment._from_sorted_items(tuple(zip(self._names, values)), values)
 
     @cached_property
     def _images(self) -> dict[tuple, Assignment]:
@@ -126,10 +141,7 @@ class StateMap(FiniteMap):
             if self.exprs is None:
                 # Named directly: super() costs more than the lookup.
                 return FiniteMap.apply(self, state)  # raises: not in the table
-            env = state._dict  # read-only use by the generated functions
-            image = self._images[state._items] = Assignment._from_sorted_items(
-                tuple([(name, fn(env)) for name, fn in self._compiled])
-            )
+            image = self._images[state._items] = self._image(self._kernel(state._keys)(state._values))
         return image
 
     @cached_property
@@ -138,6 +150,18 @@ class StateMap(FiniteMap):
         if self.exprs is not None:
             return frozenset().union(*[variables(e) for _, e in self.exprs])
         return frozenset(self.entries[0][0] if self.entries else ())
+
+
+@lru_cache(maxsize=1024)
+def _kernel(exprs: tuple[tuple[str, Expr], ...], keys: tuple[str, ...]) -> Callable:
+    """Straight-line `exprs`, in order, over the values of a state with the
+    name-sorted keys `keys`, each a local; see CausalModel.solver."""
+    local = {n: f"x{k}" for k, n in enumerate(keys)}
+    # An undeclared name raises KeyError(name), as reading it from the state did.
+    emitter = Emitter(lambda n: local.get(n) or f"{emitter.const({})}[{emitter.const(n)}]")
+    lines = ["".join(x + ", " for x in local.values()) + "= s"] if keys else []
+    lines.append("return (" + "".join(emitter.value(e) + ", " for _, e in exprs) + ")")
+    return generate("tau", "s", lines, emitter.consts)
 
 
 def check_reads(tau: StateMap, low: Signature) -> None:
@@ -152,31 +176,51 @@ def check_image(tau: StateMap, image: Assignment, high: Signature, state: Assign
     """Raise InputError unless `image`, tau's image of the low state
     `state`, is a high state. Without `state`, the message names a state
     that tau has sent to `image`."""
-    if image._keys != high.endo_keyset:
-        problem = f"{image!r}, which does not assign exactly the high endogenous variables"
-    else:
-        bad = [f"{name}={value}" for name, value in image._items if value not in high.domains[name]]
-        if not bad:
-            return
-        problem = f"out-of-domain value {bad[0]}"
+    problem = _problem(image, high)
+    if problem is None:
+        return
     if state is None:
         items = next(k for k, v in tau._images.items() if v == image)
         state = Assignment._from_sorted_items(items)
     raise InputError(f"state map sends {state!r} to {problem}")
 
 
-def materialize_state_map(tau: StateMap, low: Signature, high: Signature) -> dict[Assignment, Assignment]:
-    """Explicit table of `tau` over the full low state space.
+def _problem(image: Assignment, high: Signature) -> str | None:
+    """Why `image` is not a high state, or None when it is one."""
+    if image._keys != high.endo_keyset:
+        return f"{image!r}, which does not assign exactly the high endogenous variables"
+    bad = [f"{name}={value}" for name, value in image._items if value not in high.domains[name]]
+    return f"out-of-domain value {bad[0]}" if bad else None
 
-    Verifies that tau reads only low variables, that it is total and that
-    its outputs are well-typed high states.
-    """
+
+def tabulate(tau: StateMap, low: Signature, high: Signature) -> dict[tuple[int, ...], Assignment]:
+    """`tau`'s image of every low state, keyed by the state's values in
+    declaration order, in enumeration order, with the checks and errors of
+    applying tau to each state in turn and checking its image. The values
+    go through tau's kernel, and each distinct image is built and checked
+    once, naming the first state sent to it."""
     check_reads(tau, low)
-    table: dict[Assignment, Assignment] = {}
-    for s in enumerate_states(low):
-        table[s] = image = tau.apply(s)
-        check_image(tau, image, high, s)
-    return table
+    states = _enumerate_total(low.endogenous, low.endo_keyset, "endogenous state space")  # checks the cap; lazy
+    keys = list(product(*(d.domain for d in low.endogenous)))
+    if tau.exprs is None:  # a table holds its images
+        found = map(tau.apply, states)
+    else:
+        found = map(tau._kernel(low.endo_keyset), map(_to_name_order(list(low.endo_names)), keys))
+    outs, images = [], {}
+    try:
+        outs.extend(found)
+    finally:  # on an error, the images before it are checked first
+        for out in dict.fromkeys(outs):
+            image = images[out] = out if tau.exprs is None else tau._image(out)
+            if _problem(image, high) is not None:
+                check_image(tau, image, high, Assignment(zip(low.endo_names, keys[outs.index(out)])))
+    return dict(zip(keys, map(images.__getitem__, outs)))
+
+
+def materialize_state_map(tau: StateMap, low: Signature, high: Signature) -> dict[Assignment, Assignment]:
+    """Explicit table of `tau` over the full low state space, with the
+    checks and errors of `tabulate`."""
+    return dict(zip(enumerate_states(low), tabulate(tau, low, high).values()))
 
 
 def compose_state_maps(first: StateMap, second: StateMap, low: Signature, mid: Signature) -> StateMap:

@@ -432,20 +432,21 @@ def test_each_check_materializes_tau_once(monkeypatch):
     # inner tau-abstraction, the constructive checks' component maps and
     # strong core read the table their caller built, and the layers that
     # apply tau apply the caller's map, building no second StateMap. Tau
-    # walks the low states once, to build the table (tau walks a signature;
-    # part (a) walks the high model's states).
+    # walks the low states once, as value tuples, to build the table; no
+    # check enumerates the low states as Assignments besides (part (a)
+    # walks the high model's states, not a signature's).
     import cak.abstraction
     import cak.maps
 
     calls = []
-    original = cak.maps.materialize_state_map
+    original = cak.maps.tabulate
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cak.maps, "materialize_state_map", counted)
-    monkeypatch.setattr(cak.abstraction, "materialize_state_map", counted)
+    monkeypatch.setattr(cak.maps, "tabulate", counted)
+    monkeypatch.setattr(cak.abstraction, "tabulate", counted)
     built = []
     post_init = cak.maps.StateMap.__post_init__
     monkeypatch.setattr(cak.maps.StateMap, "__post_init__", lambda m: (built.append(m), post_init(m)))
@@ -464,7 +465,7 @@ def test_each_check_materializes_tau_once(monkeypatch):
         walks.clear()
         result = check(*args)
         assert not built, check.__name__
-        assert sum(walks) == 1, check.__name__
+        assert sum(walks) == 0, check.__name__
         return len(calls), result
 
     non_factoring = Partition((("Y1", ("X1",)), ("Y2", ("X2",))), ("X3",))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cak import InterventionMap, enumerate_interventions
+from cak import InterventionMap, StateMap, enumerate_interventions, enumerate_states
 from cak.cli import main
 from cak.corpus import all_bundles, get_bundle
 from cak.errors import ENV_MAX_INTERVENTIONS
@@ -17,6 +17,7 @@ from cak.serialize import (
     intervention_map_to_obj,
     loads,
     model_from_obj,
+    state_map_to_obj,
 )
 
 from .util import reference_induced_sets
@@ -385,6 +386,30 @@ def test_tau_reading_an_undeclared_variable_exits_2(capsys, emitted, tmp_path):
     code, out, _ = run(capsys, "check", "strong", paths["low"], paths["high"], "--tau", tau)
     assert code == 2
     assert "['Q']" in out["error"]
+
+
+def test_check_abstraction_names_the_first_low_state_with_a_bad_image(capsys, emitted, tmp_path):
+    paths = emitted("linear-sum")
+    tau = _write_tau(tmp_path, {"XS": "X1 + X2", "YS": "Y + X2"})
+    code, out, _ = run(capsys, "check", "abstraction", paths["low"], paths["high"], "--tau", tau)
+    assert code == 2
+    assert out["error"] == (
+        f"{tau} is not a valid state map: "
+        "state map sends Assignment(X1=0, X2=1, Y=3) to out-of-domain value YS=4"
+    )
+
+
+def test_check_abstraction_names_the_first_low_state_a_table_misses(capsys, emitted, tmp_path):
+    paths = emitted("linear-sum")
+    bundle = get_bundle("linear-sum")
+    rows = [(s, bundle.tau.apply(s)) for k, s in enumerate(enumerate_states(bundle.low)) if k != 6]
+    tau = tmp_path / "tau.json"
+    tau.write_text(dumps(state_map_to_obj(StateMap.from_table(rows))), encoding="utf-8")
+    code, out, _ = run(capsys, "check", "abstraction", paths["low"], paths["high"], "--tau", str(tau))
+    assert code == 2
+    assert out["error"] == (
+        f"{tau} is not a valid state map: state map is undefined on Assignment(X1=0, X2=1, Y=2)"
+    )
 
 
 @pytest.mark.parametrize("name", [b.name for b in all_bundles()])

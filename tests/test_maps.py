@@ -4,15 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cak import (
+    EMPTY,
     Assignment,
     ContextMap,
     InputError,
     InterventionMap,
     StateMap,
+    check_strong_abstraction,
+    check_tau_abstraction,
+    derive_omega_tau,
     enumerate_states,
     materialize_state_map,
     parse_expr,
 )
+from cak.abstraction import _TauTable
+from cak.corpus import all_bundles, get_bundle
 from cak.errors import EvaluationError
 from cak.maps import compose_state_maps
 from cak.serialize import (
@@ -24,7 +30,15 @@ from cak.serialize import (
 )
 
 from .test_model import CHAIN, THREE_BITS, model_of
-from .util import random_assignment_pairs
+from .util import (
+    outcome,
+    random_assignment_pairs,
+    random_expr_state_map,
+    random_model,
+    random_state_map,
+    reference_tau_apply,
+    reference_tau_table,
+)
 
 
 def test_table_map_application_and_totality():
@@ -141,3 +155,100 @@ def test_finite_map_table_properties(cls, kind, from_obj, seed):
     for key, value in m.entries:
         src, dst = given_pairs[key]
         assert key is src and value is dst
+
+
+# ---------------------------------------------------------------------------
+# The generated tau and the tau table against the slow semantics
+
+def _fresh(tau: StateMap) -> StateMap:
+    # A copy with no images kept and no kernel built yet.
+    return StateMap(tau.entries, tau.exprs)
+
+
+def _table(low, high, tau):
+    return list(_TauTable(low, high, tau).by_values.items())
+
+
+def _materialized(low, high, tau):
+    names = low.signature.endo_names
+    table = materialize_state_map(tau, low.signature, high.signature)
+    return [(tuple(s[n] for n in names), image) for s, image in table.items()]
+
+
+def _reference(low, high, tau):
+    return list(reference_tau_table(tau, low.signature, high.signature).items())
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_tau_matches_the_reference_on_random_models(seed):
+    rng = random.Random(seed)
+    low, high = random_model(rng), random_model(rng)
+    maps = (random_state_map(rng, low, high), random_expr_state_map(rng, low, high), StateMap.identity(low.signature))
+    for tau in maps:
+        expected = outcome(_reference, low, high, tau)
+        assert outcome(_table, low, high, _fresh(tau)) == expected
+        assert outcome(_materialized, low, high, _fresh(tau)) == expected
+        for state in enumerate_states(low):
+            assert outcome(tau.apply, state) == outcome(reference_tau_apply, tau, state)
+            # A state lacking a variable, as an intervention is.
+            partial = Assignment(state.items_sorted[1:])
+            assert outcome(tau.apply, partial) == outcome(reference_tau_apply, tau, partial)
+
+
+@pytest.mark.parametrize("name", [b.name for b in all_bundles()])
+def test_tau_matches_the_reference_on_every_bundle(name):
+    b = get_bundle(name)
+    tau = _fresh(b.tau)
+    assert _table(b.low, b.high, tau) == _reference(b.low, b.high, b.tau)
+    for state in enumerate_states(b.low):
+        assert tau.apply(state) == reference_tau_apply(b.tau, state)
+
+
+WIDE = model_of([("W", (0, 1, 2, 3))], [("N", (0, 1, 2, 3))], {"N": "W"})
+
+
+def test_tau_errors_match_the_reference():
+    def expect(tau, kind, message):
+        reference = outcome(_reference, THREE_BITS, WIDE, tau)
+        assert reference == (kind, message)
+        assert outcome(_table, THREE_BITS, WIDE, _fresh(tau)) == reference
+        assert outcome(_materialized, THREE_BITS, WIDE, _fresh(tau)) == reference
+
+    # A table expression missing an entry, first needed at an interior state.
+    partial = StateMap.from_exprs({"N": parse_expr("table(X1, X2)[(0, 0) -> 0, (1, 0) -> 1, (1, 1) -> 2]")})
+    expect(partial, EvaluationError, "table over ('X1', 'X2') has no entry for (0, 1)")
+    # A bad image before a missing entry is named first, and the reverse.
+    bad_first = "table(X1, X2)[(0, 0) -> 0, (0, 1) -> 7, (1, 0) -> 1]"
+    expect(
+        StateMap.from_exprs({"N": parse_expr(bad_first)}),
+        InputError,
+        "state map sends Assignment(X1=0, X2=1, X3=0) to out-of-domain value N=7",
+    )
+    missing_first = "table(X1, X2)[(0, 0) -> 0, (1, 0) -> 1, (1, 1) -> 7]"
+    expect(StateMap.from_exprs({"N": parse_expr(missing_first)}), EvaluationError, "table over ('X1', 'X2') has no entry for (0, 1)")
+    # A table map missing a row, with and without a bad image before it.
+    states = enumerate_states(THREE_BITS)
+    rows = [(s, Assignment(N=k % 4)) for k, s in enumerate(states)]
+    expect(StateMap.from_table(rows[:5] + rows[6:]), InputError, f"state map is undefined on {states[5]!r}")
+    rows[2] = (states[2], Assignment(N=9))
+    expect(StateMap.from_table(rows[:5] + rows[6:]), InputError, f"state map sends {states[2]!r} to out-of-domain value N=9")
+
+    # Two expressions failing at one state: the first in name order raises.
+    both = StateMap.from_exprs({"N": parse_expr("table(X2)[(1) -> 0]"), "M": parse_expr("table(X1)[(1) -> 0]")})
+    expect(both, EvaluationError, "table over ('X1',) has no entry for (0,)")
+    assert outcome(both.apply, states[0]) == (EvaluationError, "table over ('X1',) has no entry for (0,)")
+
+    # Applying tau to a state lacking a variable it reads.
+    tau = StateMap.from_exprs({"M": parse_expr("X1"), "N": parse_expr("X1 + X3")})
+    short = Assignment(X1=1, X2=0)
+    assert outcome(tau.apply, short) == outcome(reference_tau_apply, tau, short) == (KeyError, "'X3'")
+
+
+def test_an_interior_bad_image_is_named_by_every_check():
+    # States 3, 5 and 7 have images outside N's domain; state 3 is named.
+    tau = StateMap.from_exprs({"N": parse_expr("X1 + 2 * X2 + 3 * X3")})
+    message = "state map sends Assignment(X1=0, X2=1, X3=1) to out-of-domain value N=5"
+    assert outcome(_reference, THREE_BITS, WIDE, tau) == (InputError, message)
+    for check in (check_tau_abstraction, check_strong_abstraction):
+        assert outcome(check, THREE_BITS, WIDE, _fresh(tau)) == (InputError, message)
+    assert outcome(derive_omega_tau, THREE_BITS, WIDE, _fresh(tau), EMPTY) == (InputError, message)

@@ -40,6 +40,7 @@ from cak.corpus import ExampleBundle
 from cak.errors import EvaluationError, InputError, ParseError
 from cak.expr import Binary, Ite, Lit, Table, Unary, Var
 from cak.interventions import resolve_interventions
+from cak.maps import check_image, check_reads
 from cak.model import check_context, check_intervention
 
 BINARY_OPS = ("+", "-", "*", "==", "<", "<=", "&&", "||")
@@ -146,6 +147,17 @@ def random_state_map(rng: random.Random, low: CausalModel, high: CausalModel) ->
     high_states = enumerate_states(high)
     return StateMap.from_table(
         tuple((s, rng.choice(high_states)) for s in enumerate_states(low))
+    )
+
+
+def random_expr_state_map(rng: random.Random, low: CausalModel, high: CausalModel) -> StateMap:
+    """One `random_expr` per high variable over the low endogenous
+    variables, with tables over the values 0 and 1: images often fall
+    outside the high domains, and a table may lack the entry a state
+    needs."""
+    names = list(low.signature.endo_names)
+    return StateMap.from_exprs(
+        {d.name: random_expr(rng, names, rng.randint(0, 2), (0, 1)) for d in high.signature.endogenous}
     )
 
 
@@ -534,6 +546,29 @@ def reference_eval(expr, env):
     """`expr`'s value in `env`, by the closure interpreter; the generated
     evaluator `cak.expr.compile_expr` must agree with it."""
     return _reference_compile(expr)(env)
+
+
+def reference_tau_apply(tau: StateMap, state: Assignment) -> Assignment:
+    """tau.apply by a scan of the table, or by the closure interpreter over
+    the state's dict, one expression at a time in name order."""
+    if tau.exprs is None:
+        for key, image in tau.entries:
+            if key == state:
+                return image
+        raise InputError(f"state map is undefined on {state!r}")
+    ordered = sorted(tau.exprs, key=lambda pair: pair[0])
+    return Assignment({name: reference_eval(e, state._dict) for name, e in ordered})
+
+
+def reference_tau_table(tau: StateMap, low: Signature, high: Signature) -> dict[tuple[int, ...], Assignment]:
+    """`_TauTable.by_values` by applying `reference_tau_apply` to each
+    enumerated low state in turn and checking its image before the next."""
+    check_reads(tau, low)
+    table = {}
+    for state in enumerate_states(low):
+        table[tuple(state[n] for n in low.endo_names)] = image = reference_tau_apply(tau, state)
+        check_image(tau, image, high, state)
+    return table
 
 
 def reference_solve_under(model: CausalModel, context: Assignment, intervention: Assignment) -> Assignment:
