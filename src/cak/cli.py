@@ -27,10 +27,10 @@ from .abstraction import (
     search_constructive_partition,
 )
 from .corpus import all_bundles, get_bundle
-from .errors import ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS, CakError, InputError, SizeCapExceeded
+from .errors import ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS, CakError, InputError
 from .errors import contexts_cap, interventions_cap
-from .maps import materialize_state_map
-from .model import EMPTY, check_context, check_intervention, solve_under, validate
+from .maps import tabulate
+from .model import EMPTY, _enumerate_total, check_context, check_intervention, solve_under, validate
 from .prob import equivalent, to_uev
 from .report import CheckReport
 from .transform import check_exact, check_uniform
@@ -65,10 +65,10 @@ def _load_tau(path: str, low, high):
     send every low state to a high state, so that a malformed map exits 2
     before any check runs."""
     tau = serialize.state_map_from_obj(_load(path))
+    sig = low.signature
+    _enumerate_total(sig.endogenous, sig.endo_keyset, "endogenous state space")  # the cap goes first
     try:
-        materialize_state_map(tau, low.signature, high.signature)
-    except SizeCapExceeded:
-        raise
+        tabulate(tau, sig, high.signature)
     except CakError as exc:
         raise InputError(f"{path} is not a valid state map: {exc}") from None
     return tau

@@ -183,8 +183,8 @@ def find_compatible_tau_u(
     response profile under the omega-images matches its own abstracted
     profile; the search succeeds when every low context has at least one.
     With `require_surjective`, the assignment is additionally completed so
-    that every high context is hit, via an exhaustive bipartite matching;
-    the greedy choice is kept wherever the matching imposes nothing.
+    that every high context is hit, class by class of equal profiles; the
+    greedy choice is kept wherever the completion imposes nothing.
     The witness is the full table. The profile pass builds its columns by
     cone or by context, picked by their expected work; both give the same
     report.
@@ -432,50 +432,27 @@ def _match_high_side(
     high_contexts: Sequence[Assignment],
     cands: dict[Assignment, list[Assignment]],
 ):
-    """Assign a distinct low context to every high context (edge when the
-    high context is among the low one's correspondents, the low contexts
-    taken in the order of `cands`). Returns the partial map low -> matched
-    high, or None when no saturating matching exists."""
-    candidates_of_high: dict[Assignment, list[Assignment]] = {
-        u_h: [] for u_h in high_contexts
-    }
+    """Assign a distinct low context to every high context, each low one
+    taking only its correspondents: the partial map low -> high, or None.
+
+    The correspondents of a low context are its profile class, one shared
+    list, so the graph is a disjoint union of complete blocks. A block
+    with a low and b high contexts can be saturated exactly when a >= b
+    (Hall's theorem); its first b low contexts, in the order of `cands`,
+    take its high contexts in reverse, as Kuhn's augmenting-path search
+    over the high contexts in enumeration order does.
+    """
+    blocks: dict[Assignment, tuple[list[Assignment], list[Assignment]]] = {}
     for u_l, found in cands.items():
-        for u_h in found:
-            candidates_of_high[u_h].append(u_l)
-
-    match_of_low: dict[Assignment, Assignment] = {}
-
-    def augment(root: Assignment) -> bool:
-        # Kuhn's augmenting-path search with an explicit stack, so a long
-        # path cannot exhaust the interpreter's recursion limit. Frame k
-        # scans the candidates of stack[k]'s high context in order; path[k]
-        # is the low context that frame is trying to take.
-        visited: set[Assignment] = set()
-        stack = [(root, iter(candidates_of_high[root]))]
-        path: list[Assignment] = []
-        while stack:
-            for u_l in stack[-1][1]:
-                if u_l in visited:
-                    continue
-                visited.add(u_l)
-                path.append(u_l)
-                if u_l not in match_of_low:
-                    for (u_h, _), taken in zip(stack, path):
-                        match_of_low[taken] = u_h
-                    return True
-                u_h = match_of_low[u_l]
-                stack.append((u_h, iter(candidates_of_high[u_h])))
-                break
-            else:
-                stack.pop()
-                if path:
-                    path.pop()
-        return False
-
-    for u_h in high_contexts:
-        if not augment(u_h):
+        blocks.setdefault(found[0], (found, []))[1].append(u_l)
+    if sum([len(found) for found, _ in blocks.values()]) < len(high_contexts):
+        return None  # a high context no low context reaches
+    matched: dict[Assignment, Assignment] = {}
+    for found, lows in blocks.values():
+        if len(lows) < len(found):
             return None
-    return match_of_low
+        matched.update(zip(lows, reversed(found)))
+    return matched
 
 
 def check_uniform(

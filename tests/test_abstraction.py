@@ -51,8 +51,10 @@ from cak.serialize import dumps, to_jsonable
 
 from .test_model import CHAIN, THREE_BITS, model_of
 from .util import (
+    brute_force_constructive_partition,
     brute_force_omega_tau,
     outcome,
+    random_factoring_case,
     random_model,
     random_state_map,
     reference_induced_sets,
@@ -407,6 +409,22 @@ def test_search_merged_pixel_marginalizes_the_corner():
 
 def test_search_returns_none_for_overlapping_supports():
     assert search_constructive_partition(DM.low, DM.high, DM.tau) is None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_search_finds_a_partition_exactly_when_brute_force_does(seed):
+    # The search tries one candidate partition; the oracle tries them all.
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(120):
+        kind, low, high, tau = random_factoring_case(rng)
+        found = search_constructive_partition(low, high, tau)
+        assert (found is None) == (brute_force_constructive_partition(low, high, tau) is None)
+        if found is not None:
+            report = check_constructive(low, high, tau, found[0])
+            assert report.verdict and report.witness["components"] == found[1]
+        seen.add((kind, found is not None))
+    assert {("identity", True), ("marginal", True), ("factoring", True), ("factoring", False)} <= seen
 
 
 def test_search_respects_low_variable_cap():

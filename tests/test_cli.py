@@ -388,6 +388,21 @@ def test_tau_reading_an_undeclared_variable_exits_2(capsys, emitted, tmp_path):
     assert "['Q']" in out["error"]
 
 
+def test_tau_load_check_reports_the_state_space_cap_before_an_unknown_read(capsys, emitted, tmp_path):
+    # The load check sizes the low state space first, so the cap, not the
+    # read of the undeclared Q, is the error; without the cap it is the read.
+    paths = emitted("linear-sum")
+    tau = _write_tau(tmp_path, {"XS": "X1 + Q", "YS": "Y"})
+    argv = ["check", "abstraction", paths["low"], paths["high"], "--tau", tau]
+    code, out, _ = run(capsys, "--max-contexts", "2", *argv)
+    assert code == 2
+    assert out["error"] == "endogenous state space has 16 elements, exceeding the cap of 2"
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert out["error"].startswith(f"{tau} is not a valid state map: ")
+    assert "['Q']" in out["error"]
+
+
 def test_check_abstraction_names_the_first_low_state_with_a_bad_image(capsys, emitted, tmp_path):
     paths = emitted("linear-sum")
     tau = _write_tau(tmp_path, {"XS": "X1 + X2", "YS": "Y + X2"})

@@ -225,31 +225,82 @@ def test_surjective_completion_impossible():
     assert report.counterexample["unreachable_high_contexts"]
 
 
-def test_matcher_follows_a_3000_step_augmenting_path():
-    # Low i accepts high i+1, then high i. Taking the highs from 1 upwards
-    # gives low i-1 to high i, so high 0 displaces every earlier match.
+def test_matcher_pairs_a_3000_context_block_in_reverse():
+    # One profile class of 3,000 high contexts shared by 3,000 low ones, a
+    # size at which the recursive reference exceeds the recursion limit.
     n = 3000
+    highs = [f"h{j}" for j in range(n)]
     lows = list(range(n))
-    highs = list(range(1, n)) + [0]
-    cands = {i: ([i + 1] if i + 1 < n else []) + [i] for i in lows}
-    matched = _match_high_side(highs, cands)
-    assert matched == {i: i for i in lows}
+    cands = dict.fromkeys(lows, highs)
+    assert _match_high_side(highs, cands) == dict(zip(lows, reversed(highs)))
+
+
+def _block_shaped_case(rng: random.Random):
+    """Inputs as the profile pass gives them: the high contexts, in
+    enumeration order, cut into classes that keep that order, and each low
+    context mapped to the one shared list of its class. A class may get no
+    low context, or fewer low contexts than it has high ones."""
+    highs = [f"h{j}" for j in range(rng.randint(1, 10))]
+    classes: list[list[str]] = [[] for _ in range(rng.randint(1, len(highs)))]
+    for u_h in highs:
+        rng.choice(classes).append(u_h)
+    classes = [c for c in classes if c]
+    lows = list(range(rng.randint(1, 12)))
+    weights = [rng.random() for _ in classes]
+    cands = {u_l: rng.choices(classes, weights)[0] for u_l in lows}
+    return lows, highs, classes, cands
 
 
 def test_matcher_agrees_with_recursive_reference():
     rng = random.Random(7)
-    outcomes = set()
-    for _ in range(300):
-        lows = list(range(rng.randint(1, 12)))
-        highs = [f"h{j}" for j in range(rng.randint(1, 10))]
-        rng.shuffle(highs)
-        cands = {
-            u_l: rng.sample(highs, rng.randint(0, len(highs))) for u_l in lows
-        }
+    seen = set()
+    for _ in range(1000):
+        lows, highs, classes, cands = _block_shaped_case(rng)
         got = _match_high_side(highs, cands)
         assert got == reference_match_high_side(lows, highs, cands)
-        outcomes.add(got is None)
-    assert outcomes == {True, False}
+        sizes = [sum(found is c for found in cands.values()) for c in classes]
+        if got is not None:
+            seen.add("saturated, several blocks" if len(classes) > 1 else "saturated, one block")
+        elif 0 in sizes:
+            seen.add("a high context unreached")
+        else:
+            assert any(a < len(c) for a, c in zip(sizes, classes))
+            seen.add("a block short of low contexts")
+    assert seen == {
+        "saturated, several blocks",
+        "saturated, one block",
+        "a high context unreached",
+        "a block short of low contexts",
+    }
+
+
+@pytest.mark.parametrize("noise", [(0, 1), (0,)], ids=["two-per-class", "one-per-class"])
+def test_surjective_completion_inside_a_multi_context_block_gives_the_reference_reports(monkeypatch, noise):
+    # The high model's W is redundant: the contexts that differ only at W
+    # share a profile, so each profile class holds two high contexts.
+    # With two low contexts per class the completion pairs them in reverse;
+    # with one it cannot cover the class.
+    low = model_of([("U", (0, 1)), ("V", noise)], [("X", (0, 1))], {"X": "U"})
+    high = model_of([("U", (0, 1)), ("W", (0, 1))], [("Y", (0, 1))], {"Y": "U"})
+    tau = StateMap.from_exprs({"Y": parse_expr("X")})
+    i_low = enumerate_interventions(low)
+    omega = InterventionMap.from_pairs([(i, Assignment({"Y": v for v in i.values()})) for i in i_low])
+    args = (low.with_allowed(i_low), high.with_allowed(enumerate_interventions(high)), tau, omega, True)
+    got = [_report_bytes(outcome(find_compatible_tau_u, *args))]
+    got.append(_report_bytes(outcome(check_tau_abstraction, low, high, tau)))
+    monkeypatch.setattr(transform, "_find_compatible", reference_find_compatible)
+    monkeypatch.setattr(abstraction, "_find_compatible", reference_find_compatible)
+    expected = [_report_bytes(outcome(reference_find_compatible_tau_u, *args))]
+    expected.append(_report_bytes(outcome(check_tau_abstraction, low, high, tau)))
+    assert got == expected
+    report = outcome(find_compatible_tau_u, *args)[1]
+    if len(noise) == 2:
+        assert report.verdict
+        pairs = {(u["U"], u["V"]): v["W"] for u, v in report.witness.entries}
+        assert pairs == {(0, 0): 1, (0, 1): 0, (1, 0): 1, (1, 1): 0}
+    else:
+        assert not report.verdict
+        assert len(report.counterexample["unreachable_high_contexts"]) == 2
 
 
 def _count_low_solves(monkeypatch, low):

@@ -26,6 +26,7 @@ from cak import (
     Signature,
     StateMap,
     VariableDecl,
+    check_constructive,
     check_exact,
     derive_component_maps,
     derive_omega_tau,
@@ -454,9 +455,10 @@ def corrupt_one_table_entry(rng: random.Random, model: CausalModel) -> CausalMod
 
 
 def reference_match_high_side(low_contexts, high_contexts, cands):
-    """The recursive form of transform._match_high_side: Kuhn's
-    augmenting-path search, trying candidates in list order. The library's
-    iterative matcher must return the same matching."""
+    """The general form of transform._match_high_side: Kuhn's recursive
+    augmenting-path search, trying candidates in list order. On the inputs
+    the profile pass gives, the library's closed form per profile class
+    must return the same matching."""
     candidates_of_high = {u_h: [] for u_h in high_contexts}
     for u_l in low_contexts:
         for u_h in cands[u_l]:
@@ -480,6 +482,55 @@ def reference_match_high_side(low_contexts, high_contexts, cands):
         if not try_assign(u_h, set()):
             return None
     return match_of_low
+
+
+def random_factoring_case(rng: random.Random) -> tuple[str, CausalModel, CausalModel, StateMap]:
+    """A kind and a random low model with at most four endogenous
+    variables, a high model and a tau that factors over disjoint cells:
+    "identity", the identity onto the model itself; "marginal", the
+    identity onto the model without its last variable, which no equation
+    reads; "factoring", a random high model, with each high variable
+    reading its own random non-empty cell through a random table and the
+    low variables in no cell marginalized."""
+    low = random_model(rng, max_endo=4)
+    sig = low.signature
+    kind = rng.choice(("identity", "marginal", "factoring", "factoring", "factoring"))
+    if kind == "identity" or len(sig.endogenous) == 1:
+        return "identity", low, low, StateMap.identity(sig)
+    if kind == "marginal":
+        high = CausalModel(Signature(sig.exogenous, sig.endogenous[:-1]), low.equations[:-1])
+        return kind, low, high, StateMap.from_exprs({n: Var(n) for n in sig.endo_names[:-1]})
+    names = sig.endo_names
+    high = random_model(rng, max_endo=len(names))
+    high_names, domains = high.signature.endo_names, high.signature.domains
+    order = rng.sample(names, len(names))
+    cells = [{v} for v in order[: len(high_names)]]
+    for v in order[len(high_names) :]:
+        k = rng.randint(0, len(cells))  # k == len(cells) marginalizes v
+        if k < len(cells):
+            cells[k].add(v)
+    exprs = {}
+    for h, cell in zip(high_names, cells):
+        reads = tuple(v for v in names if v in cell)
+        combos = itertools.product(*(sig.domains[v] for v in reads))
+        exprs[h] = Table.from_mapping(reads, {c: rng.choice(domains[h]) for c in combos})
+    return kind, low, high, StateMap.from_exprs(exprs)
+
+
+def brute_force_constructive_partition(m_low, m_high, tau) -> Partition | None:
+    """The first partition that check_constructive accepts, or None: every
+    way to put each low variable into one high variable's cell or into the
+    marginal, with no cell empty, is tried in turn."""
+    low_names, high_names = m_low.signature.endo_names, m_high.signature.endo_names
+    for places in itertools.product(range(len(high_names) + 1), repeat=len(low_names)):
+        cells = tuple(
+            (h, tuple(v for v, p in zip(low_names, places) if p == k)) for k, h in enumerate(high_names)
+        )
+        if all(vs for _, vs in cells):
+            marginal = tuple(v for v, p in zip(low_names, places) if p == len(high_names))
+            if check_constructive(m_low, m_high, tau, Partition(cells, marginal)).verdict:
+                return Partition(cells, marginal)
+    return None
 
 
 def _truth(x) -> bool:
