@@ -174,13 +174,14 @@ def check_reads(tau: StateMap, low: Signature) -> None:
 
 def check_image(tau: StateMap, image: Assignment, high: Signature, state: Assignment | None = None) -> None:
     """Raise InputError unless `image`, tau's image of the low state
-    `state`, is a high state. Without `state`, the message names a state
-    that tau has sent to `image`."""
+    `state`, is a high state. Without `state`, `image` is an object that
+    `apply` returned, and the message names a state it was returned for;
+    with expressions there is one, whatever else tau has been applied to."""
     problem = _problem(image, high)
     if problem is None:
         return
     if state is None:
-        items = next(k for k, v in tau._images.items() if v == image)
+        items = next(k for k, v in tau._images.items() if v is image)
         state = Assignment._from_sorted_items(items)
     raise InputError(f"state map sends {state!r} to {problem}")
 

@@ -171,8 +171,9 @@ class Assignment(Mapping[str, int]):
 EMPTY = Assignment()
 
 
-def _to_name_order(names: list[str]) -> Callable[[tuple], tuple]:
-    """Reorders a tuple in the order of `names` into name order."""
+def _to_name_order(names: list) -> Callable[[tuple], tuple]:
+    """Reorders a tuple in the order of `names` into name order (sorted
+    order, for keys that are not names)."""
     # Out of order means two or more names, so itemgetter returns a tuple;
     # `tuple` returns a tuple as it is.
     order = sorted(range(len(names)), key=names.__getitem__)

@@ -256,30 +256,41 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
     `_blocks` reads it: a miss at context k has built at most 2(k + 1) + 64
     low contexts.
 
-    A profile is a row of columns, one per distinct omega-image on the high
+    A profile is a row of ids, one per distinct omega-image on the high
     side (repeated per `slots`, the image index of each intervention) and
     one per intervention on the low side. Every high state, and the
     tau-image of every low state, gets an int id from one dict, so int
     profiles match exactly when the profiles of states do. A tau-image
     that is not a high state raises when it would get its id.
+
+    Each context is read as the key of its profile class (see `_columns`):
+    contexts with equal keys have equal profiles, so one profile is built
+    and matched per class, and all low contexts of a class share its list
+    of high contexts.
     """
     by_cone = _columns_pay(m_low, m_high, interventions, distinct)
     ids = _Ids(tau, m_high.signature)
-    profile_to_high: dict[tuple, list[Assignment]] = {}
-    high_columns = _columns(m_high, distinct, ids, by_cone)
+    high_columns, high_profile = _columns(m_high, distinct, ids, by_cone)
+    high_classes: dict[tuple, list[Assignment]] = {}
+    for u_h, key in chain.from_iterable(_blocks(high_columns, iter(high_contexts))):
+        high_classes.setdefault(key, []).append(u_h)
     expand = itemgetter(*slots) if len(slots) > 1 else tuple  # else a row is its profile
-    for u_h, row in chain.from_iterable(_blocks(high_columns, iter(high_contexts))):
-        profile_to_high.setdefault(expand(row), []).append(u_h)
+    profile_to_high = {expand(high_profile(key)): found for key, found in high_classes.items()}
 
     cands: dict[Assignment, list[Assignment]] = {}
-    low_columns = _columns(m_low, interventions, ids, by_cone, tau)
-    for u_l, profile in chain.from_iterable(_blocks(low_columns, low_contexts)):
-        found = profile_to_high.get(profile)
+    classes: dict[tuple, list[Assignment]] = {}  # low class key -> its high contexts
+    low_columns, low_profile = _columns(m_low, interventions, ids, by_cone, tau)
+    for u_l, key in chain.from_iterable(_blocks(low_columns, low_contexts)):
+        found = classes.get(key)
         if found is None:
-            # The first context without a correspondent decides; the rest
-            # are never read, and past its block never built.
-            states = list(ids)
-            return None, (u_l, tuple([states[k] for k in profile]))
+            profile = low_profile(key)
+            found = profile_to_high.get(profile)
+            if found is None:
+                # The first context without a correspondent decides; the
+                # rest are never read, and past its block never built.
+                states = list(ids)
+                return None, (u_l, tuple([states[k] for k in profile]))
+            classes[key] = found
         cands[u_l] = found
     return cands, None
 
@@ -315,45 +326,69 @@ def _blocks(columns: list, contexts: Iterator[Assignment]) -> Iterator[Iterator[
 
 
 def _columns(model, interventions, ids: dict, by_cone: bool, tau: StateMap | None = None):
-    """One column of ids per intervention: called on each block of
-    contexts in turn, as `_blocks` does, `column(block)` lazily gives the id
-    of the solution under it, or of its tau-image, at each context of the
-    block.
+    """The columns of the class keys over `interventions`, and the function
+    that builds a class's profile from its key: the ids of the solutions
+    under the interventions, or of their tau-images, in intervention order.
+
+    Called on each block of contexts in turn, as `_blocks` does,
+    `column(block)` lazily gives the column's key entry at each context of
+    the block. A key holds one fused id per distinct cone, in order of
+    first appearance, then one id per column by context, in intervention
+    order.
 
     By context, a column calls solve_under and tau.apply once per context.
-    By cone, it calls the generated solver once per point of the
-    intervention's cone when it is made, and applies tau once per distinct
-    state; it is then one iterator that spreads the ids over all contexts
-    through the cone's index column, and each block reads it on. A cone
-    column that raises is built by context instead, and raises at its own
-    first failing context; one that does not raise cannot fail at any
-    context, since a solution depends only on its cone. Read row by row,
-    the columns therefore raise the context-major first error.
+    By cone, each intervention is solved with the generated solver once per
+    point of its cone, and tau applied once per distinct state. The
+    interventions with one cone share its points and its index column: at
+    each point their ids are fused into one id, by a dict over id tuples,
+    and the cone's column is one iterator that spreads the fused ids over
+    all contexts through the index column, which each block reads on. An
+    intervention whose cone solve raises gets a column by context instead,
+    which raises at its own first failing context; one that does not raise
+    cannot fail at any context, since a solution depends only on its cone.
+    Read row by row, the columns therefore raise the context-major first
+    error.
     """
     sig = model.signature
     pick = _to_name_order(list(sig.exo_names))
     shapes: dict[tuple[str, ...], tuple[list[tuple], list[int]]] = {}
+    groups: dict[tuple[str, ...], list[tuple[int, list[int]]]] = {}  # cone -> (position, ids per point)
     known: dict[tuple, int] = {}  # state values -> image id
-    out = []
-    for i in interventions:
+    loose = []
+    for pos, i in enumerate(interventions):
         if by_cone:
             cone = model.cone(i._keys)
             if cone not in shapes:
                 shapes[cone] = _cone_shape(sig, cone, pick)
-            points, index = shapes[cone]
             try:
-                solved = list(map(model.solver(i._keys), points, repeat(i._values)))
+                solved = list(map(model.solver(i._keys), shapes[cone][0], repeat(i._values)))
                 for values in solved:
                     if values not in known:
                         state = state_of(model, values)
                         known[values] = ids[state if tau is None else tau.apply(state)]
-                ids_at = map(list(map(known.__getitem__, solved)).__getitem__, index)
-                out.append(partial(_cone_column, ids_at))
+                groups.setdefault(cone, []).append((pos, list(map(known.__getitem__, solved))))
                 continue
             except Exception:  # by context, it raises again if the pass reads that far
                 pass
-        out.append(partial(_context_column, model, i, ids, tau))
-    return out
+        loose.append(pos)
+    columns, parts, order = [], [], []
+    for cone, group in groups.items():
+        fused: dict[tuple, int] = {}
+        at = [fused.setdefault(t, len(fused)) for t in zip(*[at_points for _, at_points in group])]
+        columns.append(partial(_cone_column, map(at.__getitem__, shapes[cone][1])))
+        parts.append(list(fused))  # fused id -> the group's ids
+        order += [pos for pos, _ in group]
+    columns += [partial(_context_column, model, interventions[pos], ids, tau) for pos in loose]
+    if not parts:
+        return columns, tuple  # all by context: a key is its profile
+    order += loose
+    to_interventions = _to_name_order(order)  # a row in `order` into intervention order
+    n_fused = len(parts)
+
+    def profile(key: tuple) -> tuple:
+        return to_interventions([*chain.from_iterable(map(list.__getitem__, parts, key)), *key[n_fused:]])
+
+    return columns, profile
 
 
 def _cone_column(ids_at: Iterator[int], block: list[Assignment]) -> Iterator[int]:
@@ -376,11 +411,13 @@ def _columns_pay(
     """Whether columns built by cone are expected to cost less than
     columns built by context, counting work in solves.
 
-    A cone column (an intervention or a distinct image) solves at its cone
-    points and costs about four solves more in lookups, which decides on
-    small inputs. A column by context solves every context, but the pass
-    stops at the first unmatched low context, halfway through on average,
-    so the cones pay only below half the full work by context.
+    By cone, an intervention (or a distinct image) solves at its cone
+    points and costs about four solves more in lookups and fusing, which
+    decides on small inputs; the pass then reads one fused id per distinct
+    cone at each context, which is not counted. A column by context solves
+    every context, but the pass stops at the first unmatched low context,
+    halfway through on average, so the cones pay only below half the full
+    work by context.
     """
     context_work = _n_contexts(m_low) * len(interventions) + _n_contexts(m_high) * len(distinct)
     fixed = 4 * (len(interventions) + len(distinct))

@@ -43,6 +43,7 @@ from cak.corpus import (
     build_pixel_grid,
     build_voting,
 )
+from cak import abstraction
 from cak.abstraction import MAX_SEARCH_LOW_VARS, _TauTable
 from cak.errors import DEFAULT_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS
 from cak.expr import Lit, Var
@@ -54,6 +55,7 @@ from .util import (
     brute_force_constructive_partition,
     brute_force_omega_tau,
     outcome,
+    random_constant_component_case,
     random_factoring_case,
     random_model,
     random_state_map,
@@ -425,6 +427,38 @@ def test_search_finds_a_partition_exactly_when_brute_force_does(seed):
             assert report.verdict and report.witness["components"] == found[1]
         seen.add((kind, found is not None))
     assert {("identity", True), ("marginal", True), ("factoring", True), ("factoring", False)} <= seen
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_search_with_a_constant_component_finds_a_partition_exactly_when_brute_force_does(monkeypatch, seed):
+    # A constant high component K has an empty support, so the search pads
+    # its cell with the first unused low variable, when there is one, and
+    # runs the strong check on that candidate. No drawn pair passes it: the
+    # intervention on K to its other value, or to its only one, is induced
+    # by no low intervention.
+    candidates = []
+    components = abstraction._components
+
+    def recorded(table, partition):
+        candidates.append(partition)
+        return components(table, partition)
+
+    monkeypatch.setattr(abstraction, "_components", recorded)
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(100):
+        kind, low, high, tau = random_constant_component_case(rng)
+        candidates.clear()
+        found = search_constructive_partition(low, high, tau)
+        padded = bool(candidates)
+        assert (found is None) == (brute_force_constructive_partition(low, high, tau) is None)
+        if padded:
+            assert dict(candidates[0].cells)["K"]
+            missing = check_strong_abstraction(low, high, tau).counterexample["missing_high_interventions"]
+            assert any("K" in dict(h) for h in missing)
+        seen.add((kind, padded, found is not None))
+    assert {("one-value", True, False), ("multi-value", True, False), ("one-value", False, False)} <= seen
+    assert not any(found for _, _, found in seen)
 
 
 def test_search_respects_low_variable_cap():

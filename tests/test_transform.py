@@ -552,6 +552,162 @@ def test_a_failing_cone_column_falls_back_alone(monkeypatch):
     assert got == (EvaluationError, "table over ('U',) has no entry for (2,)")
 
 
+def _record_columns(monkeypatch):
+    """Record, for the "low" and the "high" side of each profile pass from
+    now on, the number of columns and every key the pass builds a profile
+    from."""
+    record = {"low": [], "high": []}
+    columns = transform._columns
+
+    def recorded(model, interventions, ids, by_cone, tau=None):
+        built, profile = columns(model, interventions, ids, by_cone, tau)
+        keys = []
+        record["high" if tau is None else "low"].append((len(built), keys))
+
+        def counted(key):
+            keys.append(key)
+            return profile(key)
+
+        return built, counted
+
+    monkeypatch.setattr(transform, "_columns", recorded)
+    return record
+
+
+def test_the_strong_check_on_voting_builds_one_profile_per_class(monkeypatch):
+    # The 512 low contexts are keyed by one fused id per distinct cone of
+    # the 450 interventions, 8 ids where a row by intervention has 450; the
+    # low side builds and matches one full profile per class, 162 of them,
+    # and the high side one per class of its 162 contexts, whose keys have
+    # 8 ids for the 144 distinct images.
+    bundle = build_voting(4, 2, 1)
+    record = _record_columns(monkeypatch)
+    passes = []
+    profile_pass = transform._profile_pass
+
+    def recorded(*args):
+        result = profile_pass(*args)
+        passes.append((args[3], args[6], result[0]))
+        return result
+
+    monkeypatch.setattr(transform, "_profile_pass", recorded)
+    assert check_strong_abstraction(bundle.low, bundle.high, bundle.tau).verdict
+    [(interventions, distinct, cands)] = passes
+    [(low_width, low_keys)], [(high_width, high_keys)] = record["low"], record["high"]
+    assert len(interventions) == 450
+    assert low_width == len({bundle.low.cone(i._keys) for i in interventions}) == 8
+    assert high_width == len({bundle.high.cone(j._keys) for j in distinct}) < len(distinct)
+    assert {len(key) for key in low_keys} == {8}
+    classes = {id(found) for found in cands.values()}
+    assert len(low_keys) == len(set(low_keys)) == len(classes) < len(cands) == 512
+    assert len(high_keys) == len(set(high_keys)) == 162
+
+
+def _three_cones(x3: dict[tuple[int, int], int]):
+    """X1 = U1, X2 = U2 with 1 sent to 2, and X3 = x3[(U3, X2)], with U3
+    declared first, so that U3 = 1 first at context 9 and U3 = 2 at 18.
+    Forcing X_k drops U_k from the cone: the 9 single-variable
+    interventions, the allowed set, fall into 3 cones of 3. Unforced, X2
+    is never 1, so an entry (u, 1) missing from x3 fails only X2 = 1."""
+    table = ", ".join(f"({a}, {b}) -> {v}" for (a, b), v in sorted(x3.items()))
+    model = model_of(
+        [("U3", (0, 1, 2)), ("U1", (0, 1, 2)), ("U2", (0, 1, 2))],
+        [("X1", (0, 1, 2)), ("X2", (0, 1, 2)), ("X3", (1, 0, 2))],
+        {"X1": "U1", "X2": "table(U2)[(0) -> 0, (1) -> 2, (2) -> 2]", "X3": f"table(U3, X2)[{table}]"},
+    )
+    return model.with_allowed([i for i in enumerate_interventions(model) if len(i) == 1])
+
+
+_SHIFT = {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}
+_WITHOUT_1_1 = {k: v for k, v in _SHIFT.items() if k != (1, 1)}
+_MISSING_1_1 = (EvaluationError, "table over ('U3', 'X2') has no entry for (1, 1)")
+
+
+def _bad_image(state: str, problem: str):
+    return (InputError, f"state map sends Assignment({state}) to {problem}")
+
+
+# name: (low X3 table, high X3 table, tau's expressions or None for the
+# identity, tau as a table of its images, the cone pass's outcome: a
+# verdict and the index of its counterexample context, or an error; the
+# reference's error when it differs, and the cone pass's low key width: a
+# fused id per cone with a column that does not raise, and one id per
+# column by context)
+_MIXED_CASES = {
+    "passes": (_SHIFT, _SHIFT, None, False, (True, None), None, 3),
+    "misses at 0": (_SHIFT, {**_SHIFT, (0, 0): 1}, None, False, (False, 0), None, 3),
+    "misses at 18": (_SHIFT, {**_SHIFT, (2, 0): 1}, None, False, (False, 18), None, 3),
+    "falls back, misses before": (
+        _WITHOUT_1_1, {**_SHIFT, (0, 0): 1}, None, False, (False, 0), _MISSING_1_1, 4
+    ),
+    "falls back, misses after": (_WITHOUT_1_1, {**_SHIFT, (2, 0): 1}, None, False, _MISSING_1_1, None, 4),
+    "falls back, no miss": (_WITHOUT_1_1, _SHIFT, None, False, _MISSING_1_1, None, 4),
+    "image out of its domain": (
+        _SHIFT, _SHIFT, {"X1": "X1 * 2", "X2": "X2", "X3": "X3"}, False,
+        _bad_image("X1=2, X2=0, X3=0", "out-of-domain value X1=4"), None, 8,
+    ),
+    # A cone point of X3 = 1, which comes first, meets another state with
+    # the same bad image before the fallback reads context 0.
+    "image out of its domain, shared": (
+        _SHIFT, _SHIFT, {"X1": "X1 * 2", "X2": "0", "X3": "0"}, False,
+        _bad_image("X1=2, X2=0, X3=0", "out-of-domain value X1=4"), None, 8,
+    ),
+    "image out of its domain, shared, by table": (
+        _SHIFT, _SHIFT, {"X1": "X1 * 2", "X2": "0", "X3": "0"}, True,
+        _bad_image("X1=2, X2=0, X3=0", "out-of-domain value X1=4"), None, 8,
+    ),
+    "image without a variable": (
+        _SHIFT, _SHIFT, {"X1": "X1", "X2": "X2"}, False,
+        _bad_image("X1=0, X2=0, X3=1", "Assignment(X1=0, X2=0), which does not assign exactly the high endogenous variables"),
+        None, 9,
+    ),
+    "image out of its domain after the miss": (
+        _SHIFT, _SHIFT, {"X1": "X1", "X2": "X2", "X3": "X3 * X1"}, False, (False, 0),
+        _bad_image("X1=2, X2=2, X3=2", "out-of-domain value X3=4"), 7,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _MIXED_CASES)
+def test_fused_groups_and_fallback_columns_give_the_by_context_reports(monkeypatch, case):
+    # At least 3 cones of at least 2 interventions each, read by both passes:
+    # where a cone column raises, the fused groups and a column by context
+    # share one key. The reference solves every low context before it looks
+    # for a miss, so it raises where a miss comes before the first error.
+    low_x3, high_x3, exprs, by_table, expected, reference_error, key_width = _MIXED_CASES[case]
+    low, high = _three_cones(low_x3), _three_cones(high_x3)
+    contexts = enumerate_contexts(low)
+
+    def fresh_args(surjective):
+        # A new tau each time: a state map keeps the images it has given.
+        if exprs is None:
+            tau = StateMap.identity(low.signature)
+        else:
+            tau = StateMap.from_exprs({h: parse_expr(e) for h, e in exprs.items()})
+            if by_table:
+                tau = StateMap.from_table(tuple((s, tau.apply(s)) for s in enumerate_states(low)))
+        return low, high, tau, InterventionMap.identity(low.allowed_interventions), surjective
+
+    for surjective in (False, True):
+        _with_cone_pass(monkeypatch, selected=False)
+        by_context = _report_bytes(outcome(find_compatible_tau_u, *fresh_args(surjective)))
+        _with_cone_pass(monkeypatch)
+        record = _record_columns(monkeypatch)
+        got = outcome(find_compatible_tau_u, *fresh_args(surjective))
+        reference = _report_bytes(outcome(reference_find_compatible_tau_u, *fresh_args(surjective)))
+        monkeypatch.undo()
+        assert _report_bytes(got) == by_context
+        assert reference == (by_context if reference_error is None else reference_error)
+        [(width, _)] = record["low"]
+        assert width == key_width
+        if got[0] == "value":
+            report = got[1]
+            miss = None if report.verdict else contexts.index(report.counterexample["context"])
+            assert (report.verdict, miss) == expected
+        else:
+            assert got == expected
+
+
 @pytest.mark.parametrize("selected", [True, False], ids=["by-cone", "by-context"])
 def test_empty_intervention_lists_give_the_reference_reports(monkeypatch, selected):
     # No column at all: every low context matches every high context.

@@ -404,7 +404,7 @@ def reference_find_compatible(m_low, m_high, tau, omega, interventions, require_
         profile_to_high.setdefault(profile, []).append(u_h)
     cands = {}
     for u_l in low_contexts:
-        profile = tuple(tau.apply(solve_under(m_low, u_l, i)) for i in interventions)
+        profile = tuple(reference_high_image(tau, solve_under(m_low, u_l, i), m_high) for i in interventions)
         cands[u_l] = profile_to_high.get(profile, [])
     for u_l in low_contexts:
         if cands[u_l]:
@@ -439,6 +439,22 @@ def reference_find_compatible(m_low, m_high, tau, omega, interventions, require_
         detail="compatible context map found",
         witness=ContextMap.from_table(tuple(chosen.items())),
     )
+
+
+def reference_high_image(tau: StateMap, state: Assignment, high: CausalModel) -> Assignment:
+    """tau's image of the low state `state`, which must assign exactly the
+    high endogenous variables, each a value of its domain; otherwise an
+    InputError names `state` and, in name order, the first bad value."""
+    image = tau.apply(state)
+    sig = high.signature
+    if set(image) != set(sig.endo_names):
+        raise InputError(
+            f"state map sends {state!r} to {image!r}, which does not assign exactly the high endogenous variables"
+        )
+    for name in sorted(image):
+        if image[name] not in sig.domains[name]:
+            raise InputError(f"state map sends {state!r} to out-of-domain value {name}={image[name]}")
+    return image
 
 
 def corrupt_one_table_entry(rng: random.Random, model: CausalModel) -> CausalModel:
@@ -515,6 +531,22 @@ def random_factoring_case(rng: random.Random) -> tuple[str, CausalModel, CausalM
         combos = itertools.product(*(sig.domains[v] for v in reads))
         exprs[h] = Table.from_mapping(reads, {c: rng.choice(domains[h]) for c in combos})
     return kind, low, high, StateMap.from_exprs(exprs)
+
+
+def random_constant_component_case(rng: random.Random) -> tuple[str, CausalModel, CausalModel, StateMap]:
+    """A `random_factoring_case` with one more high variable K, declared at
+    a random place, whose equation and tau-component are one constant c.
+    The kind is "one-value" when K's domain is (c,) and "multi-value" when
+    it is (0, 1)."""
+    _, low, high, tau = random_factoring_case(rng)
+    c = rng.choice((0, 1))
+    kind = rng.choice(("one-value", "multi-value"))
+    sig = high.signature
+    k = rng.randint(0, len(sig.endogenous))
+    endo = (*sig.endogenous[:k], VariableDecl("K", (c,) if kind == "one-value" else (0, 1)), *sig.endogenous[k:])
+    equations = (*high.equations[:k], ("K", Lit(c)), *high.equations[k:])
+    high = CausalModel(Signature(sig.exogenous, endo), equations)
+    return kind, low, high, StateMap.from_exprs({**dict(tau.exprs), "K": Lit(c)})
 
 
 def brute_force_constructive_partition(m_low, m_high, tau) -> Partition | None:
