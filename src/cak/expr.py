@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Mapping
 
 from .errors import EvaluationError, ParseError
@@ -114,12 +114,48 @@ def variables(expr: Expr) -> frozenset[str]:
 
 
 class _TableLookup(dict):
-    """A table's entries; a missing key raises the table's EvaluationError."""
+    """One level of a table's entries in the exact variant of generated
+    code: the entries whose keys start with the values `prefix`. A value
+    it lacks gives an empty level, so the rest of the key is still read
+    in order, and the last level raises the table's EvaluationError for
+    the whole key, as one flat lookup of the key did."""
 
-    __slots__ = ("names",)
+    __slots__ = ("names", "prefix")
 
-    def __missing__(self, key):
+    def __init__(self, names: tuple[str, ...], prefix: tuple):
+        self.names, self.prefix = names, prefix
+
+    def __missing__(self, value):
+        key = self.prefix + (value,)
+        if len(key) < len(self.names):
+            return _TableLookup(self.names, key)
         raise EvaluationError(f"table over {self.names} has no entry for {key}")
+
+
+def _nest(entries, level: Callable[[tuple], dict]) -> dict:
+    """`entries` as nested dicts, one level per key position, each made by
+    `level(prefix)`. A later entry for a key wins, as in `dict(entries)`."""
+    top = level(())
+    for key, out in entries:
+        node = top
+        for k in range(1, len(key)):
+            if key[k - 1] not in node:
+                node[key[k - 1]] = level(key[:k])
+            node = node[key[k - 1]]
+        node[key[-1]] = out
+    return top
+
+
+@lru_cache(maxsize=1024)
+def _levels(table: Table) -> dict:
+    """`table`'s entries as nested plain dicts, which generated code reads
+    one variable at a time. Every generated function that reads an equal
+    table shares them; nothing changes them."""
+    return _nest(table.entries, lambda prefix: {})
+
+
+class _NeverRaised(Exception):
+    """What the exact variant of generated code catches: nothing."""
 
 
 # Binding strength of the generated Python: 0 conditional expression,
@@ -137,11 +173,17 @@ class Emitter:
     global of the generated code through `const`, so no variable name or
     message text is ever written into the source. Booleans are 0/1
     integers and `ite`, `&&` and `||` stay lazy.
+
+    A table is read one variable at a time, `_c1[x0][x7]`, from nested
+    plain dicts. `tables` maps each table's constant to its `Table`, from
+    which `generate` binds the same name to `_TableLookup` levels in the
+    exact variant that runs when a read misses.
     """
 
     def __init__(self, load: Callable[[str], str]):
         self.load = load
         self.consts: dict[str, object] = {}
+        self.tables: dict[str, Table] = {}
 
     def const(self, value: object) -> str:
         name = f"_c{len(self.consts)}"
@@ -169,10 +211,9 @@ class Emitter:
             then, other = self.value(e.then, 1), self.value(e.other)
             return f"{then} if {self.cond(e.cond, 1)} else {other}", 0
         if isinstance(e, Table):
-            lookup = _TableLookup(e.entries)
-            lookup.names = e.vars
-            key = "".join(self.load(n) + ", " for n in e.vars)
-            return f"{self.const(lookup)}[{key}]", 9
+            table = self.const(_levels(e))
+            self.tables[table] = e
+            return table + "".join(f"[{self.load(n)}]" for n in e.vars), 9
         if isinstance(e, Unary):
             if e.op == "-":
                 return "-" + self.value(e.arg, 8), 8
@@ -206,13 +247,39 @@ class Emitter:
         return self.value(e, 5) + " != 0", 4
 
 
-def generate(name: str, args: str, lines: list[str], consts: dict[str, object]) -> Callable:
+def generate(name: str, args: str, lines: list[str], emitter: Emitter) -> Callable:
     """Compile `def name(args)` from body lines, the way stdlib namedtuple
-    builds `__new__`: the constants are the globals of the generated code,
-    which sees no builtins. The function is taken out of its namespace, so
-    the two do not form a reference cycle."""
+    builds `__new__`: the emitter's constants are the globals of the
+    generated code, which sees no builtins. The function is taken out of
+    its namespace, so the two do not form a reference cycle.
+
+    The body must end in `return`. When it reads a table, the one source
+    runs in two namespaces. The fast function reads plain dicts with its
+    body in a `try`; on a `KeyError` (a table read that misses, or an
+    undeclared name) it leaves the handler and returns what the exact
+    variant gives. The exact variant reads `_TableLookup` levels and
+    catches nothing, so it raises the table's EvaluationError, or the
+    `KeyError(name)`, with no exception chained to it. It is built on the
+    first miss, since most functions never miss."""
+    body = "".join(f"  {line}\n" for line in lines)
+    if not emitter.tables:
+        return _run(compile(f"def {name}({args}):\n{body}", "<generated>", "exec"), name, emitter.consts)
+    source = f"def {name}({args}):\n try:\n{body} except _miss:\n  pass\n return _exact({args})\n"
+    code = compile(source, "<generated>", "exec")
+    consts, tables, variant = emitter.consts, emitter.tables, []
+
+    def exact(*values):
+        if not variant:
+            levels = {k: _nest(t.entries, partial(_TableLookup, t.vars)) for k, t in tables.items()}
+            variant.append(_run(code, name, {**consts, **levels, "_miss": _NeverRaised}))
+        return variant[0](*values)
+
+    return _run(code, name, {**consts, "_miss": KeyError, "_exact": exact})
+
+
+def _run(code, name: str, consts: dict[str, object]) -> Callable:
     namespace = {"__builtins__": {}, **consts}
-    exec(f"def {name}({args}):\n" + "".join(f" {line}\n" for line in lines), namespace)
+    exec(code, namespace)
     return namespace.pop(name)
 
 
@@ -220,7 +287,7 @@ def generate(name: str, args: str, lines: list[str], consts: dict[str, object]) 
 def compile_expr(expr: Expr) -> Callable[[Mapping[str, int]], int]:
     """Generate a function evaluating `expr` over an environment."""
     emitter = Emitter(lambda name: f"env[{emitter.const(name)}]")
-    return generate("evaluate", "env", ["return " + emitter.value(expr)], emitter.consts)
+    return generate("evaluate", "env", ["return " + emitter.value(expr)], emitter)
 
 
 def evaluate(expr: Expr, env: Mapping[str, int]) -> int:

@@ -161,7 +161,7 @@ def _kernel(exprs: tuple[tuple[str, Expr], ...], keys: tuple[str, ...]) -> Calla
     emitter = Emitter(lambda n: local.get(n) or f"{emitter.const({})}[{emitter.const(n)}]")
     lines = ["".join(x + ", " for x in local.values()) + "= s"] if keys else []
     lines.append("return (" + "".join(emitter.value(e) + ", " for _, e in exprs) + ")")
-    return generate("tau", "s", lines, emitter.consts)
+    return generate("tau", "s", lines, emitter)
 
 
 def check_reads(tau: StateMap, low: Signature) -> None:

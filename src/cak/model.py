@@ -20,7 +20,7 @@ from .errors import (
     SizeCapExceeded,
     contexts_cap,
 )
-from .expr import Emitter, Expr, compile_expr, generate, variables
+from .expr import Emitter, Expr, Table, compile_expr, generate, variables
 from .report import CheckReport
 
 ALL = "all"
@@ -525,6 +525,12 @@ def _kernel(sig: Signature, equations, order: tuple[str, ...], forced: frozenset
     outside = emitter.const(_outside)
     # Every equation is emitted, so a malformed one fails under any intervention.
     sources = {name: emitter.value(expr) for name, expr in equations}
+    # A table read that succeeds returns one of the table's entries, so a
+    # table whose entries all lie in the domain needs no domain test.
+    in_domain = {
+        name for name, e in equations
+        if isinstance(e, Table) and all(out in sig.domains[name] for _, out in e.entries)
+    }
     slot = {n: k for k, n in enumerate(sorted(forced))}
     lines = ["".join(local[n] + ", " for n in sorted(sig.exo_names)) + "= u"] if sig.exo_names else []
     for name in order:
@@ -532,10 +538,12 @@ def _kernel(sig: Signature, equations, order: tuple[str, ...], forced: frozenset
         if name in slot:
             lines.append(f"{x} = f[{slot[name]}]")
             continue
-        domain, label = emitter.const(frozenset(sig.domains[name])), emitter.const(name)
-        lines += [f"{x} = {sources[name]}", f"if {x} not in {domain}: {outside}({label}, {x})"]
+        lines.append(f"{x} = {sources[name]}")
+        if name not in in_domain:
+            domain, label = emitter.const(frozenset(sig.domains[name])), emitter.const(name)
+            lines.append(f"if {x} not in {domain}: {outside}({label}, {x})")
     lines.append("return (" + "".join(local[n] + ", " for n in sorted(sig.endo_names)) + ")")
-    return generate("solve", "u, f", lines, emitter.consts)
+    return generate("solve", "u, f", lines, emitter)
 
 
 # ---------------------------------------------------------------------------

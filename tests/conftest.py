@@ -8,6 +8,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("cak")
+# Ten times the examples, for CI's run of the generated-code oracle tests:
+# `pytest tests/test_codegen.py --hypothesis-profile=ci`.
+settings.register_profile("ci", parent=settings.get_profile("cak"), max_examples=400)
 
 _STATUS_WORDS = {
     "passed": "PASS ",

@@ -14,13 +14,14 @@ from cak import (
     CausalModel,
     EMPTY,
     Signature,
+    StateMap,
     VariableDecl,
     enumerate_contexts,
     parse_expr,
     solve_under,
 )
 from cak.errors import EvaluationError, ParseError
-from cak.expr import Binary, Ite, Lit, Table, Unary, Var, compile_expr
+from cak.expr import Binary, Ite, Lit, Table, Unary, Var, _levels, compile_expr
 from cak.model import _kernel, validate
 
 from .util import (
@@ -31,6 +32,7 @@ from .util import (
     random_intervention,
     reference_eval,
     reference_solve_under,
+    reference_tau_apply,
 )
 
 
@@ -44,20 +46,34 @@ def _model(exo, endo, equations):
     )
 
 
+def unchained(fn, *args):
+    """outcome(fn, *args), asserting that an error it raises has no other
+    exception chained to it: the fast function leaves its handler before
+    the exact variant raises."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:
+        assert exc.__context__ is None and exc.__cause__ is None
+        return type(exc), str(exc)
+
+
 def test_random_expr_draws_every_node_kind():
     rng = random.Random(0)
     seen = set()
 
     def walk(e):
         seen.add((type(e).__name__, getattr(e, "op", None)))
+        if isinstance(e, Table):
+            seen.add(("Table", len(e.vars)))
         for child in (getattr(e, f, None) for f in ("arg", "left", "right", "cond", "then", "other")):
             if child is not None:
                 walk(child)
 
     for _ in range(300):
-        walk(random_expr(rng, ["A", "B"], depth=3))
+        walk(random_expr(rng, ["A", "B", "C"], depth=3))
     expected = {("Lit", None), ("Var", None), ("Ite", None), ("Table", None)}
     expected |= {("Unary", op) for op in ("-", "!")} | {("Binary", op) for op in BINARY_OPS}
+    expected |= {("Table", width) for width in (1, 2, 3)}
     assert expected <= seen
 
 
@@ -68,9 +84,9 @@ def test_generated_evaluator_matches_reference(seed):
     fn = compile_expr(expr)
     for combo in itertools.product((-1, 0, 1, 2), repeat=3):
         env = dict(zip("ABC", combo))
-        assert outcome(fn, env) == outcome(reference_eval, expr, env)
+        assert unchained(fn, env) == outcome(reference_eval, expr, env)
     partial = {"A": 1, "C": 0}  # B is missing: a KeyError, if B is read
-    assert outcome(fn, partial) == outcome(reference_eval, expr, partial)
+    assert unchained(fn, partial) == outcome(reference_eval, expr, partial)
 
 
 @given(st.integers(0, 2**32))
@@ -80,13 +96,13 @@ def test_generated_solver_matches_reference(seed):
     interventions = [EMPTY] + [random_intervention(rng, model) for _ in range(3)]
     for u, i in itertools.product(enumerate_contexts(model), interventions):
         expected = outcome(reference_solve_under, model, u, i)
-        assert outcome(solve_under, model, u, i) == expected
+        assert unchained(solve_under, model, u, i) == expected
         # The kernel itself, on value tuples: context values, forced values
         # and state values all in name order.
         kernel = model.solver(i._keys)
         context_values = tuple(u[n] for n in sorted(model.signature.exo_names))
         forced = tuple(i[n] for n in sorted(i))
-        got = outcome(kernel, context_values, forced)
+        got = unchained(kernel, context_values, forced)
         if expected[0] == "value":
             state = expected[1]
             expected = ("value", tuple(state[n] for n in sorted(state)))
@@ -118,6 +134,90 @@ def test_taken_branch_with_missing_table_entry_raises():
     with pytest.raises(EvaluationError, match=r"table over \('A',\) has no entry for \(1,\)"):
         compile_expr(expr)({"A": 1})
     assert outcome(compile_expr(expr), {"A": 1}) == outcome(reference_eval, expr, {"A": 1})
+
+
+# A table over A in (0, 1, 2) and B, C in (0, 1), read one variable at a
+# time. It lists no key with A = 2, none with (A, B) = (1, 1) and not
+# (0, 0, 1), so a read misses at the first, the middle or the last
+# variable. (0, 1, 0) is listed twice, and the later entry wins.
+_MISSING = Table(
+    ("A", "B", "C"),
+    (((0, 0, 0), 1), ((0, 1, 0), 0), ((0, 1, 1), 1), ((1, 0, 0), 0), ((1, 0, 1), 1), ((0, 1, 0), 1)),
+)
+_READS = {
+    "hit": (0, 0, 0),
+    "duplicate entry": (0, 1, 0),
+    "miss at the first variable": (2, 0, 1),
+    "miss at the middle variable": (1, 1, 0),
+    "miss at the last variable": (0, 0, 1),
+    "first value outside the domain": (5, 0, 0),
+    "middle value outside the domain": (0, -1, 1),
+    "last value outside the domain": (1, 0, 9),
+}
+
+
+@pytest.mark.parametrize("values", list(_READS.values()), ids=list(_READS))
+def test_a_table_read_that_misses_at_any_variable_raises_as_the_reference(values):
+    env = dict(zip("ABC", values))
+    expected = outcome(reference_eval, _MISSING, env)
+    assert unchained(compile_expr(_MISSING), env) == expected
+    if values in ((0, 0, 0), (0, 1, 0)):
+        assert expected == ("value", 1)
+    else:
+        assert expected == (EvaluationError, f"table over ('A', 'B', 'C') has no entry for {values}")
+
+    # A model reads the table from its context; every value of X is in
+    # its domain. Solving does not check the context's values.
+    model = _model([("A", (0, 1, 2)), ("B", (0, 1)), ("C", (0, 1))], [("X", (0, 1))], [("X", _MISSING)])
+    u = Assignment(env)
+    solved = outcome(reference_solve_under, model, u, EMPTY)
+    assert unchained(solve_under, model, u, EMPTY) == solved
+    assert solved[0] is EvaluationError or solved == ("value", Assignment(X=expected[1]))
+    kernel = unchained(model.solver(frozenset()), u._values, ())
+    assert kernel == (("value", (solved[1]["X"],)) if solved[0] == "value" else solved)
+
+    # An expression tau reads it from a low state.
+    tau = StateMap.from_exprs({"H": Table(("X1", "X2", "X3"), _MISSING.entries)})
+    state = Assignment(zip(("X1", "X2", "X3"), values))
+    image = outcome(reference_tau_apply, tau, state)
+    assert unchained(tau.apply, state) == image
+    assert image[0] is EvaluationError or image == ("value", Assignment(H=expected[1]))
+    got = unchained(tau._kernel(state._keys), state._values)
+    assert got == (("value", (image[1]["H"],)) if image[0] == "value" else image)
+
+
+@pytest.mark.parametrize("values", [(0, 0), (2, 0), (0, 1), (2, 1)])
+def test_an_undeclared_name_in_a_table_raises_its_key_error_before_a_miss(values):
+    # Z is declared nowhere, so reading it raises KeyError('Z') whether or
+    # not the value read before it has an entry.
+    expr = Table(("A", "Z", "B"), (((0, 0, 0), 1),))
+    env = dict(zip("AB", values))
+    assert unchained(compile_expr(expr), env) == outcome(reference_eval, expr, env) == (KeyError, "'Z'")
+    model = _model([("A", (0, 1, 2)), ("B", (0, 1))], [("X", (0, 1))], [("X", expr)])
+    u = Assignment(env)
+    got = unchained(solve_under, model, u, EMPTY)
+    assert got == outcome(reference_solve_under, model, u, EMPTY) == (KeyError, "'Z'")
+    tau = StateMap.from_exprs({"H": Table(("X1", "Z", "X2"), expr.entries)})
+    state = Assignment(X1=values[0], X2=values[1])
+    assert unchained(tau.apply, state) == outcome(reference_tau_apply, tau, state) == (KeyError, "'Z'")
+
+
+def test_only_a_table_with_an_entry_outside_the_domain_gets_a_domain_test():
+    def domain_tests(model):
+        solve = model.solver(frozenset())
+        return sum(isinstance(v, frozenset) for v in solve.__globals__.values())
+
+    inside = _model([("U", (0, 1))], [("X", (0, 1))], [("X", parse_expr("table(U)[(0) -> 1, (1) -> 0]"))])
+    outside = _model([("U", (0, 1))], [("X", (0, 1))], [("X", parse_expr("table(U)[(0) -> 1, (1) -> 2]"))])
+    assert domain_tests(inside) == 0 and domain_tests(outside) == 1
+    assert solve_under(inside, Assignment(U=1), EMPTY) == Assignment(X=0)
+    assert solve_under(outside, Assignment(U=0), EMPTY) == Assignment(X=1)
+    with pytest.raises(EvaluationError, match="equation for X produced 2, outside its domain") as exc:
+        solve_under(outside, Assignment(U=1), EMPTY)
+    assert exc.value.__context__ is None
+    for model in (inside, outside):
+        for u in enumerate_contexts(model):
+            assert outcome(solve_under, model, u, EMPTY) == outcome(reference_solve_under, model, u, EMPTY)
 
 
 def test_out_of_domain_output_raises_and_forced_values_are_not_checked():
@@ -223,11 +323,14 @@ def test_equal_solutions_of_one_model_are_one_object():
 def test_caches_of_generated_code_stay_within_their_bounds():
     bound = _kernel.cache_info().maxsize
     assert bound is not None and compile_expr.cache_info().maxsize is not None
+    assert _levels.cache_info().maxsize is not None
     for k in range(bound + 20):
         model = _model([("U", (0,))], [("X", (k,))], [("X", Lit(k))])
         assert solve_under(model, Assignment(U=0), EMPTY) == Assignment(X=k)
         assert compile_expr(Binary("+", Var("A"), Lit(k)))({"A": 1}) == k + 1
+        assert compile_expr(Table(("A",), (((1,), k),)))({"A": 1}) == k
     assert _kernel.cache_info().currsize <= bound
+    assert _levels.cache_info().currsize <= _levels.cache_info().maxsize
     assert compile_expr.cache_info().currsize <= compile_expr.cache_info().maxsize
     # An evicted structure is generated again, with the same result.
     first = _model([("U", (0,))], [("X", (0,))], [("X", Lit(0))])

@@ -83,9 +83,10 @@ def random_expr(
     """A random expression over `names`, at most `depth` operators deep.
 
     Every node kind can be drawn: literals, variables, both unary and all
-    eight binary operators, ite and tables. A table reads one or two of
+    eight binary operators, ite and tables. A table reads one to three of
     the names and covers a random nonempty subset of the `values`
-    combinations, so it may have no entry for the values it is given."""
+    combinations, so it may have no entry for the values it is given, and
+    a read may miss at any of its variables."""
     kind = rng.choice(("lit", "var") + (("unary", "binary", "ite", "table") if depth else ()))
     if kind == "lit":
         return Lit(rng.randint(-2, 3))
@@ -98,7 +99,7 @@ def random_expr(
         return Binary(rng.choice(BINARY_OPS), left, right)
     if kind == "ite":
         return Ite(*(random_expr(rng, names, depth - 1, values) for _ in range(3)))
-    cols = rng.sample(list(names), rng.randint(1, min(2, len(names))))
+    cols = rng.sample(list(names), rng.randint(1, min(3, len(names))))
     keys = list(itertools.product(values, repeat=len(cols)))
     kept = rng.sample(keys, rng.randint(1, len(keys)))
     return Table.from_mapping(cols, {k: rng.choice(values) for k in kept})
