@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, islice, product
+from operator import attrgetter, itemgetter, lt
 from typing import Callable, ClassVar, Iterable, Mapping
 
 from .errors import InputError
@@ -19,23 +20,26 @@ class FiniteMap:
     Entries are sorted into a canonical order and share the `Assignment`s
     they are given. A key may appear once; `apply` is defined exactly on
     the keys. Subclasses name the kind of map in their error messages.
+    Entries that arrive in canonical order are kept as they are.
     """
 
     kind: ClassVar[str] = "finite map"
     entries: tuple[tuple[Assignment, Assignment], ...]
 
     def __post_init__(self):
-        # Sorted by the keys' name-sorted items, the order Assignments
-        # compare in, so equal keys end up next to each other.
-        canon = tuple(
-            sorted(
-                ((_shared(a), _shared(b)) for a, b in self.entries),
-                key=lambda pair: pair[0]._items,
+        canon = tuple(self.entries)
+        if not _in_canonical_order(canon):
+            # Sorted by the keys' name-sorted items, the order Assignments
+            # compare in, so equal keys end up next to each other.
+            canon = tuple(
+                sorted(
+                    ((_shared(a), _shared(b)) for a, b in canon),
+                    key=lambda pair: pair[0]._items,
+                )
             )
-        )
-        for (key, _), (before, _) in zip(canon[1:], canon):
-            if key._items == before._items:
-                raise InputError(f"duplicate {self.kind} entry for {key!r}")
+            for (key, _), (before, _) in zip(canon[1:], canon):
+                if key._items == before._items:
+                    raise InputError(f"duplicate {self.kind} entry for {key!r}")
         object.__setattr__(self, "entries", canon)
 
     @classmethod
@@ -63,6 +67,19 @@ class FiniteMap:
     def image(self) -> tuple[Assignment, ...]:
         """The distinct values, in entry order."""
         return tuple(dict.fromkeys(dst for _, dst in self.entries))
+
+
+def _in_canonical_order(entries: tuple) -> bool:
+    """Whether `entries` are (key, value) tuples of Assignments whose keys'
+    name-sorted items strictly increase: the canonical form, free of
+    duplicates. Every pass is C-level, with no Python call per entry."""
+    if not {*map(type, entries)} <= {tuple} or not {*map(len, entries)} <= {2}:
+        return False
+    keys = list(map(itemgetter(0), entries))
+    if not {*map(type, chain(keys, map(itemgetter(1), entries)))} <= {Assignment}:
+        return False
+    items = list(map(attrgetter("_items"), keys))
+    return all(map(lt, items, islice(items, 1, None)))
 
 
 class ContextMap(FiniteMap):

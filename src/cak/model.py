@@ -87,9 +87,13 @@ class Assignment(Mapping[str, int]):
     endogenous) and interventions (partial over endogenous); totality is
     checked by the operations that require it. Iteration follows insertion
     order; `_items` and `_values` follow name order.
+
+    An enumerated context or state (`_product`) holds only its items,
+    values and key set; its dict and hash are built on first use, which
+    the profile pass never makes.
     """
 
-    __slots__ = ("_items", "_values", "_dict", "_hash", "_keys")
+    __slots__ = ("_items", "_values", "_dict", "_hash", "_keys", "_order")
 
     def __init__(self, mapping: Union[Mapping[str, int], Iterable[tuple[str, int]]] = (), **values: int):
         pairs = dict(mapping)
@@ -118,42 +122,61 @@ class Assignment(Mapping[str, int]):
     @classmethod
     def _product(cls, decls: "tuple[VariableDecl, ...]", keys: frozenset[str]) -> "Iterator[Assignment]":
         # Every total assignment of `decls`, lazily, in declaration-order
-        # lexicographic order, all sharing the key set `keys` and one
-        # (name, value) pair per value.
-        pick = _to_name_order([d.name for d in decls])
+        # lexicographic order, all sharing the key set `keys`, one
+        # (name, value) pair per value and the reordering of their items
+        # into declaration order.
+        names = [d.name for d in decls]
+        pick = _to_name_order(names)
+        order = _to_name_order(sorted(range(len(names)), key=names.__getitem__))
         pairs = itertools.product(*(tuple((d.name, v) for v in d.domain) for d in decls))
         values = itertools.product(*(d.domain for d in decls))
         new = object.__new__
         for combo, vals in zip(pairs, values):
             self = new(cls)
-            self._items = items = pick(combo)
+            self._items = pick(combo)
             self._values = pick(vals)
-            self._dict = dict(combo)
-            self._hash = hash(items)
             self._keys = keys
+            self._order = order
+            self._dict = self._hash = None
             yield self
+
+    def _filled(self) -> dict:
+        # The dict of a `_product` assignment, built on its first read.
+        self._dict = pairs = dict(self._order(self._items))
+        return pairs
 
     @property
     def items_sorted(self) -> tuple[tuple[str, int], ...]:
         return self._items
 
+    # The lazy slots hold None until first use. Neither a `__getattr__`,
+    # which would slow every attribute read of the type, nor a caught
+    # AttributeError, which costs a caller that reads every context more
+    # than building the dict did, fills them.
     def __getitem__(self, name: str) -> int:
-        return self._dict[name]
+        pairs = self._dict
+        return (self._filled() if pairs is None else pairs)[name]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._dict)
+        pairs = self._dict
+        return iter(self._filled() if pairs is None else pairs)
 
     def __contains__(self, name) -> bool:
-        return name in self._dict
+        pairs = self._dict
+        return name in (self._filled() if pairs is None else pairs)
 
     def get(self, name, default=None):
-        return self._dict.get(name, default)
+        pairs = self._dict
+        return (self._filled() if pairs is None else pairs).get(name, default)
 
     def __len__(self) -> int:
         return len(self._items)
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            self._hash = h = hash(self._items)
+        return h
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Assignment):

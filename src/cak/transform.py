@@ -213,7 +213,7 @@ def _find_compatible(
     distinct = list(slot_of)
     for j in distinct:
         check_intervention(m_high, j)
-    cands, miss = _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots)
+    passed, miss = _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots)
     if miss is not None:
         u_l, profile = miss
         diagnosis = _conflict_diagnosis(interventions, images, profile)
@@ -226,19 +226,23 @@ def _find_compatible(
             counterexample=ce,
         )
 
-    chosen = {u_l: found[0] for u_l, found in cands.items()}
+    lows, founds = passed
+    chosen = list(map(itemgetter(0), founds))
     if require_surjective:
-        matched = _match_high_side(high_contexts, cands)
+        matched = _match_high_side(high_contexts, founds)
         if matched is None:
-            hit = set(chosen.values())
+            hit = set(chosen)
             unhit = [u_h for u_h in high_contexts if u_h not in hit]
             return CheckReport(
                 False,
                 detail="no surjective compatible context map exists",
                 counterexample={"unreachable_high_contexts": tuple(unhit)},
             )
-        chosen.update(matched)
-    witness = ContextMap.from_table(tuple(chosen.items()))
+        for pos, u_h in matched.items():
+            chosen[pos] = u_h
+    # In enumeration order, which is canonical unless the exogenous names
+    # are declared out of name order or a domain out of value order.
+    witness = ContextMap.from_table(tuple(zip(lows, chosen)))
     return CheckReport(
         True,
         detail="compatible context map found",
@@ -248,9 +252,10 @@ def _find_compatible(
 
 def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots):
     """The high profiles, then the low ones in enumeration order up to the
-    first miss. Returns (cands, None), cands mapping each low context to
-    its matching high contexts, or (None, (u_l, profile)) for the first
-    low context without a match and its abstracted profile.
+    first miss. Returns ((lows, founds), None), the low contexts in
+    enumeration order and at each position the list of its matching high
+    contexts, or (None, (u_l, profile)) for the first low context without
+    a match and its abstracted profile. No low context is hashed.
 
     `low_contexts` is an iterator over the low context space, read as
     `_blocks` reads it: a miss at context k has built at most 2(k + 1) + 64
@@ -261,7 +266,8 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
     one per intervention on the low side. Every high state, and the
     tau-image of every low state, gets an int id from one dict, so int
     profiles match exactly when the profiles of states do. A tau-image
-    that is not a high state raises when it would get its id.
+    that is not a high state raises when it would get its id. The low
+    columns look the images up by object first (`_ImageIds`).
 
     Each context is read as the key of its profile class (see `_columns`):
     contexts with equal keys have equal profiles, so one profile is built
@@ -277,9 +283,10 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
     expand = itemgetter(*slots) if len(slots) > 1 else tuple  # else a row is its profile
     profile_to_high = {expand(high_profile(key)): found for key, found in high_classes.items()}
 
-    cands: dict[Assignment, list[Assignment]] = {}
+    lows: list[Assignment] = []
+    founds: list[list[Assignment]] = []
     classes: dict[tuple, list[Assignment]] = {}  # low class key -> its high contexts
-    low_columns, low_profile = _columns(m_low, interventions, ids, by_cone, tau)
+    low_columns, low_profile = _columns(m_low, interventions, _ImageIds(ids), by_cone, tau)
     for u_l, key in chain.from_iterable(_blocks(low_columns, low_contexts)):
         found = classes.get(key)
         if found is None:
@@ -291,8 +298,9 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
                 states = list(ids)
                 return None, (u_l, tuple([states[k] for k in profile]))
             classes[key] = found
-        cands[u_l] = found
-    return cands, None
+        lows.append(u_l)
+        founds.append(found)
+    return (lows, founds), None
 
 
 class _Ids(dict):
@@ -307,6 +315,24 @@ class _Ids(dict):
         check_image(self.tau, state, self.high)
         self[state] = new = len(self)
         return new
+
+
+class _ImageIds(dict):
+    """The ids of tau's image objects, for the low columns. tau returns
+    one image object per distinct low state, so the object kept here for
+    an image is found again by identity, without a Python-level
+    `Assignment.__eq__` (an equal object of another state still calls it);
+    a new image is looked up in `ids`, which checks it. Images are not
+    interned: the object tau returns names the low state that a bad image
+    is reported for."""
+
+    def __init__(self, ids: _Ids):
+        super().__init__()
+        self.ids = ids
+
+    def __missing__(self, image: Assignment) -> int:
+        self[image] = found = self.ids[image]
+        return found
 
 
 def _blocks(columns: list, contexts: Iterator[Assignment]) -> Iterator[Iterator[tuple]]:
@@ -465,26 +491,25 @@ def _cone_shape(sig: Signature, cone: tuple[str, ...], pick) -> tuple[list[tuple
     return points, index
 
 
-def _match_high_side(
-    high_contexts: Sequence[Assignment],
-    cands: dict[Assignment, list[Assignment]],
-):
+def _match_high_side(high_contexts: Sequence[Assignment], founds: Sequence[list[Assignment]]):
     """Assign a distinct low context to every high context, each low one
     taking only its correspondents: the partial map low -> high, or None.
+    `founds` gives the correspondents of each low context, which the map
+    names by its position.
 
     The correspondents of a low context are its profile class, one shared
     list, so the graph is a disjoint union of complete blocks. A block
     with a low and b high contexts can be saturated exactly when a >= b
-    (Hall's theorem); its first b low contexts, in the order of `cands`,
+    (Hall's theorem); its first b low contexts, in position order,
     take its high contexts in reverse, as Kuhn's augmenting-path search
     over the high contexts in enumeration order does.
     """
-    blocks: dict[Assignment, tuple[list[Assignment], list[Assignment]]] = {}
-    for u_l, found in cands.items():
-        blocks.setdefault(found[0], (found, []))[1].append(u_l)
+    blocks: dict[int, tuple[list[Assignment], list[int]]] = {}  # by the class list's identity
+    for u_l, found in enumerate(founds):
+        blocks.setdefault(id(found), (found, []))[1].append(u_l)
     if sum([len(found) for found, _ in blocks.values()]) < len(high_contexts):
         return None  # a high context no low context reaches
-    matched: dict[Assignment, Assignment] = {}
+    matched: dict[int, Assignment] = {}
     for found, lows in blocks.values():
         if len(lows) < len(found):
             return None

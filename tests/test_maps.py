@@ -36,6 +36,7 @@ from .util import (
     random_expr_state_map,
     random_model,
     random_state_map,
+    reference_finite_map_entries,
     reference_tau_apply,
     reference_tau_table,
 )
@@ -155,6 +156,34 @@ def test_finite_map_table_properties(cls, kind, from_obj, seed):
     for key, value in m.entries:
         src, dst = given_pairs[key]
         assert key is src and value is dst
+
+
+@pytest.mark.parametrize("cls", [ContextMap, InterventionMap, StateMap])
+@pytest.mark.parametrize("seed", range(25))
+def test_finite_map_entries_match_a_reference_sort(cls, seed):
+    # Entries that arrive in canonical order, as pair tuples of Assignments,
+    # are kept without a sort; every other order, a repeated key, a
+    # plain-dict key and a pair given as a list take the sort.
+    rng = random.Random(seed)
+    pairs = sorted(random_assignment_pairs(rng), key=lambda pair: pair[0].items_sorted)
+    cases = {
+        "canonical": pairs,
+        "reversed": pairs[::-1],
+        "shuffled": rng.sample(pairs, len(pairs)),
+        "plain-dict keys": [(dict(k), v) for k, v in pairs],
+        "list pairs": [[k, v] for k, v in pairs],
+    }
+    if pairs:
+        k = rng.randrange(len(pairs))
+        again = (Assignment(pairs[k][0]), Assignment())
+        cases["adjacent duplicate"] = pairs[: k + 1] + [again] + pairs[k + 1:]
+        cases["distant duplicate"] = pairs + [(Assignment(pairs[0][0]), Assignment())]
+    for name, entries in cases.items():
+        got = outcome(lambda e: cls(e).entries, tuple(entries))
+        assert got == outcome(reference_finite_map_entries, cls.kind, entries), name
+        if got[0] == "value":  # every Assignment given is kept, not copied
+            given = {id(x) for pair in entries for x in pair if isinstance(x, Assignment)}
+            assert {id(x) for pair in got[1] for x in pair} >= given, name
 
 
 # ---------------------------------------------------------------------------

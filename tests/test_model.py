@@ -29,6 +29,7 @@ from cak import (
     validate,
 )
 from cak.corpus import build_gated_extension
+from cak.model import iter_contexts
 
 from .util import (
     outcome,
@@ -333,6 +334,56 @@ def test_enumerated_assignments_keep_declaration_order_and_share_key_sets():
             assert a.items_sorted == rebuilt.items_sorted
             assert a._values == rebuilt._values == tuple(v for _, v in a.items_sorted)
             assert a._keys is keys
+
+
+def _unsorted_decls(rng: random.Random, names: list[str]) -> tuple[VariableDecl, ...]:
+    """Declarations of `names` out of name order, each over a domain of one
+    to three values in random order."""
+    names = rng.sample(names, len(names))
+    if names == sorted(names):
+        names.reverse()
+    return tuple(VariableDecl(n, tuple(rng.sample(range(-1, 4), rng.randint(1, 3)))) for n in names)
+
+
+# What a caller can read of an assignment, each compared with an assignment
+# built from its pairs; "==" and "<" compare it with every such assignment.
+_ASSIGNMENT_VIEWS = {
+    "==": lambda a, refs, names: [(a == r, a != r) for r in refs],
+    "hash": lambda a, refs, names: hash(a),
+    "<": lambda a, refs, names: [(a < r, r < a) for r in refs],
+    "iteration": lambda a, refs, names: list(a),
+    "dict": lambda a, refs, names: list(dict(a).items()),
+    "repr": lambda a, refs, names: repr(a),
+    "get": lambda a, refs, names: [(a.get(n), a.get(n, "none")) for n in names],
+    "in": lambda a, refs, names: [n in a for n in names],
+    "len": lambda a, refs, names: len(a),
+}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_enumerated_assignments_read_as_assignments_built_from_their_pairs(seed):
+    # An enumerated context or state builds its dict on first use. Whatever
+    # is read of it first, and everything read after, matches an Assignment
+    # built from its declaration-order pairs.
+    rng = random.Random(seed)
+    pool = ["A", "B", "Q", "U", "V", "W", "X", "Z"]
+    exo_names = rng.sample(pool, rng.randint(2, 4))
+    endo_names = rng.sample([n for n in pool if n not in exo_names], rng.randint(2, 4))
+    sig = Signature(_unsorted_decls(rng, exo_names), _unsorted_decls(rng, endo_names))
+    names = pool + ["a", "missing"]
+    for space, decls in (
+        (lambda: iter_contexts(sig), sig.exogenous),
+        (lambda: enumerate_contexts(sig), sig.exogenous),
+        (lambda: enumerate_states(sig), sig.endogenous),
+    ):
+        names_in_order = [d.name for d in decls]
+        refs = [Assignment(zip(names_in_order, values)) for values in itertools.product(*(d.domain for d in decls))]
+        for view in _ASSIGNMENT_VIEWS.values():
+            fresh = list(space())
+            assert all(a._dict is None and a._hash is None for a in fresh)  # built on first use
+            assert [view(a, refs, names) for a in fresh] == [view(r, refs, names) for r in refs]
+            for other in _ASSIGNMENT_VIEWS.values():
+                assert [other(a, refs, names) for a in fresh] == [other(r, refs, names) for r in refs]
 
 
 @given(st.integers(0, 2**32))

@@ -232,14 +232,15 @@ def test_matcher_pairs_a_3000_context_block_in_reverse():
     highs = [f"h{j}" for j in range(n)]
     lows = list(range(n))
     cands = dict.fromkeys(lows, highs)
-    assert _match_high_side(highs, cands) == dict(zip(lows, reversed(highs)))
+    assert _match_high_side(highs, list(cands.values())) == dict(zip(lows, reversed(highs)))
 
 
 def _block_shaped_case(rng: random.Random):
     """Inputs as the profile pass gives them: the high contexts, in
     enumeration order, cut into classes that keep that order, and each low
-    context mapped to the one shared list of its class. A class may get no
-    low context, or fewer low contexts than it has high ones."""
+    context mapped to the one shared list of its class. The low contexts
+    are their positions. A class may get no low context, or fewer low
+    contexts than it has high ones."""
     highs = [f"h{j}" for j in range(rng.randint(1, 10))]
     classes: list[list[str]] = [[] for _ in range(rng.randint(1, len(highs)))]
     for u_h in highs:
@@ -256,7 +257,7 @@ def test_matcher_agrees_with_recursive_reference():
     seen = set()
     for _ in range(1000):
         lows, highs, classes, cands = _block_shaped_case(rng)
-        got = _match_high_side(highs, cands)
+        got = _match_high_side(highs, list(cands.values()))
         assert got == reference_match_high_side(lows, highs, cands)
         sizes = [sum(found is c for found in cands.values()) for c in classes]
         if got is not None:
@@ -592,14 +593,15 @@ def test_the_strong_check_on_voting_builds_one_profile_per_class(monkeypatch):
 
     monkeypatch.setattr(transform, "_profile_pass", recorded)
     assert check_strong_abstraction(bundle.low, bundle.high, bundle.tau).verdict
-    [(interventions, distinct, cands)] = passes
+    [(interventions, distinct, (lows, founds))] = passes
     [(low_width, low_keys)], [(high_width, high_keys)] = record["low"], record["high"]
     assert len(interventions) == 450
     assert low_width == len({bundle.low.cone(i._keys) for i in interventions}) == 8
     assert high_width == len({bundle.high.cone(j._keys) for j in distinct}) < len(distinct)
     assert {len(key) for key in low_keys} == {8}
-    classes = {id(found) for found in cands.values()}
-    assert len(low_keys) == len(set(low_keys)) == len(classes) < len(cands) == 512
+    classes = {id(found) for found in founds}
+    assert lows == enumerate_contexts(bundle.low)
+    assert len(low_keys) == len(set(low_keys)) == len(classes) < len(founds) == 512
     assert len(high_keys) == len(set(high_keys)) == 162
 
 
@@ -706,6 +708,23 @@ def test_fused_groups_and_fallback_columns_give_the_by_context_reports(monkeypat
             assert (report.verdict, miss) == expected
         else:
             assert got == expected
+
+
+@pytest.mark.parametrize("selected", [True, False], ids=["by-cone", "by-context"])
+def test_a_witness_over_exogenous_names_out_of_name_order_is_the_reference(monkeypatch, selected):
+    # U3 is declared first, so the pass gives the witness's entries out of
+    # canonical order and the map sorts them, as the reference does.
+    low = _three_cones(_SHIFT)
+    _with_cone_pass(monkeypatch, selected)
+    for surjective in (False, True):
+        def args():
+            tau, omega = StateMap.identity(low.signature), InterventionMap.identity(low.allowed_interventions)
+            return low, low, tau, omega, surjective
+
+        report = find_compatible_tau_u(*args())
+        assert dumps(report_to_obj(report, True)) == dumps(report_to_obj(reference_find_compatible_tau_u(*args()), True))
+        keys = [key for key, _ in report.witness.entries]
+        assert keys == sorted(keys) != enumerate_contexts(low)
 
 
 @pytest.mark.parametrize("selected", [True, False], ids=["by-cone", "by-context"])

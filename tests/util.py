@@ -438,8 +438,23 @@ def reference_find_compatible(m_low, m_high, tau, omega, interventions, require_
     return CheckReport(
         True,
         detail="compatible context map found",
-        witness=ContextMap.from_table(tuple(chosen.items())),
+        witness=ContextMap.from_table(reference_finite_map_entries(ContextMap.kind, chosen.items())),
     )
+
+
+def reference_finite_map_entries(kind: str, entries) -> tuple[tuple[Assignment, Assignment], ...]:
+    """The entries of a FiniteMap of `kind` by a plain sort: each key and
+    value an Assignment, the given object when it is one, in order of the
+    keys' name-sorted items; two equal keys are an InputError naming the
+    key."""
+    def shared(a):
+        return a if isinstance(a, Assignment) else Assignment(a)
+
+    pairs = sorted(((shared(a), shared(b)) for a, b in entries), key=lambda pair: pair[0].items_sorted)
+    for (before, _), (key, _) in zip(pairs, pairs[1:]):
+        if key == before:
+            raise InputError(f"duplicate {kind} entry for {key!r}")
+    return tuple(pairs)
 
 
 def reference_high_image(tau: StateMap, state: Assignment, high: CausalModel) -> Assignment:
@@ -641,7 +656,8 @@ def reference_tau_apply(tau: StateMap, state: Assignment) -> Assignment:
                 return image
         raise InputError(f"state map is undefined on {state!r}")
     ordered = sorted(tau.exprs, key=lambda pair: pair[0])
-    return Assignment({name: reference_eval(e, state._dict) for name, e in ordered})
+    env = dict(state)
+    return Assignment({name: reference_eval(e, env) for name, e in ordered})
 
 
 def reference_tau_table(tau: StateMap, low: Signature, high: Signature) -> dict[tuple[int, ...], Assignment]:
