@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product, repeat
-from operator import is_not, or_
+from operator import attrgetter, is_not, or_
 from typing import Iterable, Sequence
 
 from .errors import InputError, SizeCapExceeded
 from .interventions import enumerate_interventions, intervention_options, interventions_from, resolve_interventions
 from .maps import InterventionMap, StateMap, tabulate
-from .model import Assignment, CausalModel, VariableDecl, check_intervention, enumerate_states
+from .model import Assignment, CausalModel, VariableDecl, _supports, check_intervention, enumerate_states
 from .report import CheckReport
 from .transform import _find_compatible
 
@@ -417,28 +417,6 @@ def check_constructive(
     )
 
 
-def _semantic_supports(table: _TauTable) -> dict[str, set[str]]:
-    """For each high variable, the low variables its tau-component actually
-    reads: v is in the support when two low states differing only at v map
-    to different values of that component."""
-    high_names = table.high.endo_names
-    supports: dict[str, set[str]] = {h: set() for h in high_names}
-    for idx, var in enumerate(table.low.endo_names):
-        buckets: dict[tuple, list[tuple[int, ...]]] = {}
-        for t in table.by_values:
-            buckets.setdefault(t[:idx] + t[idx + 1 :], []).append(t)
-        for group in buckets.values():
-            if len(group) < 2:
-                continue
-            for high_var in high_names:
-                if var in supports[high_var]:
-                    continue
-                values = {table.by_values[t][high_var] for t in group}
-                if len(values) > 1:
-                    supports[high_var].add(var)
-    return supports
-
-
 # The constructive search refuses a low model with more endogenous variables
 # than this before any tau work. Unlike the enumeration caps it is fixed.
 MAX_SEARCH_LOW_VARS = 10
@@ -450,31 +428,30 @@ def search_constructive_partition(m_low: CausalModel, m_high: CausalModel, tau: 
 
     tau factors over disjoint cells exactly when the per-component semantic
     supports are pairwise disjoint, so the canonical candidate assigns each
-    high variable its support (padded from the unused low variables when a
-    component is constant, in declaration order) and marginalizes the rest.
-    The candidate is well formed by construction, and its component maps
-    are the projections of tau, so what remains is the strong check.
+    high variable its support and marginalizes the rest. A constant
+    component (empty support) rules out every partition: the high
+    intervention that sets it to a value tau never gives it, or to its
+    only value, is induced by no low intervention, so the strong check
+    fails whatever the cells. The candidate is well formed by
+    construction, and its component maps are the projections of tau, so
+    what remains is the strong check.
     """
     low_names = m_low.signature.endo_names
     if len(low_names) > MAX_SEARCH_LOW_VARS:
         raise SizeCapExceeded("low variable set", len(low_names), MAX_SEARCH_LOW_VARS)
     table = _TauTable(m_low, m_high, tau)
-    supports = _semantic_supports(table)
-    used: set[str] = set()
-    for high_var, support in supports.items():
-        if used & support:
+    images = map(attrgetter("_values"), table.by_values.values())
+    reads = _supports(dict(zip(table.by_values, images)))
+    supports = dict(zip(sorted(table.high.endo_names), reads))  # images' values are in name order
+    used: set[int] = set()
+    cells = []
+    for d in table.high.endogenous:
+        support = supports[d.name]
+        if not support or used & support:
             return None
         used |= support
-    unused = [v for v in low_names if v not in used]
-    cells = []
-    for d in m_high.signature.endogenous:
-        support = supports[d.name]
-        if not support:
-            if not unused:
-                return None
-            support = {unused.pop(0)}
-        cells.append((d.name, tuple(v for v in low_names if v in support)))
-    partition = Partition(tuple(cells), tuple(unused))
+        cells.append((d.name, tuple(low_names[k] for k in sorted(support))))
+    partition = Partition(tuple(cells), tuple(v for k, v in enumerate(low_names) if k not in used))
     comps, failure = _components(table, partition)
     if comps is None:
         raise AssertionError(f"disjoint supports must factor, got {failure}")

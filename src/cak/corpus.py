@@ -456,13 +456,6 @@ def build_pixel_grid(n: int = 2, variant: str = "two-counter") -> ExampleBundle:
 # ---------------------------------------------------------------------------
 # Voting
 
-def _function_code(values: tuple[int, ...], base: int) -> int:
-    code = 0
-    for v in values:
-        code = code * base + v
-    return code
-
-
 def build_voting(n_voters: int = 4, n_groups: int = 2, n_ads: int = 1) -> ExampleBundle:
     """Voters respond to ad settings through per-voter response functions;
     the high model aggregates each group's votes into a sum with its own

@@ -95,7 +95,7 @@ class Table(Expr):
         return dict(self.entries)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def variables(expr: Expr) -> frozenset[str]:
     """All variable names referenced by `expr`."""
     if isinstance(expr, Lit):
@@ -281,6 +281,28 @@ def _run(code, name: str, consts: dict[str, object]) -> Callable:
     namespace = {"__builtins__": {}, **consts}
     exec(code, namespace)
     return namespace.pop(name)
+
+
+def _positional(local: Mapping[str, str]) -> Emitter:
+    """An Emitter that reads each name in `local` from the Python local it
+    maps to. Any other name is read from an empty dict, so it raises
+    KeyError(name), as reading it from an env did."""
+    emitter = Emitter(lambda n: local.get(n) or f"{emitter.const({})}[{emitter.const(n)}]")
+    return emitter
+
+
+@lru_cache(maxsize=1024)
+def _tuple_kernel(exprs: tuple[Expr, ...], names: tuple[str, ...]) -> Callable[[tuple], tuple]:
+    """Generated `evaluate(values) -> outputs`: the value of each of
+    `exprs`, in order, over the values of the variables `names`, passed as
+    one tuple in that order. The parentheses around the outputs take the
+    place of the subscript that reading an env adds to each variable, so
+    an expression nests as deep here as in `evaluate`: past CPython's
+    parenthesis limit, both raise SyntaxError."""
+    emitter = _positional({n: f"x{k}" for k, n in enumerate(names)})
+    lines = ["".join(f"x{k}, " for k in range(len(names))) + "= s"] if names else []
+    lines.append("return (" + "".join(emitter.value(e) + ", " for e in exprs) + ")")
+    return generate("evaluate", "s", lines, emitter)
 
 
 @lru_cache(maxsize=1024)

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, islice, product
 from operator import attrgetter, itemgetter, lt
 from typing import Callable, ClassVar, Iterable, Mapping
 
 from .errors import InputError
-from .expr import Emitter, Expr, Var, generate, variables
+from .expr import Expr, Var, _tuple_kernel, variables
 from .model import Assignment, Signature, _enumerate_total, _shared, _to_name_order, enumerate_states
 
 
@@ -137,8 +137,8 @@ class StateMap(FiniteMap):
         the key set `keys`, both in name order, as `Assignment._values`."""
         kernel = self._kernels.get(keys)
         if kernel is None:
-            exprs = tuple(sorted(self.exprs, key=lambda p: p[0]))
-            kernel = self._kernels[keys] = _kernel(exprs, tuple(sorted(keys)))
+            exprs = tuple(e for _, e in sorted(self.exprs, key=lambda p: p[0]))
+            kernel = self._kernels[keys] = _tuple_kernel(exprs, tuple(sorted(keys)))
         return kernel
 
     def _image(self, values: tuple) -> Assignment:
@@ -167,18 +167,6 @@ class StateMap(FiniteMap):
         if self.exprs is not None:
             return frozenset().union(*[variables(e) for _, e in self.exprs])
         return frozenset(self.entries[0][0] if self.entries else ())
-
-
-@lru_cache(maxsize=1024)
-def _kernel(exprs: tuple[tuple[str, Expr], ...], keys: tuple[str, ...]) -> Callable:
-    """Straight-line `exprs`, in order, over the values of a state with the
-    name-sorted keys `keys`, each a local; see CausalModel.solver."""
-    local = {n: f"x{k}" for k, n in enumerate(keys)}
-    # An undeclared name raises KeyError(name), as reading it from the state did.
-    emitter = Emitter(lambda n: local.get(n) or f"{emitter.const({})}[{emitter.const(n)}]")
-    lines = ["".join(x + ", " for x in local.values()) + "= s"] if keys else []
-    lines.append("return (" + "".join(emitter.value(e) + ", " for _, e in exprs) + ")")
-    return generate("tau", "s", lines, emitter)
 
 
 def check_reads(tau: StateMap, low: Signature) -> None:

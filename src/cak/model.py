@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -20,7 +20,7 @@ from .errors import (
     SizeCapExceeded,
     contexts_cap,
 )
-from .expr import Emitter, Expr, Table, compile_expr, generate, variables
+from .expr import Expr, Table, _positional, _tuple_kernel, generate, variables
 from .report import CheckReport
 
 ALL = "all"
@@ -389,16 +389,14 @@ def validate(model: CausalModel) -> list[Diagnostic]:
 
     for name, expr in model.equations:
         domain = set(sig.domains[name])
-        refs = sorted(variables(expr))
-        fn = compile_expr(expr)
+        refs = tuple(sorted(variables(expr)))
+        fn = _tuple_kernel((expr,), refs)
         for combo in itertools.product(*(sig.domains[r] for r in refs)):
-            env = dict(zip(refs, combo))
             try:
-                value = fn(env)
+                (value,) = fn(combo)
             except EvaluationError as exc:
-                diags.append(
-                    Diagnostic("out-of-domain", f"equation for {name}: {exc}", name, Assignment(env))
-                )
+                witness = Assignment(zip(refs, combo))
+                diags.append(Diagnostic("out-of-domain", f"equation for {name}: {exc}", name, witness))
                 continue
             if value not in domain:
                 diags.append(
@@ -406,7 +404,7 @@ def validate(model: CausalModel) -> list[Diagnostic]:
                         "out-of-domain",
                         f"equation for {name} yields {value} outside its domain",
                         subject=name,
-                        witness=Assignment(env),
+                        witness=Assignment(zip(refs, combo)),
                     )
                 )
 
@@ -543,8 +541,7 @@ def _kernel(sig: Signature, equations, order: tuple[str, ...], forced: frozenset
     intervened names; see CausalModel.solver. Each variable is a
     positional local; names reach the code only as its globals' values."""
     local = {n: f"x{k}" for k, n in enumerate(sig.exo_names + sig.endo_names)}
-    # An undeclared name raises KeyError(name), as reading it from a dict did.
-    emitter = Emitter(lambda n: local.get(n) or f"{emitter.const({})}[{emitter.const(n)}]")
+    emitter = _positional(local)
     outside = emitter.const(_outside)
     # Every equation is emitted, so a malformed one fails under any intervention.
     sources = {name: emitter.value(expr) for name, expr in equations}
@@ -667,6 +664,30 @@ def _enumerate_total(decls: tuple[VariableDecl, ...], keys: frozenset[str], what
 # ---------------------------------------------------------------------------
 # Unique exogenous parents
 
+def _supports(table: Mapping[tuple, tuple]) -> list[set[int]]:
+    """For each output position j of the finite function `table`, from
+    input tuples of one width to output tuples of one width, the input
+    positions its value depends on: k is in j's support when two inputs
+    that differ only at k give different values at j. An empty table has
+    no outputs.
+
+    For each k the inputs are grouped by their values off k; a group's
+    values at j differ exactly when one of them differs from its last."""
+    inputs, outputs = list(table), list(table.values())
+    if not inputs:
+        return []
+    width, found = len(inputs[0]), [set() for _ in outputs[0]]
+    columns = list(zip(*outputs))
+    for k in range(width):
+        rest = [*range(k), *range(k + 1, width)]
+        keys = list(map(itemgetter(*rest), inputs)) if rest else [()] * len(inputs)
+        last = dict(zip(keys, outputs))
+        for j, (column, lasts) in enumerate(zip(columns, zip(*map(last.__getitem__, keys)))):
+            if any(map(ne, column, lasts)):
+                found[j].add(k)
+    return found
+
+
 def check_uev(model: CausalModel) -> CheckReport:
     """Whether each endogenous variable can be assigned a private exogenous
     input variable.
@@ -678,33 +699,19 @@ def check_uev(model: CausalModel) -> CheckReport:
     has at most one exogenous variable in its support, no two equations
     share the same supporting variable, and enough unused exogenous
     variables remain to serve the equations with empty support.
+
+    Each equation is evaluated at every combination of its referenced
+    values, so a failed evaluation, such as a table read that misses,
+    raises its EvaluationError; `validate` reports it.
     """
     sig = model.signature
     exo = set(sig.exo_names)
     supports: dict[str, list[str]] = {}
     for name, expr in model.equations:
-        refs = sorted(variables(expr))
-        exo_refs = [r for r in refs if r in exo]
-        support = []
-        fn = compile_expr(expr)
-        for u in exo_refs:
-            others = [r for r in refs if r != u]
-            dom_u = sig.domains[u]
-            affected = False
-            for combo in itertools.product(*(sig.domains[r] for r in others)):
-                env = dict(zip(others, combo))
-                seen = set()
-                for value in dom_u:
-                    env[u] = value
-                    seen.add(fn(env))
-                    if len(seen) > 1:
-                        affected = True
-                        break
-                if affected:
-                    break
-            if affected:
-                support.append(u)
-        supports[name] = support
+        refs = tuple(sorted(variables(expr)))
+        combos = list(itertools.product(*(sig.domains[r] for r in refs)))
+        (reads,) = _supports(dict(zip(combos, map(_tuple_kernel((expr,), refs), combos))))
+        supports[name] = [refs[k] for k in sorted(reads) if refs[k] in exo]
 
     for name in sig.endo_names:
         if len(supports[name]) > 1:

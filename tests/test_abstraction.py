@@ -431,34 +431,26 @@ def test_search_finds_a_partition_exactly_when_brute_force_does(seed):
 
 @pytest.mark.parametrize("seed", range(2))
 def test_search_with_a_constant_component_finds_a_partition_exactly_when_brute_force_does(monkeypatch, seed):
-    # A constant high component K has an empty support, so the search pads
-    # its cell with the first unused low variable, when there is one, and
-    # runs the strong check on that candidate. No drawn pair passes it: the
-    # intervention on K to its other value, or to its only one, is induced
-    # by no low intervention.
-    candidates = []
-    components = abstraction._components
-
-    def recorded(table, partition):
-        candidates.append(partition)
-        return components(table, partition)
-
-    monkeypatch.setattr(abstraction, "_components", recorded)
+    # A constant high component K has an empty support, so the search
+    # returns None before it builds a candidate partition or runs a strong
+    # check. No partition passes: the intervention on K to its other value,
+    # or to its only one, is induced by no low intervention.
+    calls = []
+    for name in ("_components", "_strong"):
+        original = getattr(abstraction, name)
+        monkeypatch.setattr(abstraction, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
     rng = random.Random(seed)
-    seen = set()
+    kinds = set()
     for _ in range(100):
         kind, low, high, tau = random_constant_component_case(rng)
-        candidates.clear()
-        found = search_constructive_partition(low, high, tau)
-        padded = bool(candidates)
-        assert (found is None) == (brute_force_constructive_partition(low, high, tau) is None)
-        if padded:
-            assert dict(candidates[0].cells)["K"]
-            missing = check_strong_abstraction(low, high, tau).counterexample["missing_high_interventions"]
-            assert any("K" in dict(h) for h in missing)
-        seen.add((kind, padded, found is not None))
-    assert {("one-value", True, False), ("multi-value", True, False), ("one-value", False, False)} <= seen
-    assert not any(found for _, _, found in seen)
+        assert search_constructive_partition(low, high, tau) is None
+        assert calls == []
+        assert brute_force_constructive_partition(low, high, tau) is None
+        missing = check_strong_abstraction(low, high, tau).counterexample["missing_high_interventions"]
+        assert any("K" in dict(h) for h in missing)
+        calls.clear()
+        kinds.add(kind)
+    assert kinds == {"one-value", "multi-value"}
 
 
 def test_search_respects_low_variable_cap():

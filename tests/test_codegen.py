@@ -3,12 +3,16 @@ the closure interpreter they replaced (tests/util.py), plus the process-wide
 cache of generated code and the safety of hostile variable names."""
 
 import builtins
+import importlib
 import itertools
+import pkgutil
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import cak
 from cak import (
     Assignment,
     CausalModel,
@@ -21,7 +25,7 @@ from cak import (
     solve_under,
 )
 from cak.errors import EvaluationError, ParseError
-from cak.expr import Binary, Ite, Lit, Table, Unary, Var, _levels, compile_expr
+from cak.expr import Binary, Ite, Lit, Table, Unary, Var, _levels, _tuple_kernel, compile_expr
 from cak.model import _kernel, validate
 
 from .util import (
@@ -321,20 +325,38 @@ def test_equal_solutions_of_one_model_are_one_object():
 
 
 def test_caches_of_generated_code_stay_within_their_bounds():
+    caches = (_kernel, _tuple_kernel, _levels, compile_expr)
     bound = _kernel.cache_info().maxsize
-    assert bound is not None and compile_expr.cache_info().maxsize is not None
-    assert _levels.cache_info().maxsize is not None
+    assert bound is not None and all(c.cache_info().maxsize is not None for c in caches)
     for k in range(bound + 20):
         model = _model([("U", (0,))], [("X", (k,))], [("X", Lit(k))])
         assert solve_under(model, Assignment(U=0), EMPTY) == Assignment(X=k)
         assert compile_expr(Binary("+", Var("A"), Lit(k)))({"A": 1}) == k + 1
         assert compile_expr(Table(("A",), (((1,), k),)))({"A": 1}) == k
-    assert _kernel.cache_info().currsize <= bound
-    assert _levels.cache_info().currsize <= _levels.cache_info().maxsize
-    assert compile_expr.cache_info().currsize <= compile_expr.cache_info().maxsize
+        tau = StateMap.from_exprs({"H": Binary("+", Var("X"), Lit(k))})
+        assert tau.apply(Assignment(X=1)) == Assignment(H=k + 1)
+    for cache in caches:
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
     # An evicted structure is generated again, with the same result.
     first = _model([("U", (0,))], [("X", (0,))], [("X", Lit(0))])
     assert solve_under(first, Assignment(U=0), EMPTY) == Assignment(X=0)
+
+
+def test_every_lru_cache_in_cak_has_a_bound():
+    # A cache keyed by models, tables or expressions keeps each key alive,
+    # so an unbounded one grows with every distinct model a process checks.
+    for info in pkgutil.iter_modules(cak.__path__):
+        importlib.import_module(f"cak.{info.name}")
+    caches = {}
+    for name, module in list(sys.modules.items()):
+        if name == "cak" or name.startswith("cak."):
+            spaces = [vars(module), *(vars(c) for c in vars(module).values() if isinstance(c, type))]
+            for space in spaces:
+                for attr, value in space.items():
+                    if hasattr(value, "cache_parameters"):
+                        caches[f"{name}.{attr}"] = value.cache_parameters()["maxsize"]
+    assert {"cak.expr.variables", "cak.expr._levels", "cak.expr._tuple_kernel", "cak.model._kernel"} <= set(caches)
+    assert [name for name, bound in caches.items() if bound is None] == []
 
 
 _PAYLOAD = "__import__('builtins').__dict__.__setitem__('cak_injected', 1)"

@@ -11,6 +11,7 @@ from cak import (
     CausalModel,
     CyclicModelError,
     EMPTY,
+    EvaluationError,
     Event,
     InputError,
     Not,
@@ -29,14 +30,18 @@ from cak import (
     validate,
 )
 from cak.corpus import build_gated_extension
-from cak.model import iter_contexts
+from cak.expr import Table, to_source
+from cak.model import _supports, iter_contexts
 
 from .util import (
     outcome,
     random_expr_model,
     random_intervention,
     random_model,
+    reference_equation_diagnostics,
     reference_solve_under,
+    reference_supports,
+    reference_uev,
 )
 
 
@@ -111,6 +116,40 @@ def test_table_gap_reported_as_out_of_domain():
     m = model_of([("U", (0, 1))], [("X", (0, 1))], {"X": "table(U)[(0) -> 1]"})
     diags = validate(m)
     assert diags and all(d.kind == "out-of-domain" for d in diags)
+
+
+# Y's table reads V, X and U in that order, and validate walks their
+# values in name order (U, V, X), so a miss or an out-of-domain output at
+# each key shows whether a witness maps the values back to their names.
+_TABLE_VARS = ("V", "X", "U")
+
+
+def _table_model(width, entries):
+    return model_of(
+        [("U", (0, 1, 2)), ("V", (0, 1))],
+        [("X", (0, 1)), ("Y", (0, 1))],
+        {"X": "V", "Y": to_source(Table(_TABLE_VARS[:width], tuple(entries)))},
+    )
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_validate_names_each_table_miss_and_out_of_domain_output_with_its_witness(width):
+    names = _TABLE_VARS[:width]
+    domains = {"U": (0, 1, 2), "V": (0, 1), "X": (0, 1)}
+    keys = list(itertools.product(*(domains[n] for n in names)))
+    full = [(key, sum(key) % 2) for key in keys]
+    assert validate(_table_model(width, full)) == []
+    for p, key in enumerate(keys):
+        witness = Assignment(zip(names, key))
+        for entries, message in (
+            (full[:p] + full[p + 1 :], f"equation for Y: table over {names} has no entry for {key}"),
+            (full[:p] + [(key, 5)] + full[p + 1 :], "equation for Y yields 5 outside its domain"),
+        ):
+            model = _table_model(width, entries)
+            diags = validate(model)
+            assert diags == reference_equation_diagnostics(model)
+            assert [(d.kind, d.message, d.subject) for d in diags] == [("out-of-domain", message, "Y")]
+            assert list(diags[0].witness.items()) == sorted(witness.items())
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +334,65 @@ def test_uev_ignores_vacuous_reference():
         {"X1": "U", "X2": "U * 0"},
     )
     assert check_uev(m).verdict
+
+
+def test_uev_tabulates_each_equation_so_a_table_miss_raises():
+    # Both U1 and U2 change X with the other at 0, so a scan that stops at
+    # the first change of each never reads the missing (1, 1); check_uev
+    # reads every combination, and the miss raises.
+    m = model_of(
+        [("U1", (0, 1)), ("U2", (0, 1))],
+        [("X", (0, 1))],
+        {"X": "table(U1, U2)[(0, 0) -> 0, (0, 1) -> 1, (1, 0) -> 1]"},
+    )
+    assert [d.message for d in validate(m)] == ["equation for X: table over ('U1', 'U2') has no entry for (1, 1)"]
+    with pytest.raises(EvaluationError, match=r"^table over \('U1', 'U2'\) has no entry for \(1, 1\)$"):
+        check_uev(m)
+
+
+def _valid_expr_model(rng):
+    """The first `random_expr_model` that validate accepts."""
+    return next(m for m in iter(lambda: random_expr_model(rng), None) if not validate(m))
+
+
+@given(st.integers(0, 2**32))
+def test_uev_matches_its_definition(seed):
+    model = _valid_expr_model(random.Random(seed))
+    assert check_uev(model) == reference_uev(model)
+
+
+def test_uev_oracle_draws_reach_every_report():
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(200):
+        model = _valid_expr_model(rng)
+        report = check_uev(model)
+        assert report == reference_uev(model)
+        seen.add(tuple(report.counterexample or ()))
+    assert seen == {(), ("variable", "exogenous"), ("variables", "shared"), ("unassigned", "available")}
+
+
+@given(st.integers(0, 2**32))
+def test_supports_match_a_scan_of_every_pair_of_inputs(seed):
+    # A random finite table: inputs of width 0 to 3, some of them missing,
+    # in random order; outputs of width 0 to 3, one of them maybe constant.
+    rng = random.Random(seed)
+    width, n_out = rng.randint(0, 3), rng.randint(0, 3)
+    domains = [range(rng.randint(1, 3)) for _ in range(width)]
+    inputs = [t for t in itertools.product(*domains) if rng.random() < 0.8]
+    rng.shuffle(inputs)
+    constant = rng.randrange(n_out + 1)
+    table = {t: tuple(7 if j == constant else rng.randint(0, 2) for j in range(n_out)) for t in inputs}
+    assert _supports(table) == reference_supports(table)
+
+
+def test_supports_of_zero_width_inputs_and_constant_outputs():
+    assert _supports({}) == []
+    assert _supports({(): (1, 2)}) == [set(), set()]
+    assert _supports({(0,): (), (1,): ()}) == []
+    assert _supports({(0, 0): (5, 1), (0, 1): (5, 0), (1, 0): (5, 0)}) == [set(), {0, 1}]
+    xor = {(a, b): (a ^ b, a) for a in (0, 1) for b in (0, 1)}
+    assert _supports(xor) == reference_supports(xor) == [{0, 1}, {0}]
 
 
 # ---------------------------------------------------------------------------

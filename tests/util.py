@@ -19,6 +19,7 @@ from cak import (
     CausalModel,
     CheckReport,
     ContextMap,
+    Diagnostic,
     EMPTY,
     InterventionMap,
     Partition,
@@ -39,7 +40,7 @@ from cak import (
 )
 from cak.corpus import ExampleBundle
 from cak.errors import EvaluationError, InputError, ParseError
-from cak.expr import Binary, Ite, Lit, Table, Unary, Var
+from cak.expr import Binary, Ite, Lit, Table, Unary, Var, variables
 from cak.interventions import resolve_interventions
 from cak.maps import check_image, check_reads
 from cak.model import check_context, check_intervention
@@ -694,6 +695,95 @@ def reference_solve_under(model: CausalModel, context: Assignment, intervention:
         check_context(model, context)  # raises with a precise message
         raise
     return Assignment({n: env[n] for n in model.signature.endo_names})
+
+
+def reference_equation_diagnostics(model: CausalModel) -> list[Diagnostic]:
+    """validate's diagnostics for equation outputs, by the closure
+    interpreter over one env dict per combination of each equation's
+    referenced values, in name order: a failed evaluation, or a value
+    outside the variable's domain, with the env as its witness."""
+    sig, diags = model.signature, []
+    for name, expr in model.equations:
+        refs = sorted(variables(expr))
+        for combo in itertools.product(*(sig.domains[r] for r in refs)):
+            env = dict(zip(refs, combo))
+            try:
+                value = reference_eval(expr, env)
+            except EvaluationError as exc:
+                diags.append(Diagnostic("out-of-domain", f"equation for {name}: {exc}", name, Assignment(env)))
+                continue
+            if value not in sig.domains[name]:
+                message = f"equation for {name} yields {value} outside its domain"
+                diags.append(Diagnostic("out-of-domain", message, name, Assignment(env)))
+    return diags
+
+
+def reference_supports(table: dict[tuple, tuple]) -> list[set[int]]:
+    """`cak.model._supports` by its definition, over every pair of inputs:
+    input position k is in output j's support when two inputs that differ
+    only at k give different values at j."""
+    if not table:
+        return []
+    found = [set() for _ in next(iter(table.values()))]
+    for (a, out_a), (b, out_b) in itertools.combinations(table.items(), 2):
+        differ = [k for k, (x, y) in enumerate(zip(a, b)) if x != y]
+        if len(differ) == 1:
+            for j, (x, y) in enumerate(zip(out_a, out_b)):
+                if x != y:
+                    found[j].add(differ[0])
+    return found
+
+
+def reference_uev(model: CausalModel) -> CheckReport:
+    """check_uev by its definition. An exogenous variable U is in an
+    equation's support when, with the equation's other referenced
+    variables held at some combination of values, two values of U give
+    different outputs under the closure interpreter. The check fails for
+    the first equation, in declaration order, with two or more supporting
+    variables, then for the first equation whose supporting variable an
+    earlier one has, then when fewer exogenous variables are left unused
+    than equations with an empty support. Otherwise each equation gets
+    its supporting variable, and those with none get the unused ones in
+    declaration order."""
+    sig = model.signature
+    support: dict[str, list[str]] = {}
+    for name, expr in model.equations:
+        refs = sorted(variables(expr))
+        support[name] = []
+        for u in (r for r in refs if r in sig.exo_names):
+            others = [r for r in refs if r != u]
+            for combo in itertools.product(*(sig.domains[r] for r in others)):
+                env = dict(zip(others, combo))
+                if len({reference_eval(expr, {**env, u: v}) for v in sig.domains[u]}) > 1:
+                    support[name].append(u)
+                    break
+    for name in sig.endo_names:
+        if len(support[name]) > 1:
+            return CheckReport(
+                False,
+                detail=f"{name} depends on multiple exogenous variables",
+                counterexample={"variable": name, "exogenous": tuple(support[name])},
+            )
+    owner: dict[str, str] = {}
+    for name in sig.endo_names:
+        for u in support[name]:
+            if u in owner:
+                return CheckReport(
+                    False,
+                    detail=f"{owner[u]} and {name} share exogenous variable {u}",
+                    counterexample={"variables": (owner[u], name), "shared": u},
+                )
+            owner[u] = name
+    unforced = [n for n in sig.endo_names if not support[n]]
+    spare = [u for u in sig.exo_names if u not in owner]
+    if len(unforced) > len(spare):
+        return CheckReport(
+            False,
+            detail="not enough exogenous variables to assign private inputs to " + ", ".join(unforced),
+            counterexample={"unassigned": tuple(unforced), "available": tuple(spare)},
+        )
+    forced = {name: s[0] for name, s in support.items() if s}
+    return CheckReport(True, detail="uev holds", witness={**forced, **dict(zip(unforced, spare))})
 
 
 def outcome(fn, *args):
