@@ -24,7 +24,7 @@ from .interventions import enumerate_interventions, intervention_options, interv
 from .maps import InterventionMap, StateMap, tabulate
 from .model import Assignment, CausalModel, VariableDecl, _supports, check_intervention, enumerate_states
 from .report import CheckReport
-from .transform import _find_compatible
+from .transform import _find_compatible, _image_ids
 
 
 def _product(decls: Sequence[VariableDecl], partial: Assignment) -> Iterable[tuple[int, ...]]:
@@ -63,9 +63,10 @@ class _TauTable:
     states' enumeration order, from `tabulate`: equal images are one
     object. The layers that apply tau apply the caller's map.
 
-    For the induced map, `ids` numbers the distinct images in order of
-    first appearance, so a set of images is an int mask no wider than the
-    low state space, whatever the size of the high one. `value_masks`
+    `ids` numbers the distinct images in order of first appearance. The
+    profile pass reads it, and for the induced map a set of images is an
+    int mask no wider than the low state space, whatever the size of the
+    high one. `value_masks`
     holds, for each high variable with more than one value, its domain
     size and each value that some image takes, with the mask of those
     images; a variable whose whole domain is one value is constant in
@@ -76,7 +77,7 @@ class _TauTable:
     def __init__(self, m_low: CausalModel, m_high: CausalModel, tau: StateMap):
         self.low, self.high, self.tau = m_low.signature, m_high.signature, tau
         self.by_values = tabulate(tau, self.low, self.high)
-        self.ids = {image: k for k, image in enumerate(dict.fromkeys(self.by_values.values()))}
+        self.ids = _image_ids(self.by_values)
         self.value_masks = []
         for d in self.high.endogenous:
             if len(d.domain) > 1:
@@ -225,7 +226,7 @@ def _tau_abstraction(
             )
 
     i_low = [i for i, _ in pairs]
-    inner = _find_compatible(m_low, m_high, table.tau, omega_tau, i_low, require_surjective=True)
+    inner = _find_compatible(m_low, m_high, table.tau, table.ids, omega_tau, i_low, require_surjective=True)
     if not inner.verdict:
         return CheckReport(
             False,

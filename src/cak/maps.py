@@ -141,15 +141,23 @@ class StateMap(FiniteMap):
             kernel = self._kernels[keys] = _tuple_kernel(exprs, tuple(sorted(keys)))
         return kernel
 
+    @cached_property
+    def _interned(self) -> dict[tuple, Assignment]:
+        return {}
+
     def _image(self, values: tuple) -> Assignment:
-        return Assignment._from_sorted_items(tuple(zip(self._names, values)), values)
+        """The image with these values, in name order: one object per
+        distinct image, so equal images are found by identity."""
+        image = self._interned.get(values)
+        if image is None:
+            image = self._interned[values] = Assignment._from_sorted_items(tuple(zip(self._names, values)), values)
+        return image
 
     @cached_property
     def _images(self) -> dict[tuple, Assignment]:
         # Images by the state's items, as in `_lookup`. A table holds all
-        # of its own; expressions keep one image per distinct state applied
-        # to, so equal states share one image. A failed evaluation is not
-        # kept.
+        # of its own; expressions keep the image of each distinct state
+        # applied to. A failed evaluation is not kept.
         return self._lookup if self.exprs is None else {}
 
     def apply(self, state: Assignment) -> Assignment:
@@ -177,20 +185,6 @@ def check_reads(tau: StateMap, low: Signature) -> None:
         raise InputError(f"state map reads variables that are not low endogenous: {unknown}")
 
 
-def check_image(tau: StateMap, image: Assignment, high: Signature, state: Assignment | None = None) -> None:
-    """Raise InputError unless `image`, tau's image of the low state
-    `state`, is a high state. Without `state`, `image` is an object that
-    `apply` returned, and the message names a state it was returned for;
-    with expressions there is one, whatever else tau has been applied to."""
-    problem = _problem(image, high)
-    if problem is None:
-        return
-    if state is None:
-        items = next(k for k, v in tau._images.items() if v is image)
-        state = Assignment._from_sorted_items(items)
-    raise InputError(f"state map sends {state!r} to {problem}")
-
-
 def _problem(image: Assignment, high: Signature) -> str | None:
     """Why `image` is not a high state, or None when it is one."""
     if image._keys != high.endo_keyset:
@@ -204,7 +198,8 @@ def tabulate(tau: StateMap, low: Signature, high: Signature) -> dict[tuple[int, 
     declaration order, in enumeration order, with the checks and errors of
     applying tau to each state in turn and checking its image. The values
     go through tau's kernel, and each distinct image is built and checked
-    once, naming the first state sent to it."""
+    once, naming the first state sent to it. Equal images are one object:
+    for expressions, the object that `apply` returns."""
     check_reads(tau, low)
     states = _enumerate_total(low.endogenous, low.endo_keyset, "endogenous state space")  # checks the cap; lazy
     keys = list(product(*(d.domain for d in low.endogenous)))
@@ -218,8 +213,10 @@ def tabulate(tau: StateMap, low: Signature, high: Signature) -> dict[tuple[int, 
     finally:  # on an error, the images before it are checked first
         for out in dict.fromkeys(outs):
             image = images[out] = out if tau.exprs is None else tau._image(out)
-            if _problem(image, high) is not None:
-                check_image(tau, image, high, Assignment(zip(low.endo_names, keys[outs.index(out)])))
+            problem = _problem(image, high)
+            if problem is not None:
+                state = Assignment(zip(low.endo_names, keys[outs.index(out)]))
+                raise InputError(f"state map sends {state!r} to {problem}")
     return dict(zip(keys, map(images.__getitem__, outs)))
 
 

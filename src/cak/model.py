@@ -701,17 +701,24 @@ def check_uev(model: CausalModel) -> CheckReport:
     variables remain to serve the equations with empty support.
 
     Each equation is evaluated at every combination of its referenced
-    values, so a failed evaluation, such as a table read that misses,
-    raises its EvaluationError; `validate` reports it.
+    values. A model that `validate` rejects, say for a table read that
+    misses or an undeclared name, is an InputError naming its first
+    diagnostic.
     """
     sig = model.signature
     exo = set(sig.exo_names)
     supports: dict[str, list[str]] = {}
-    for name, expr in model.equations:
-        refs = tuple(sorted(variables(expr)))
-        combos = list(itertools.product(*(sig.domains[r] for r in refs)))
-        (reads,) = _supports(dict(zip(combos, map(_tuple_kernel((expr,), refs), combos))))
-        supports[name] = [refs[k] for k in sorted(reads) if refs[k] in exo]
+    try:
+        for name, expr in model.equations:
+            refs = tuple(sorted(variables(expr)))
+            combos = list(itertools.product(*(sig.domains[r] for r in refs)))
+            (reads,) = _supports(dict(zip(combos, map(_tuple_kernel((expr,), refs), combos))))
+            supports[name] = [refs[k] for k in sorted(reads) if refs[k] in exo]
+    except (KeyError, EvaluationError):
+        diagnostics = validate(model)
+        if not diagnostics:
+            raise
+        raise InputError(f"model is not valid: {diagnostics[0].message}") from None
 
     for name in sig.endo_names:
         if len(supports[name]) > 1:

@@ -23,10 +23,9 @@ from .maps import (
     ContextMap,
     InterventionMap,
     StateMap,
-    check_image,
-    check_reads,
     compose_intervention_maps,
     compose_state_maps,
+    tabulate,
 )
 from .model import (
     Assignment,
@@ -68,26 +67,21 @@ def check_exact(
 
     omega must be total on the low allowed set, land in the high allowed
     set, and be surjective and order-preserving; violations are input
-    errors.
+    errors. tau is tabulated first, so a tau-image of any low state that
+    is not a high state is an input error.
     """
     check_distribution(m_low, d_low)
     check_distribution(m_high, d_high)
-    check_reads(tau, m_low.signature)
+    tabulate(tau, m_low.signature, m_high.signature)
     i_low = _admissible(m_low, m_high, omega)
-    # One high distribution per distinct omega-image, and one check per
-    # distinct pushed state.
+    # One high distribution per distinct omega-image.
     high_dists: dict[Assignment, RationalDist] = {}
-    pushed_states: set[Assignment] = set()
     for i in i_low:
         image = omega.apply(i)
         high_dist = high_dists.get(image)
         if high_dist is None:
             high_dist = high_dists[image] = interventional_dist(m_high, d_high, image)
         pushed = tau_pushforward(tau, interventional_dist(m_low, d_low, i))
-        for state in pushed.support():
-            if state not in pushed_states:
-                check_image(tau, state, m_high.signature)
-                pushed_states.add(state)
         if high_dist != pushed:
             for state in sorted(set(high_dist.support()) | set(pushed.support())):
                 a, b = high_dist.mass(state), pushed.mass(state)
@@ -113,10 +107,11 @@ def check_compatible(
     m_high: CausalModel,
 ) -> CheckReport:
     """Whether tau(solve_low(u, i)) == solve_high(tau_u(u), omega(i)) for
-    every low context u and every allowed low intervention i. tau's reads,
-    and each distinct tau_u-image and omega-image, are checked against the
-    models first; a tau-image that is not a high state is an input error."""
-    check_reads(tau, m_low.signature)
+    every low context u and every allowed low intervention i. tau is
+    tabulated over the low states, and each distinct tau_u-image and
+    omega-image checked against the models, first; a tau-image that is not
+    a high state is an input error."""
+    tabulate(tau, m_low.signature, m_high.signature)
     interventions = resolve_interventions(m_low)
     images = [omega.apply(i) for i in interventions]
     for j in dict.fromkeys(images):
@@ -130,8 +125,6 @@ def check_compatible(
             low_side = tau.apply(solve_under(m_low, u, i))
             high_side = solve_under(m_high, v, j)
             if low_side != high_side:
-                # An image that is not a high state never matches, so it is caught here.
-                check_image(tau, low_side, m_high.signature)
                 return CheckReport(
                     False,
                     detail="abstract-then-solve disagrees with solve-then-abstract",
@@ -187,23 +180,28 @@ def find_compatible_tau_u(
     greedy choice is kept wherever the completion imposes nothing.
     The witness is the full table. The profile pass builds its columns by
     cone or by context, picked by their expected work; both give the same
-    report.
+    report. tau is tabulated once the low context space is within the cap,
+    so a tau-image of any low state that is not a high state is an input
+    error.
     """
-    check_reads(tau, m_low.signature)
-    return _find_compatible(m_low, m_high, tau, omega, resolve_interventions(m_low), require_surjective)
+    return _find_compatible(m_low, m_high, tau, None, omega, resolve_interventions(m_low), require_surjective)
 
 
 def _find_compatible(
     m_low: CausalModel,
     m_high: CausalModel,
     tau: StateMap,
+    ids: dict[Assignment, int] | None,
     omega: InterventionMap,
     interventions: Sequence[Assignment],
     require_surjective: bool = False,
 ) -> CheckReport:
     """find_compatible_tau_u over `interventions`, the low allowed set its
-    caller has resolved, with tau's reads already checked."""
+    caller has resolved. `ids` numbers the images of tau's checked table
+    (`_image_ids`); None tabulates tau here, after the low context cap."""
     low_contexts = iter_contexts(m_low)  # checks the cap; builds nothing yet
+    if ids is None:
+        ids = _image_ids(tabulate(tau, m_low.signature, m_high.signature))
     high_contexts = enumerate_contexts(m_high)
     images = [omega.apply(i) for i in interventions]
     # Each high context is solved once per distinct image; the profile
@@ -213,7 +211,7 @@ def _find_compatible(
     distinct = list(slot_of)
     for j in distinct:
         check_intervention(m_high, j)
-    passed, miss = _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots)
+    passed, miss = _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_contexts, distinct, slots)
     if miss is not None:
         u_l, profile = miss
         diagnosis = _conflict_diagnosis(interventions, images, profile)
@@ -250,7 +248,14 @@ def _find_compatible(
     )
 
 
-def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts, distinct, slots):
+def _image_ids(table: dict[tuple[int, ...], Assignment]) -> dict[Assignment, int]:
+    """An id for each distinct image of `table`, a `tabulate` result, in
+    order of first appearance. The table holds one object per distinct
+    image, so this hashes each and compares none."""
+    return {image: k for k, image in enumerate(dict.fromkeys(table.values()))}
+
+
+def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_contexts, distinct, slots):
     """The high profiles, then the low ones in enumeration order up to the
     first miss. Returns ((lows, founds), None), the low contexts in
     enumeration order and at each position the list of its matching high
@@ -263,11 +268,13 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
 
     A profile is a row of ids, one per distinct omega-image on the high
     side (repeated per `slots`, the image index of each intervention) and
-    one per intervention on the low side. Every high state, and the
-    tau-image of every low state, gets an int id from one dict, so int
-    profiles match exactly when the profiles of states do. A tau-image
-    that is not a high state raises when it would get its id. The low
-    columns look the images up by object first (`_ImageIds`).
+    one per intervention on the low side. `ids` numbers tau's images, the
+    objects of its checked table (`_image_ids`), which are the objects
+    that an expression map's `apply` returns. The high side numbers the
+    high model's states with the same ids, keyed by the objects that its
+    solutions are, and gives a state outside tau's image -1, which no low
+    profile holds. So int profiles match exactly when the profiles of
+    states do, and an image is looked up by identity and checks nothing.
 
     Each context is read as the key of its profile class (see `_columns`):
     contexts with equal keys have equal profiles, so one profile is built
@@ -275,8 +282,8 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
     of high contexts.
     """
     by_cone = _columns_pay(m_low, m_high, interventions, distinct)
-    ids = _Ids(tau, m_high.signature)
-    high_columns, high_profile = _columns(m_high, distinct, ids, by_cone)
+    high_ids = {state_of(m_high, image._values): k for image, k in ids.items()}
+    high_columns, high_profile = _columns(m_high, distinct, high_ids, by_cone)
     high_classes: dict[tuple, list[Assignment]] = {}
     for u_h, key in chain.from_iterable(_blocks(high_columns, iter(high_contexts))):
         high_classes.setdefault(key, []).append(u_h)
@@ -286,7 +293,7 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
     lows: list[Assignment] = []
     founds: list[list[Assignment]] = []
     classes: dict[tuple, list[Assignment]] = {}  # low class key -> its high contexts
-    low_columns, low_profile = _columns(m_low, interventions, _ImageIds(ids), by_cone, tau)
+    low_columns, low_profile = _columns(m_low, interventions, ids, by_cone, tau)
     for u_l, key in chain.from_iterable(_blocks(low_columns, low_contexts)):
         found = classes.get(key)
         if found is None:
@@ -295,44 +302,12 @@ def _profile_pass(m_low, m_high, tau, interventions, low_contexts, high_contexts
             if found is None:
                 # The first context without a correspondent decides; the
                 # rest are never read, and past its block never built.
-                states = list(ids)
-                return None, (u_l, tuple([states[k] for k in profile]))
+                images = list(ids)
+                return None, (u_l, tuple([images[k] for k in profile]))
             classes[key] = found
         lows.append(u_l)
         founds.append(found)
     return (lows, founds), None
-
-
-class _Ids(dict):
-    """Ids of states: a new key, which must be a high state, gets the next
-    id. High solutions are; a tau-image is checked here, once."""
-
-    def __init__(self, tau: StateMap, high: Signature):
-        super().__init__()
-        self.tau, self.high = tau, high
-
-    def __missing__(self, state: Assignment) -> int:
-        check_image(self.tau, state, self.high)
-        self[state] = new = len(self)
-        return new
-
-
-class _ImageIds(dict):
-    """The ids of tau's image objects, for the low columns. tau returns
-    one image object per distinct low state, so the object kept here for
-    an image is found again by identity, without a Python-level
-    `Assignment.__eq__` (an equal object of another state still calls it);
-    a new image is looked up in `ids`, which checks it. Images are not
-    interned: the object tau returns names the low state that a bad image
-    is reported for."""
-
-    def __init__(self, ids: _Ids):
-        super().__init__()
-        self.ids = ids
-
-    def __missing__(self, image: Assignment) -> int:
-        self[image] = found = self.ids[image]
-        return found
 
 
 def _blocks(columns: list, contexts: Iterator[Assignment]) -> Iterator[Iterator[tuple]]:
@@ -354,7 +329,8 @@ def _blocks(columns: list, contexts: Iterator[Assignment]) -> Iterator[Iterator[
 def _columns(model, interventions, ids: dict, by_cone: bool, tau: StateMap | None = None):
     """The columns of the class keys over `interventions`, and the function
     that builds a class's profile from its key: the ids of the solutions
-    under the interventions, or of their tau-images, in intervention order.
+    under the interventions, or of their tau-images, in intervention order,
+    each `ids.get(state, -1)`.
 
     Called on each block of contexts in turn, as `_blocks` does,
     `column(block)` lazily gives the column's key entry at each context of
@@ -391,7 +367,7 @@ def _columns(model, interventions, ids: dict, by_cone: bool, tau: StateMap | Non
                 for values in solved:
                     if values not in known:
                         state = state_of(model, values)
-                        known[values] = ids[state if tau is None else tau.apply(state)]
+                        known[values] = ids.get(state if tau is None else tau.apply(state), -1)
                 groups.setdefault(cone, []).append((pos, list(map(known.__getitem__, solved))))
                 continue
             except Exception:  # by context, it raises again if the pass reads that far
@@ -425,7 +401,7 @@ def _context_column(
     model: CausalModel, i: Assignment, ids: dict, tau: StateMap | None, block: list[Assignment]
 ) -> Iterator[int]:
     solved = map(solve_under, repeat(model), block, repeat(i))
-    return map(ids.__getitem__, solved if tau is None else map(tau.apply, solved))
+    return map(ids.get, solved if tau is None else map(tau.apply, solved), repeat(-1))
 
 
 def _columns_pay(
@@ -528,11 +504,12 @@ def check_uniform(
     Holds when for every low context distribution there is a high one
     making the transformation exact; decided by searching for a compatible
     context map (no surjectivity demanded). omega must be admissible
-    between the two allowed sets.
+    between the two allowed sets. tau is tabulated once the low context
+    space is within the cap, so a tau-image of any low state that is not a
+    high state is an input error.
     """
     i_low = _admissible(m_low, m_high, omega)
-    check_reads(tau, m_low.signature)
-    return _find_compatible(m_low, m_high, tau, omega, i_low)
+    return _find_compatible(m_low, m_high, tau, None, omega, i_low)
 
 
 def compose_transformations(

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cak import (
     Assignment,
@@ -12,6 +14,7 @@ from cak import (
     InputError,
     InterventionMap,
     Partition,
+    RationalDist,
     SizeCapExceeded,
     Signature,
     StateMap,
@@ -56,10 +59,19 @@ from .util import (
     brute_force_omega_tau,
     outcome,
     random_constant_component_case,
+    random_expr_state_map,
     random_factoring_case,
     random_model,
     random_state_map,
+    random_transformation_case,
+    reference_check_compatible,
+    reference_check_exact,
+    reference_check_uniform,
+    reference_find_compatible,
+    reference_find_compatible_tau_u,
     reference_induced_sets,
+    reference_tau_table,
+    sample_rational_dist,
     voting_natural_partition,
 )
 
@@ -739,25 +751,94 @@ def test_induced_sets_keep_the_intervention_cap_error(bundle, monkeypatch):
     assert check_strong_abstraction(bundle.low, bundle.high, bundle.tau).verdict
 
 
+def _leaving_y_alone(b):
+    """Bundle `b` with the low allowed set cut to the interventions that
+    leave Y alone, the high one to their images, and all low mass on the
+    first context. Solving then reaches only the low states with Y = X1 +
+    X2 + LV1, and the first context only those with LV1 = 0."""
+    i_low = [i for i in b.low.allowed_interventions if "Y" not in i]
+    omega = InterventionMap.from_pairs([(i, b.omega.apply(i)) for i in i_low])
+    return dataclasses.replace(
+        b,
+        low=b.low.with_allowed(i_low),
+        high=b.high.with_allowed(list(dict.fromkeys(omega.apply(i) for i in i_low))),
+        omega=omega,
+        low_dist=RationalDist.point(enumerate_contexts(b.low)[0]),
+    )
+
+
+LINEAR_LEAVING_Y = _leaving_y_alone(LINEAR)
+
+
 @pytest.mark.parametrize(
-    "exprs,reason",
+    "bundle,exprs,state,reason",
     [
-        ({"XS": "X1 + X2"}, "to Assignment(XS=0), which does not assign exactly the high endogenous variables"),
-        ({"XS": "X1 + X2 + 9", "YS": "Y"}, "to out-of-domain value XS=9"),
+        (
+            LINEAR, {"XS": "X1 + X2"}, "X1=0, X2=0, Y=0",
+            "to Assignment(XS=0), which does not assign exactly the high endogenous variables",
+        ),
+        (LINEAR, {"XS": "X1 + X2 + 9", "YS": "Y"}, "X1=0, X2=0, Y=0", "to out-of-domain value XS=9"),
+        # Bad only on a low state that no allowed intervention reaches.
+        (
+            LINEAR_LEAVING_Y, {"XS": "X1 + X2", "YS": "ite(X1 + X2 == 2 && Y == 0, 9, Y)"}, "X1=1, X2=1, Y=0",
+            "to out-of-domain value YS=9",
+        ),
+        # Sending the first state to YS = 1 makes the first low context miss
+        # (and differ under omega and tau_u); the bad state comes with LV1 = 1.
+        (
+            LINEAR_LEAVING_Y, {"XS": "X1 + X2", "YS": "ite(X1 + X2 + Y == 0, 1, ite(X1 + X2 + Y == 5, 9, Y))"},
+            "X1=1, X2=1, Y=3", "to out-of-domain value YS=9",
+        ),
     ],
-    ids=["without-YS", "out-of-domain"],
+    ids=["without-YS", "out-of-domain", "unreached", "past-the-first-miss"],
 )
 @pytest.mark.parametrize("backing", ["exprs", "table"])
 @pytest.mark.parametrize("entry", sorted(_entry_points(LINEAR, LINEAR.tau)))
-def test_tau_images_that_are_not_high_states_are_input_errors(entry, backing, exprs, reason):
+def test_tau_images_that_are_not_high_states_are_input_errors(entry, backing, bundle, exprs, state, reason):
     # check_uniform, find_compatible_tau_u, check_exact and check_compatible
     # returned False ("has no corresponding high context", "interventional
-    # distributions differ"); the tau-level checks raised.
+    # distributions differ"), or True where no pass reached the bad state;
+    # the tau-level checks raised. Every entry point now checks tau on every
+    # low state first and names the first bad one in enumeration order.
     tau = StateMap.from_exprs({h: parse_expr(e) for h, e in exprs.items()})
     if backing == "table":
-        tau = StateMap.from_table(tuple((s, tau.apply(s)) for s in enumerate_states(LINEAR.low)))
-    with pytest.raises(InputError, match=re.escape("state map sends Assignment(X1=0, X2=0, Y=0) " + reason)):
-        _entry_points(LINEAR, tau)[entry]()
+        tau = StateMap.from_table(tuple((s, tau.apply(s)) for s in enumerate_states(bundle.low)))
+    with pytest.raises(InputError, match=re.escape(f"state map sends Assignment({state}) {reason}")):
+        _entry_points(bundle, tau)[entry]()
+
+
+def _outcome_bytes(fn, *args):
+    kind, value = outcome(fn, *args)
+    return (kind, dumps(to_jsonable(value))) if kind == "value" else (kind, value)
+
+
+@given(st.integers(0, 2**32))
+def test_tau_taking_checks_match_their_references(seed):
+    # random_expr_state_map's images often leave the high domains, and its
+    # tables may miss the entry a low state needs, on states that a check's
+    # pass may or may not reach. Every check gives its reference's report,
+    # or raises its error, which checks tau on every low state first. The
+    # tau-level checks' reference swaps in the reference table and search.
+    rng = random.Random(seed)
+    low, high, _, omega = random_transformation_case(rng)
+    tau = random_expr_state_map(rng, low, high)
+    high_contexts = enumerate_contexts(high)
+    tau_u = ContextMap.from_table(tuple((u, rng.choice(high_contexts)) for u in enumerate_contexts(low)))
+    d_low, d_high = (sample_rational_dist(enumerate_contexts(m), rng) for m in (low, high))
+    pairs = [
+        (find_compatible_tau_u, reference_find_compatible_tau_u, (low, high, tau, omega, rng.random() < 0.5)),
+        (check_uniform, reference_check_uniform, (low, high, tau, omega)),
+        (check_compatible, reference_check_compatible, (tau_u, tau, omega, low, high)),
+        (check_exact, reference_check_exact, (low, d_low, high, d_high, tau, omega)),
+    ]
+    for check, reference, args in pairs:
+        assert _outcome_bytes(check, *args) == _outcome_bytes(reference, *args), check.__name__
+    tau_level = (check_tau_abstraction, check_strong_abstraction)
+    got = [_outcome_bytes(check, low, high, tau) for check in tau_level]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abstraction, "tabulate", reference_tau_table)
+        patch.setattr(abstraction, "_find_compatible", reference_find_compatible)
+        assert got == [_outcome_bytes(check, low, high, tau) for check in tau_level]
 
 
 @pytest.mark.parametrize("bundle", all_bundles(), ids=lambda b: b.name)

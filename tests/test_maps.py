@@ -18,9 +18,9 @@ from cak import (
     parse_expr,
 )
 from cak.abstraction import _TauTable
-from cak.corpus import all_bundles, get_bundle
+from cak.corpus import all_bundles, build_voting, get_bundle
 from cak.errors import EvaluationError
-from cak.maps import compose_state_maps
+from cak.maps import compose_state_maps, tabulate
 from cak.serialize import (
     context_map_from_obj,
     dumps,
@@ -69,6 +69,17 @@ def test_expr_map_keeps_one_image_per_state():
     for _ in range(2):
         with pytest.raises(EvaluationError, match="no entry"):
             tau.apply(miss)
+
+
+def test_an_expression_map_interns_its_images():
+    # Equal images of different states are one object, and the table that
+    # tabulate builds holds the objects that apply returns.
+    b = build_voting(4, 2, 1)
+    table = tabulate(b.tau, b.low.signature, b.high.signature)
+    assert len({*map(id, table.values())}) == len(set(table.values())) < len(table)
+    for state, image in zip(enumerate_states(b.low), table.values()):
+        assert b.tau.apply(state) is image
+    assert b.tau.apply(Assignment(enumerate_states(b.low)[0])) is next(iter(table.values()))
 
 
 def test_materialize_rejects_out_of_domain_images():

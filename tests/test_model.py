@@ -11,7 +11,6 @@ from cak import (
     CausalModel,
     CyclicModelError,
     EMPTY,
-    EvaluationError,
     Event,
     InputError,
     Not,
@@ -339,14 +338,25 @@ def test_uev_ignores_vacuous_reference():
 def test_uev_tabulates_each_equation_so_a_table_miss_raises():
     # Both U1 and U2 change X with the other at 0, so a scan that stops at
     # the first change of each never reads the missing (1, 1); check_uev
-    # reads every combination, and the miss raises.
+    # reads every combination, and the miss raises, naming validate's
+    # diagnostic.
     m = model_of(
         [("U1", (0, 1)), ("U2", (0, 1))],
         [("X", (0, 1))],
         {"X": "table(U1, U2)[(0, 0) -> 0, (0, 1) -> 1, (1, 0) -> 1]"},
     )
     assert [d.message for d in validate(m)] == ["equation for X: table over ('U1', 'U2') has no entry for (1, 1)"]
-    with pytest.raises(EvaluationError, match=r"^table over \('U1', 'U2'\) has no entry for \(1, 1\)$"):
+    with pytest.raises(
+        InputError, match=r"^model is not valid: equation for X: table over \('U1', 'U2'\) has no entry for \(1, 1\)$"
+    ):
+        check_uev(m)
+
+
+@pytest.mark.parametrize("equation", ["U + Z", "Z"])
+def test_uev_on_an_undeclared_name_is_an_input_error(equation):
+    # Both ended in a bare KeyError: 'Z'.
+    m = model_of([("U", (0, 1))], [("X", (0, 1))], {"X": equation})
+    with pytest.raises(InputError, match=r"^model is not valid: equation for X references undeclared variable Z$"):
         check_uev(m)
 
 

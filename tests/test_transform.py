@@ -500,6 +500,19 @@ def test_allowed_set_checks_on_voting_stay_streamed(monkeypatch, shape):
     assert taken == ["by context"] * 2
 
 
+def test_the_uniform_check_compares_no_tau_image_by_value(monkeypatch):
+    # The pass numbers tau's interned images, the objects that apply
+    # returns, and keys the high side by the high model's own states, so
+    # every id lookup is found by identity: this check called the
+    # Python-level Assignment.__eq__ 690 times.
+    bundle = build_voting(4, 2, 1)
+    calls = []
+    eq = Assignment.__eq__
+    monkeypatch.setattr(Assignment, "__eq__", lambda a, b: (calls.append(1), eq(a, b))[1])
+    assert check_uniform(bundle.low, bundle.high, bundle.tau, bundle.omega).verdict
+    assert not calls
+
+
 def _count_kernel_calls(monkeypatch):
     """Count every call of a generated solver that the patched factory
     makes from now on; returns the one-element count."""
@@ -588,7 +601,7 @@ def test_the_strong_check_on_voting_builds_one_profile_per_class(monkeypatch):
 
     def recorded(*args):
         result = profile_pass(*args)
-        passes.append((args[3], args[6], result[0]))
+        passes.append((args[4], args[7], result[0]))
         return result
 
     monkeypatch.setattr(transform, "_profile_pass", recorded)
@@ -634,7 +647,7 @@ def _bad_image(state: str, problem: str):
 # verdict and the index of its counterexample context, or an error; the
 # reference's error when it differs, and the cone pass's low key width: a
 # fused id per cone with a column that does not raise, and one id per
-# column by context)
+# column by context, or None where tau's table raises before any pass)
 _MIXED_CASES = {
     "passes": (_SHIFT, _SHIFT, None, False, (True, None), None, 3),
     "misses at 0": (_SHIFT, {**_SHIFT, (0, 0): 1}, None, False, (False, 0), None, 3),
@@ -644,28 +657,29 @@ _MIXED_CASES = {
     ),
     "falls back, misses after": (_WITHOUT_1_1, {**_SHIFT, (2, 0): 1}, None, False, _MISSING_1_1, None, 4),
     "falls back, no miss": (_WITHOUT_1_1, _SHIFT, None, False, _MISSING_1_1, None, 4),
+    # tau is tabulated before any pass, so a bad image names the first low
+    # state in enumeration order (X3's domain starts at 1) that tau sends
+    # to it, wherever the pass would meet it.
     "image out of its domain": (
         _SHIFT, _SHIFT, {"X1": "X1 * 2", "X2": "X2", "X3": "X3"}, False,
-        _bad_image("X1=2, X2=0, X3=0", "out-of-domain value X1=4"), None, 8,
+        _bad_image("X1=2, X2=0, X3=1", "out-of-domain value X1=4"), None, None,
     ),
-    # A cone point of X3 = 1, which comes first, meets another state with
-    # the same bad image before the fallback reads context 0.
     "image out of its domain, shared": (
         _SHIFT, _SHIFT, {"X1": "X1 * 2", "X2": "0", "X3": "0"}, False,
-        _bad_image("X1=2, X2=0, X3=0", "out-of-domain value X1=4"), None, 8,
+        _bad_image("X1=2, X2=0, X3=1", "out-of-domain value X1=4"), None, None,
     ),
     "image out of its domain, shared, by table": (
         _SHIFT, _SHIFT, {"X1": "X1 * 2", "X2": "0", "X3": "0"}, True,
-        _bad_image("X1=2, X2=0, X3=0", "out-of-domain value X1=4"), None, 8,
+        _bad_image("X1=2, X2=0, X3=1", "out-of-domain value X1=4"), None, None,
     ),
     "image without a variable": (
         _SHIFT, _SHIFT, {"X1": "X1", "X2": "X2"}, False,
         _bad_image("X1=0, X2=0, X3=1", "Assignment(X1=0, X2=0), which does not assign exactly the high endogenous variables"),
-        None, 9,
+        None, None,
     ),
     "image out of its domain after the miss": (
-        _SHIFT, _SHIFT, {"X1": "X1", "X2": "X2", "X3": "X3 * X1"}, False, (False, 0),
-        _bad_image("X1=2, X2=2, X3=2", "out-of-domain value X3=4"), 7,
+        _SHIFT, _SHIFT, {"X1": "X1", "X2": "X2", "X3": "X3 * X1"}, False,
+        _bad_image("X1=2, X2=0, X3=2", "out-of-domain value X3=4"), None, None,
     ),
 }
 
@@ -700,8 +714,7 @@ def test_fused_groups_and_fallback_columns_give_the_by_context_reports(monkeypat
         monkeypatch.undo()
         assert _report_bytes(got) == by_context
         assert reference == (by_context if reference_error is None else reference_error)
-        [(width, _)] = record["low"]
-        assert width == key_width
+        assert [width for width, _ in record["low"]] == ([] if key_width is None else [key_width])
         if got[0] == "value":
             report = got[1]
             miss = None if report.verdict else contexts.index(report.counterexample["context"])

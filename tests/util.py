@@ -29,6 +29,7 @@ from cak import (
     VariableDecl,
     check_constructive,
     check_exact,
+    check_omega,
     derive_component_maps,
     derive_omega_tau,
     enumerate_contexts,
@@ -42,8 +43,9 @@ from cak.corpus import ExampleBundle
 from cak.errors import EvaluationError, InputError, ParseError
 from cak.expr import Binary, Ite, Lit, Table, Unary, Var, variables
 from cak.interventions import resolve_interventions
-from cak.maps import check_image, check_reads
+from cak.maps import check_reads
 from cak.model import check_context, check_intervention
+from cak.prob import check_distribution
 
 BINARY_OPS = ("+", "-", "*", "==", "<", "<=", "&&", "||")
 
@@ -390,14 +392,17 @@ def reference_find_compatible_tau_u(m_low, m_high, tau, omega, require_surjectiv
     """The full-pass form of transform.find_compatible_tau_u: every low
     context's matching high contexts are computed up front, with one solve
     per high context and intervention, and the first context without a
-    match is diagnosed by solving it again."""
-    return reference_find_compatible(m_low, m_high, tau, omega, resolve_interventions(m_low), require_surjective)
+    match is diagnosed by solving it again. tau is checked on every low
+    state first, once the low context space is within the cap."""
+    return reference_find_compatible(m_low, m_high, tau, None, omega, resolve_interventions(m_low), require_surjective)
 
 
-def reference_find_compatible(m_low, m_high, tau, omega, interventions, require_surjective=False):
+def reference_find_compatible(m_low, m_high, tau, ids, omega, interventions, require_surjective=False):
     """reference_find_compatible_tau_u over a resolved low allowed set: the
-    form of transform._find_compatible, which the checks call."""
+    form of transform._find_compatible, which the checks call. It checks
+    tau itself, whatever `ids` holds."""
     low_contexts = enumerate_contexts(m_low)
+    reference_tau_table(tau, m_low.signature, m_high.signature)
     high_contexts = enumerate_contexts(m_high)
     high_images = [omega.apply(i) for i in interventions]
     profile_to_high = {}
@@ -406,7 +411,7 @@ def reference_find_compatible(m_low, m_high, tau, omega, interventions, require_
         profile_to_high.setdefault(profile, []).append(u_h)
     cands = {}
     for u_l in low_contexts:
-        profile = tuple(reference_high_image(tau, solve_under(m_low, u_l, i), m_high) for i in interventions)
+        profile = tuple(tau.apply(solve_under(m_low, u_l, i)) for i in interventions)
         cands[u_l] = profile_to_high.get(profile, [])
     for u_l in low_contexts:
         if cands[u_l]:
@@ -443,6 +448,74 @@ def reference_find_compatible(m_low, m_high, tau, omega, interventions, require_
     )
 
 
+def _reference_admissible(m_low, m_high, omega) -> tuple[Assignment, ...]:
+    """The low allowed set, once omega is admissible between the models'
+    allowed sets; an inadmissible omega is an InputError."""
+    i_low = resolve_interventions(m_low)
+    gate = check_omega(omega, i_low, resolve_interventions(m_high))
+    if not gate.verdict:
+        raise InputError(f"omega is not admissible: {gate.detail}")
+    return i_low
+
+
+def reference_check_uniform(m_low, m_high, tau, omega) -> CheckReport:
+    """transform.check_uniform by `reference_find_compatible`."""
+    return reference_find_compatible(m_low, m_high, tau, None, omega, _reference_admissible(m_low, m_high, omega))
+
+
+def reference_check_compatible(tau_u, tau, omega, m_low, m_high) -> CheckReport:
+    """transform.check_compatible by the reference solver and tau, one low
+    context and intervention at a time, after tau is checked on every low
+    state and each omega- and tau_u-image against the high model."""
+    reference_tau_table(tau, m_low.signature, m_high.signature)
+    interventions = resolve_interventions(m_low)
+    images = [omega.apply(i) for i in interventions]
+    for j in images:
+        check_intervention(m_high, j)
+    low_contexts = enumerate_contexts(m_low)
+    high_contexts = [tau_u.apply(u) for u in low_contexts]
+    for v in high_contexts:
+        check_context(m_high, v)
+    for u, v in zip(low_contexts, high_contexts):
+        for i, j in zip(interventions, images):
+            low_side = reference_tau_apply(tau, reference_solve_under(m_low, u, i))
+            high_side = reference_solve_under(m_high, v, j)
+            if low_side != high_side:
+                return CheckReport(
+                    False,
+                    detail="abstract-then-solve disagrees with solve-then-abstract",
+                    counterexample={
+                        "context": u,
+                        "intervention": i,
+                        "abstracted_low_solution": low_side,
+                        "high_solution": high_side,
+                    },
+                )
+    return CheckReport(True, detail="compatible")
+
+
+def reference_check_exact(m_low, d_low, m_high, d_high, tau, omega) -> CheckReport:
+    """transform.check_exact by the reference distributions, one allowed
+    low intervention at a time, after tau is checked on every low state:
+    the first state, in sorted order, whose masses differ."""
+    check_distribution(m_low, d_low)
+    check_distribution(m_high, d_high)
+    reference_tau_table(tau, m_low.signature, m_high.signature)
+    i_low = _reference_admissible(m_low, m_high, omega)
+    for i in i_low:
+        high = reference_interventional_dist(m_high, d_high, omega.apply(i))
+        pushed = reference_tau_pushforward(tau, reference_interventional_dist(m_low, d_low, i))
+        for state in sorted(set(high.support()) | set(pushed.support())):
+            a, b = high.mass(state), pushed.mass(state)
+            if a != b:
+                return CheckReport(
+                    False,
+                    detail="interventional distributions differ",
+                    counterexample={"intervention": i, "state": state, "high_mass": a, "pushed_low_mass": b},
+                )
+    return CheckReport(True, detail=f"exact over {len(i_low)} interventions")
+
+
 def reference_finite_map_entries(kind: str, entries) -> tuple[tuple[Assignment, Assignment], ...]:
     """The entries of a FiniteMap of `kind` by a plain sort: each key and
     value an Assignment, the given object when it is one, in order of the
@@ -458,12 +531,11 @@ def reference_finite_map_entries(kind: str, entries) -> tuple[tuple[Assignment, 
     return tuple(pairs)
 
 
-def reference_high_image(tau: StateMap, state: Assignment, high: CausalModel) -> Assignment:
-    """tau's image of the low state `state`, which must assign exactly the
-    high endogenous variables, each a value of its domain; otherwise an
-    InputError names `state` and, in name order, the first bad value."""
-    image = tau.apply(state)
-    sig = high.signature
+def reference_high_image(state: Assignment, image: Assignment, sig: Signature) -> Assignment:
+    """`image`, tau's image of the low state `state`, which must assign
+    exactly the high endogenous variables, each a value of its domain;
+    otherwise an InputError names `state` and, in name order, the first bad
+    value."""
     if set(image) != set(sig.endo_names):
         raise InputError(
             f"state map sends {state!r} to {image!r}, which does not assign exactly the high endogenous variables"
@@ -667,8 +739,7 @@ def reference_tau_table(tau: StateMap, low: Signature, high: Signature) -> dict[
     check_reads(tau, low)
     table = {}
     for state in enumerate_states(low):
-        table[tuple(state[n] for n in low.endo_names)] = image = reference_tau_apply(tau, state)
-        check_image(tau, image, high, state)
+        table[tuple(state[n] for n in low.endo_names)] = reference_high_image(state, reference_tau_apply(tau, state), high)
     return table
 
 
