@@ -216,7 +216,6 @@ def _tau_abstraction(
     """Parts (a) to (c) of check_tau_abstraction over the low interventions
     of `pairs`, each paired with its induced image: the low allowed set,
     or for the strong check the induced set."""
-    omega_tau = InterventionMap.from_pairs(pairs)
     for state in enumerate_states(m_high):
         if state not in table.ids:
             return CheckReport(
@@ -225,8 +224,8 @@ def _tau_abstraction(
                 counterexample={"unreached_high_state": state},
             )
 
-    i_low = [i for i, _ in pairs]
-    inner = _find_compatible(m_low, m_high, table.tau, table.ids, omega_tau, i_low, require_surjective=True)
+    i_low, images = [i for i, _ in pairs], [img for _, img in pairs]
+    inner = _find_compatible(m_low, m_high, table.tau, table.ids, i_low, images, require_surjective=True)
     if not inner.verdict:
         return CheckReport(
             False,
@@ -234,7 +233,7 @@ def _tau_abstraction(
             counterexample=inner.counterexample,
         )
 
-    induced_image = {img for _, img in pairs}
+    induced_image = set(images)
     high_set = set(high_list)
     if induced_image != high_set:
         missing = [h for h in high_list if h not in induced_image]
@@ -247,7 +246,7 @@ def _tau_abstraction(
     return CheckReport(
         True,
         detail="tau-abstraction holds",
-        witness={"tau_u": inner.witness, "omega_tau": omega_tau},
+        witness={"tau_u": inner.witness, "omega_tau": InterventionMap.from_pairs(pairs)},
     )
 
 

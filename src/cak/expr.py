@@ -39,6 +39,13 @@ class Expr:
 class Lit(Expr):
     value: int
 
+    def __post_init__(self):
+        # Exactly an int: True or 1.0 would equal 1 in every cache keyed
+        # by value, and a solution could then hold True where the
+        # equation gives 1.
+        if type(self.value) is not int:
+            raise ParseError(f"a literal must be an int, got {self.value!r}")
+
 
 @dataclass(frozen=True)
 class Var(Expr):
@@ -202,8 +209,6 @@ class Emitter:
 
     def _value(self, e: Expr) -> tuple[str, int]:
         if isinstance(e, Lit):
-            if type(e.value) is not int:
-                return self.const(e.value), 9
             return repr(e.value), 8 if e.value < 0 else 9
         if isinstance(e, Var):
             return self.load(e.name), 9

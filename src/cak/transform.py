@@ -180,11 +180,13 @@ def find_compatible_tau_u(
     greedy choice is kept wherever the completion imposes nothing.
     The witness is the full table. The profile pass builds its columns by
     cone or by context, picked by their expected work; both give the same
-    report. tau is tabulated once the low context space is within the cap,
-    so a tau-image of any low state that is not a high state is an input
-    error.
+    report. omega is applied to every allowed intervention first, and tau
+    is tabulated once the low context space is within the cap, so a
+    tau-image of any low state that is not a high state is an input error.
     """
-    return _find_compatible(m_low, m_high, tau, None, omega, resolve_interventions(m_low), require_surjective)
+    interventions = resolve_interventions(m_low)
+    images = [omega.apply(i) for i in interventions]
+    return _find_compatible(m_low, m_high, tau, None, interventions, images, require_surjective)
 
 
 def _find_compatible(
@@ -192,18 +194,18 @@ def _find_compatible(
     m_high: CausalModel,
     tau: StateMap,
     ids: dict[Assignment, int] | None,
-    omega: InterventionMap,
     interventions: Sequence[Assignment],
+    images: Sequence[Assignment],
     require_surjective: bool = False,
 ) -> CheckReport:
     """find_compatible_tau_u over `interventions`, the low allowed set its
-    caller has resolved. `ids` numbers the images of tau's checked table
+    caller has resolved, each with its high image at the same position in
+    `images`. `ids` numbers the images of tau's checked table
     (`_image_ids`); None tabulates tau here, after the low context cap."""
     low_contexts = iter_contexts(m_low)  # checks the cap; builds nothing yet
     if ids is None:
         ids = _image_ids(tabulate(tau, m_low.signature, m_high.signature))
     high_contexts = enumerate_contexts(m_high)
-    images = [omega.apply(i) for i in interventions]
     # Each high context is solved once per distinct image; the profile
     # repeats a solution wherever interventions share an image.
     slot_of: dict[Assignment, int] = {}
@@ -256,11 +258,12 @@ def _image_ids(table: dict[tuple[int, ...], Assignment]) -> dict[Assignment, int
 
 
 def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_contexts, distinct, slots):
-    """The high profiles, then the low ones in enumeration order up to the
-    first miss. Returns ((lows, founds), None), the low contexts in
-    enumeration order and at each position the list of its matching high
-    contexts, or (None, (u_l, profile)) for the first low context without
-    a match and its abstracted profile. No low context is hashed.
+    """The high profile classes, keyed as the low contexts are, then the
+    low contexts in enumeration order up to the first miss. Returns
+    ((lows, founds), None), the low contexts in enumeration order and at
+    each position the list of its matching high contexts, or
+    (None, (u_l, profile)) for the first low context without a match and
+    its abstracted profile. No low context is hashed.
 
     `low_contexts` is an iterator over the low context space, read as
     `_blocks` reads it: a miss at context k has built at most 2(k + 1) + 64
@@ -277,37 +280,70 @@ def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_con
     states do, and an image is looked up by identity and checks nothing.
 
     Each context is read as the key of its profile class (see `_columns`):
-    contexts with equal keys have equal profiles, so one profile is built
-    and matched per class, and all low contexts of a class share its list
-    of high contexts.
+    contexts with equal keys have equal profiles. Each high class's row is
+    projected once into the low key space (`_projection`), and a class
+    that leaves it, which no low context can match, is dropped. A low
+    context is then matched by one lookup of its key, and all low contexts
+    of a class share its list of high contexts. Only the first miss's
+    diagnosis builds a full low profile.
     """
     by_cone = _columns_pay(m_low, m_high, interventions, distinct)
     high_ids = {state_of(m_high, image._values): k for image, k in ids.items()}
-    high_columns, high_profile = _columns(m_high, distinct, high_ids, by_cone)
+    high_columns, high_profile, _ = _columns(m_high, distinct, high_ids, by_cone)
     high_classes: dict[tuple, list[Assignment]] = {}
     for u_h, key in chain.from_iterable(_blocks(high_columns, iter(high_contexts))):
         high_classes.setdefault(key, []).append(u_h)
-    expand = itemgetter(*slots) if len(slots) > 1 else tuple  # else a row is its profile
-    profile_to_high = {expand(high_profile(key)): found for key, found in high_classes.items()}
+    low_columns, low_profile, space = _columns(m_low, interventions, ids, by_cone, tau)
+    low_key = _projection(*space, slots)
+    classes: dict[tuple, list[Assignment]] = {}  # low class key -> its high contexts
+    for key, found in high_classes.items():
+        projected = low_key(high_profile(key))
+        if projected is not None:
+            classes[projected] = found
 
     lows: list[Assignment] = []
     founds: list[list[Assignment]] = []
-    classes: dict[tuple, list[Assignment]] = {}  # low class key -> its high contexts
-    low_columns, low_profile = _columns(m_low, interventions, ids, by_cone, tau)
     for u_l, key in chain.from_iterable(_blocks(low_columns, low_contexts)):
         found = classes.get(key)
         if found is None:
-            profile = low_profile(key)
-            found = profile_to_high.get(profile)
-            if found is None:
-                # The first context without a correspondent decides; the
-                # rest are never read, and past its block never built.
-                images = list(ids)
-                return None, (u_l, tuple([images[k] for k in profile]))
-            classes[key] = found
+            # The first context without a correspondent decides; the
+            # rest are never read, and past its block never built.
+            images = list(ids)
+            return None, (u_l, tuple([images[k] for k in low_profile(key)]))
         lows.append(u_l)
         founds.append(found)
     return (lows, founds), None
+
+
+def _projection(groups, loose, slots):
+    """The function from a high row, an id per distinct image, to the low
+    class key of the contexts with its profile, or None if no low context
+    can have it. `groups` and `loose` describe the low key space, as
+    `_columns` returns them; `slots` gives each intervention's image.
+
+    A cone group's entry is the fused id of the row's ids at the group's
+    interventions; where the group's cone points never give that tuple of
+    ids, no low context has the row's profile. A column by context's entry
+    is the row's id at its intervention.
+    """
+    picks = [(_picker([slots[pos] for pos in positions]), fused) for positions, fused in groups]
+    tail = _picker([slots[pos] for pos in loose])
+
+    def low_key(row: tuple) -> tuple | None:
+        key = []
+        for pick, fused in picks:
+            k = fused.get(pick(row))
+            if k is None:
+                return None
+            key.append(k)
+        return (*key, *tail(row))
+
+    return low_key
+
+
+def _picker(at: list[int]):
+    """The function from a row to its entries at `at`, as a tuple."""
+    return itemgetter(*at) if len(at) > 1 else lambda row: tuple([row[k] for k in at])
 
 
 def _blocks(columns: list, contexts: Iterator[Assignment]) -> Iterator[Iterator[tuple]]:
@@ -327,70 +363,91 @@ def _blocks(columns: list, contexts: Iterator[Assignment]) -> Iterator[Iterator[
 
 
 def _columns(model, interventions, ids: dict, by_cone: bool, tau: StateMap | None = None):
-    """The columns of the class keys over `interventions`, and the function
-    that builds a class's profile from its key: the ids of the solutions
-    under the interventions, or of their tau-images, in intervention order,
-    each `ids.get(state, -1)`.
+    """The columns of the class keys over `interventions`, the function
+    that builds a class's profile from its key, and the key space. A
+    profile holds the ids of the solutions under the interventions, or of
+    their tau-images, in intervention order, each `ids.get(state, -1)`.
 
     Called on each block of contexts in turn, as `_blocks` does,
     `column(block)` lazily gives the column's key entry at each context of
     the block. A key holds one fused id per distinct cone, in order of
     first appearance, then one id per column by context, in intervention
-    order.
+    order. The key space is (groups, loose): for each cone, the positions
+    of its interventions and its dict from their tuple of ids to the
+    fused id; and the positions of the columns by context.
 
     By context, a column calls solve_under and tau.apply once per context.
-    By cone, each intervention is solved with the generated solver once per
-    point of its cone, and tau applied once per distinct state. The
-    interventions with one cone share its points and its index column: at
-    each point their ids are fused into one id, by a dict over id tuples,
-    and the cone's column is one iterator that spreads the fused ids over
-    all contexts through the index column, which each block reads on. An
-    intervention whose cone solve raises gets a column by context instead,
-    which raises at its own first failing context; one that does not raise
-    cannot fail at any context, since a solution depends only on its cone.
-    Read row by row, the columns therefore raise the context-major first
-    error.
+    By cone, the cone, its points and the generated solver are resolved
+    once per set of forced names, each intervention is solved with that
+    solver once per point of its cone, and tau applied once per distinct
+    state. The interventions with one cone share its points and its index
+    column: at each point their ids are fused into one id, by a dict over
+    id tuples, and the cone's column is one iterator that spreads the
+    fused ids over all contexts through the index column, which each block
+    reads on. An intervention whose cone solve raises gets a column by
+    context instead, which raises at its own first failing context; one
+    that does not raise cannot fail at any context, since a solution
+    depends only on its cone. Read row by row, the columns therefore raise
+    the context-major first error. A solver that cannot be generated (a
+    cyclic model) raises here, as it does at every solve of the model.
     """
-    sig = model.signature
-    pick = _to_name_order(list(sig.exo_names))
-    shapes: dict[tuple[str, ...], tuple[list[tuple], list[int]]] = {}
     groups: dict[tuple[str, ...], list[tuple[int, list[int]]]] = {}  # cone -> (position, ids per point)
-    known: dict[tuple, int] = {}  # state values -> image id
-    loose = []
-    for pos, i in enumerate(interventions):
-        if by_cone:
-            cone = model.cone(i._keys)
+    loose = [] if by_cone else list(range(len(interventions)))
+    shapes: dict[tuple[str, ...], tuple[list[tuple], list[int]]] = {}
+    if by_cone:
+        sig = model.signature
+        pick = _to_name_order(list(sig.exo_names))
+        known = _SolutionIds(model, ids, tau)
+        by_names: dict[frozenset[str], list[int]] = {}
+        for pos, i in enumerate(interventions):
+            by_names.setdefault(i._keys, []).append(pos)
+        for names, positions in by_names.items():
+            cone = model.cone(names)
             if cone not in shapes:
                 shapes[cone] = _cone_shape(sig, cone, pick)
-            try:
-                solved = list(map(model.solver(i._keys), shapes[cone][0], repeat(i._values)))
-                for values in solved:
-                    if values not in known:
-                        state = state_of(model, values)
-                        known[values] = ids.get(state if tau is None else tau.apply(state), -1)
-                groups.setdefault(cone, []).append((pos, list(map(known.__getitem__, solved))))
-                continue
-            except Exception:  # by context, it raises again if the pass reads that far
-                pass
-        loose.append(pos)
-    columns, parts, order = [], [], []
+            points, solve = shapes[cone][0], model.solver(names)
+            for pos in positions:
+                try:
+                    at_points = list(map(known.__getitem__, map(solve, points, repeat(interventions[pos]._values))))
+                except Exception:  # by context, it raises again if the pass reads that far
+                    loose.append(pos)
+                else:
+                    groups.setdefault(cone, []).append((pos, at_points))
+        loose.sort()
+    columns, fused_groups = [], []
     for cone, group in groups.items():
         fused: dict[tuple, int] = {}
         at = [fused.setdefault(t, len(fused)) for t in zip(*[at_points for _, at_points in group])]
         columns.append(partial(_cone_column, map(at.__getitem__, shapes[cone][1])))
-        parts.append(list(fused))  # fused id -> the group's ids
-        order += [pos for pos, _ in group]
+        fused_groups.append(([pos for pos, _ in group], fused))
     columns += [partial(_context_column, model, interventions[pos], ids, tau) for pos in loose]
-    if not parts:
-        return columns, tuple  # all by context: a key is its profile
-    order += loose
+    if not fused_groups:
+        return columns, tuple, ([], loose)  # all by context: a key is its profile
+    parts = [list(fused) for _, fused in fused_groups]  # fused id -> the group's ids
+    order = [*chain.from_iterable(positions for positions, _ in fused_groups), *loose]
     to_interventions = _to_name_order(order)  # a row in `order` into intervention order
     n_fused = len(parts)
 
     def profile(key: tuple) -> tuple:
         return to_interventions([*chain.from_iterable(map(list.__getitem__, parts, key)), *key[n_fused:]])
 
-    return columns, profile
+    return columns, profile, (fused_groups, loose)
+
+
+class _SolutionIds(dict):
+    """Solution values -> the id of the state, or of its tau-image, each
+    `ids.get(state, -1)`, filled in on the first read of the values."""
+
+    __slots__ = ("model", "ids", "tau")
+
+    def __init__(self, model: CausalModel, ids: dict, tau: StateMap | None):
+        super().__init__()
+        self.model, self.ids, self.tau = model, ids, tau
+
+    def __missing__(self, values: tuple) -> int:
+        state = state_of(self.model, values)
+        k = self[values] = self.ids.get(state if self.tau is None else self.tau.apply(state), -1)
+        return k
 
 
 def _cone_column(ids_at: Iterator[int], block: list[Assignment]) -> Iterator[int]:
@@ -509,7 +566,7 @@ def check_uniform(
     high state is an input error.
     """
     i_low = _admissible(m_low, m_high, omega)
-    return _find_compatible(m_low, m_high, tau, None, omega, i_low)
+    return _find_compatible(m_low, m_high, tau, None, i_low, [omega.apply(i) for i in i_low])
 
 
 def compose_transformations(

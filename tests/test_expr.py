@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,6 +83,14 @@ def test_table_missing_entry_raises():
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse_expr(bad)
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"], ids=repr)
+def test_a_literal_is_exactly_an_int(value):
+    # True and 1.0 equal 1, so the caches keyed by value would merge them
+    # with it; "1" is no number at all.
+    with pytest.raises(ParseError, match=f"a literal must be an int, got {re.escape(repr(value))}$"):
+        Lit(value)
 
 
 @pytest.mark.parametrize(

@@ -574,7 +574,7 @@ def _record_columns(monkeypatch):
     columns = transform._columns
 
     def recorded(model, interventions, ids, by_cone, tau=None):
-        built, profile = columns(model, interventions, ids, by_cone, tau)
+        built, profile, space = columns(model, interventions, ids, by_cone, tau)
         keys = []
         record["high" if tau is None else "low"].append((len(built), keys))
 
@@ -582,20 +582,45 @@ def _record_columns(monkeypatch):
             keys.append(key)
             return profile(key)
 
-        return built, counted
+        return built, counted, space
 
     monkeypatch.setattr(transform, "_columns", recorded)
     return record
 
 
-def test_the_strong_check_on_voting_builds_one_profile_per_class(monkeypatch):
+def _record_projections(monkeypatch):
+    """Record, for each profile pass from now on, the low key that each
+    high row it projects gets, None where the row leaves the low key
+    space."""
+    record = []
+    projection = transform._projection
+
+    def recorded(*args):
+        low_key = projection(*args)
+        keys = []
+        record.append(keys)
+
+        def counted(row):
+            key = low_key(row)
+            keys.append(key)
+            return key
+
+        return counted
+
+    monkeypatch.setattr(transform, "_projection", recorded)
+    return record
+
+
+def test_the_strong_check_on_voting_matches_each_class_by_its_low_key(monkeypatch):
     # The 512 low contexts are keyed by one fused id per distinct cone of
-    # the 450 interventions, 8 ids where a row by intervention has 450; the
-    # low side builds and matches one full profile per class, 162 of them,
-    # and the high side one per class of its 162 contexts, whose keys have
-    # 8 ids for the 144 distinct images.
+    # the 450 interventions, 8 ids where a row by intervention has 450. The
+    # high side builds the row of each class of its 162 contexts once,
+    # from keys of 8 ids for the 144 distinct images, and projects it once
+    # into the low key space. Every low context then finds its class by its
+    # key, so the passing check builds no low profile.
     bundle = build_voting(4, 2, 1)
     record = _record_columns(monkeypatch)
+    projections = _record_projections(monkeypatch)
     passes = []
     profile_pass = transform._profile_pass
 
@@ -608,14 +633,43 @@ def test_the_strong_check_on_voting_builds_one_profile_per_class(monkeypatch):
     assert check_strong_abstraction(bundle.low, bundle.high, bundle.tau).verdict
     [(interventions, distinct, (lows, founds))] = passes
     [(low_width, low_keys)], [(high_width, high_keys)] = record["low"], record["high"]
+    [projected] = projections
     assert len(interventions) == 450
     assert low_width == len({bundle.low.cone(i._keys) for i in interventions}) == 8
     assert high_width == len({bundle.high.cone(j._keys) for j in distinct}) < len(distinct)
-    assert {len(key) for key in low_keys} == {8}
-    classes = {id(found) for found in founds}
-    assert lows == enumerate_contexts(bundle.low)
-    assert len(low_keys) == len(set(low_keys)) == len(classes) < len(founds) == 512
+    assert low_keys == []
     assert len(high_keys) == len(set(high_keys)) == 162
+    assert len(projected) == len(set(projected)) == 162
+    assert {len(key) for key in projected} == {8}
+    assert lows == enumerate_contexts(bundle.low)
+    assert len({id(found) for found in founds}) == 162 < len(founds) == 512
+
+
+@pytest.mark.parametrize("check", ["find_compatible_tau_u", "check_tau_abstraction", "check_strong_abstraction"])
+def test_a_high_class_outside_the_low_key_space_is_dropped(monkeypatch, check):
+    # The high X3 table sends (U3, X2) = (0, 0) to 1. Under the three
+    # interventions that force X2, a high context with U3 = 0 then gives
+    # X3 = 1, 1, 2, a tuple that no point of the low cone gives, so its
+    # class projects to no low key and is dropped before any low context
+    # is read. The low context 0 misses, as in the reference.
+    low, high = _three_cones(_SHIFT), _three_cones({**_SHIFT, (0, 0): 1})
+
+    def run():
+        tau, omega = StateMap.identity(low.signature), InterventionMap.identity(low.allowed_interventions)
+        if check == "find_compatible_tau_u":
+            return outcome(find_compatible_tau_u, low, high, tau, omega, True)
+        return outcome(getattr(abstraction, check), low, high, tau)
+
+    _with_cone_pass(monkeypatch)
+    projections = _record_projections(monkeypatch)
+    got = run()
+    [projected] = projections
+    assert None in projected and any(key is not None for key in projected)
+    monkeypatch.undo()
+    monkeypatch.setattr(transform, "_find_compatible", reference_find_compatible)
+    monkeypatch.setattr(abstraction, "_find_compatible", reference_find_compatible)
+    assert _report_bytes(got) == _report_bytes(run())
+    assert got[1].counterexample["context"] == enumerate_contexts(low)[0]
 
 
 def _three_cones(x3: dict[tuple[int, int], int]):

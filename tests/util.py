@@ -392,22 +392,25 @@ def reference_find_compatible_tau_u(m_low, m_high, tau, omega, require_surjectiv
     """The full-pass form of transform.find_compatible_tau_u: every low
     context's matching high contexts are computed up front, with one solve
     per high context and intervention, and the first context without a
-    match is diagnosed by solving it again. tau is checked on every low
-    state first, once the low context space is within the cap."""
-    return reference_find_compatible(m_low, m_high, tau, None, omega, resolve_interventions(m_low), require_surjective)
+    match is diagnosed by solving it again. omega is applied to every
+    allowed intervention first, then tau is checked on every low state,
+    once the low context space is within the cap."""
+    interventions = resolve_interventions(m_low)
+    images = [omega.apply(i) for i in interventions]
+    return reference_find_compatible(m_low, m_high, tau, None, interventions, images, require_surjective)
 
 
-def reference_find_compatible(m_low, m_high, tau, ids, omega, interventions, require_surjective=False):
-    """reference_find_compatible_tau_u over a resolved low allowed set: the
+def reference_find_compatible(m_low, m_high, tau, ids, interventions, images, require_surjective=False):
+    """reference_find_compatible_tau_u over a resolved low allowed set, each
+    intervention with its high image at the same position in `images`: the
     form of transform._find_compatible, which the checks call. It checks
     tau itself, whatever `ids` holds."""
     low_contexts = enumerate_contexts(m_low)
     reference_tau_table(tau, m_low.signature, m_high.signature)
     high_contexts = enumerate_contexts(m_high)
-    high_images = [omega.apply(i) for i in interventions]
     profile_to_high = {}
     for u_h in high_contexts:
-        profile = tuple(solve_under(m_high, u_h, j) for j in high_images)
+        profile = tuple(solve_under(m_high, u_h, j) for j in images)
         profile_to_high.setdefault(profile, []).append(u_h)
     cands = {}
     for u_l in low_contexts:
@@ -418,9 +421,9 @@ def reference_find_compatible(m_low, m_high, tau, ids, omega, interventions, req
             continue
         ce = {"context": u_l}
         by_image = {}
-        for i in interventions:
+        for i, image in zip(interventions, images):
             required = tau.apply(solve_under(m_low, u_l, i))
-            by_image.setdefault(omega.apply(i), []).append((i, required))
+            by_image.setdefault(image, []).append((i, required))
         conflicts = [(a, b) for group in by_image.values() for a in group for b in group if a[1] != b[1]]
         if conflicts:
             (i1, r1), (i2, r2) = conflicts[0]
@@ -460,7 +463,8 @@ def _reference_admissible(m_low, m_high, omega) -> tuple[Assignment, ...]:
 
 def reference_check_uniform(m_low, m_high, tau, omega) -> CheckReport:
     """transform.check_uniform by `reference_find_compatible`."""
-    return reference_find_compatible(m_low, m_high, tau, None, omega, _reference_admissible(m_low, m_high, omega))
+    i_low = _reference_admissible(m_low, m_high, omega)
+    return reference_find_compatible(m_low, m_high, tau, None, i_low, [omega.apply(i) for i in i_low])
 
 
 def reference_check_compatible(tau_u, tau, omega, m_low, m_high) -> CheckReport:
