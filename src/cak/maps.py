@@ -10,7 +10,7 @@ from typing import Callable, ClassVar, Iterable, Mapping
 
 from .errors import InputError
 from .expr import Expr, Var, _tuple_kernel, variables
-from .model import Assignment, Signature, _enumerate_total, _shared, _to_name_order, enumerate_states
+from .model import Assignment, Signature, _enumerate_total, _ints_in, _shared, _to_name_order, enumerate_states
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def _problem(image: Assignment, high: Signature) -> str | None:
     """Why `image` is not a high state, or None when it is one."""
     if image._keys != high.endo_keyset:
         return f"{image!r}, which does not assign exactly the high endogenous variables"
-    bad = [f"{name}={value}" for name, value in image._items if value not in high.domains[name]]
+    bad = [f"{name}={value}" for name, value in image._items if not _ints_in((value,), high.domains[name])]
     return f"out-of-domain value {bad[0]}" if bad else None
 
 

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter, ne
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
 
 from .errors import (
     CyclicModelError,
@@ -28,7 +28,7 @@ ALL = "all"
 
 @dataclass(frozen=True)
 class VariableDecl:
-    """A named variable ranging over a non-empty ordered list of integers."""
+    """A named variable ranging over a non-empty ordered list of ints."""
 
     name: str
     domain: tuple[int, ...]
@@ -39,6 +39,9 @@ class VariableDecl:
             raise InputError(f"invalid variable name {self.name!r}")
         if len(self.domain) == 0:
             raise InputError(f"variable {self.name} has an empty domain")
+        for v in self.domain:
+            if type(v) is not int:  # True or 1.0 would stand for 1 (see _ints_in)
+                raise InputError(f"variable {self.name} has a domain value {v!r} that is not an int")
         if len(set(self.domain)) != len(self.domain):
             raise InputError(f"variable {self.name} has duplicate domain values")
 
@@ -421,7 +424,7 @@ def validate(model: CausalModel) -> list[Diagnostic]:
                             witness=iv,
                         )
                     )
-                elif value not in sig.domains[var]:
+                elif not _ints_in((value,), sig.domains[var]):
                     diags.append(
                         Diagnostic(
                             "bad-intervention",
@@ -433,6 +436,16 @@ def validate(model: CausalModel) -> list[Diagnostic]:
     return diags
 
 
+def _ints_in(values: Collection, domain: tuple[int, ...]) -> bool:
+    """Whether each of `values` is a value of `domain`: an int in it.
+
+    True and 1.0 equal 1 and hash as it does, so `in` alone takes them,
+    and a cache keyed by values, such as a model's solutions, would then
+    give the solution of one for the other. Both tests run at C level
+    over a whole column of values."""
+    return set(map(type, values)) <= {int} and set(values).issubset(domain)
+
+
 def check_context(model: CausalModel, context: Assignment) -> None:
     sig = model.signature
     if set(context) != set(sig.exo_names):
@@ -440,7 +453,7 @@ def check_context(model: CausalModel, context: Assignment) -> None:
             f"context must assign exactly the exogenous variables {sig.exo_names}, got {sorted(context)}"
         )
     for name, value in context.items_sorted:
-        if value not in sig.domains[name]:
+        if not _ints_in((value,), sig.domains[name]):
             raise InputError(f"context sets {name} to {value}, outside its domain")
 
 
@@ -449,7 +462,7 @@ def check_intervention(model: CausalModel, intervention: Assignment) -> None:
     for name, value in intervention.items_sorted:
         if name not in sig.endo_keyset:
             raise InputError(f"intervention sets non-endogenous variable {name}")
-        if value not in sig.domains[name]:
+        if not _ints_in((value,), sig.domains[name]):
             raise InputError(f"intervention sets {name} to {value}, outside its domain")
 
 

@@ -23,6 +23,7 @@ from .model import (
     CausalModel,
     Signature,
     VariableDecl,
+    _ints_in,
     _shared,
     check_context,
     check_intervention,
@@ -164,7 +165,7 @@ def check_distribution(model: CausalModel, d: RationalDist) -> None:
         domains = model.signature.domains
         # One column of values per exogenous variable, in name order.
         columns = zip(*map(attrgetter("_values"), contexts))
-        ok = all(set(col).issubset(domains[n]) for n, col in zip(sorted(exo), columns))
+        ok = all(_ints_in(col, domains[n]) for n, col in zip(sorted(exo), columns))
     if not ok:
         for context in contexts:
             check_context(model, context)
@@ -180,7 +181,8 @@ def push_to_states(model: CausalModel, d: RationalDist) -> RationalDist:
 def interventional_dist(model: CausalModel, d: RationalDist, intervention: Assignment) -> RationalDist:
     """Distribution of the solution under the intervention, with contexts
     drawn from `d`. Contexts with zero mass are neither solved nor
-    checked."""
+    checked; the others are solved as solve_under solves them, with their
+    values taken as given (check_distribution checks them)."""
     check_intervention(model, intervention)
     contexts = map(itemgetter(0), compress(d.entries, d._nums))
     out: dict[tuple[int, ...], int] = {}

@@ -303,5 +303,7 @@ def dumps(obj: Any) -> str:
 def loads(text: str) -> Any:
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an int literal past Python's digit limit
+    # ValueError is also an int literal past Python's digit limit, and
+    # RecursionError a document nested past the parser's depth limit.
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"bad JSON: {exc}") from exc

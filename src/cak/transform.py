@@ -11,8 +11,7 @@ refutes all of them.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain, islice, product, repeat
+from itertools import chain, product, repeat, tee
 from math import prod
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -265,9 +264,9 @@ def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_con
     (None, (u_l, profile)) for the first low context without a match and
     its abstracted profile. No low context is hashed.
 
-    `low_contexts` is an iterator over the low context space, read as
-    `_blocks` reads it: a miss at context k has built at most 2(k + 1) + 64
-    low contexts.
+    `low_contexts` is an iterator over the low context space, read one
+    context at a time: a miss at context k has built exactly k + 1 low
+    contexts.
 
     A profile is a row of ids, one per distinct omega-image on the high
     side (repeated per `slots`, the image index of each intervention) and
@@ -289,11 +288,11 @@ def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_con
     """
     by_cone = _columns_pay(m_low, m_high, interventions, distinct)
     high_ids = {state_of(m_high, image._values): k for image, k in ids.items()}
-    high_columns, high_profile, _ = _columns(m_high, distinct, high_ids, by_cone)
+    high_rows, high_profile, _ = _columns(m_high, iter(high_contexts), distinct, high_ids, by_cone)
     high_classes: dict[tuple, list[Assignment]] = {}
-    for u_h, key in chain.from_iterable(_blocks(high_columns, iter(high_contexts))):
+    for u_h, key in high_rows:
         high_classes.setdefault(key, []).append(u_h)
-    low_columns, low_profile, space = _columns(m_low, interventions, ids, by_cone, tau)
+    low_rows, low_profile, space = _columns(m_low, low_contexts, interventions, ids, by_cone, tau)
     low_key = _projection(*space, slots)
     classes: dict[tuple, list[Assignment]] = {}  # low class key -> its high contexts
     for key, found in high_classes.items():
@@ -303,11 +302,11 @@ def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_con
 
     lows: list[Assignment] = []
     founds: list[list[Assignment]] = []
-    for u_l, key in chain.from_iterable(_blocks(low_columns, low_contexts)):
+    for u_l, key in low_rows:
         found = classes.get(key)
         if found is None:
             # The first context without a correspondent decides; the
-            # rest are never read, and past its block never built.
+            # rest are never read or built.
             images = list(ids)
             return None, (u_l, tuple([images[k] for k in low_profile(key)]))
         lows.append(u_l)
@@ -346,50 +345,37 @@ def _picker(at: list[int]):
     return itemgetter(*at) if len(at) > 1 else lambda row: tuple([row[k] for k in at])
 
 
-def _blocks(columns: list, contexts: Iterator[Assignment]) -> Iterator[Iterator[tuple]]:
-    """The contexts that `contexts` yields, in blocks of 64, 128, 256, ...
-    contexts: for each block, its contexts in order, each with its row of
-    `columns`, as lazily as the columns give them.
+def _columns(
+    model, contexts: Iterator[Assignment], interventions, ids: dict, by_cone: bool, tau: StateMap | None = None
+):
+    """The rows (context, class key) of `contexts` over `interventions`,
+    the function that builds a class's profile from its key, and the key
+    space. A profile holds the ids of the solutions under the
+    interventions, or of their tau-images, in intervention order, each
+    `ids.get(state, -1)`.
 
-    No context past the block being read is built: the block of context k
-    ends before 2(k + 1) + 64. Read through `chain.from_iterable`, a
-    block's rows are read up to its last context and no further, so a
-    column may be one iterator read on block by block.
-    """
-    size = 64
-    while block := list(islice(contexts, size)):
-        yield zip(block, zip(*[column(block) for column in columns]) if columns else repeat(()))
-        size *= 2
-
-
-def _columns(model, interventions, ids: dict, by_cone: bool, tau: StateMap | None = None):
-    """The columns of the class keys over `interventions`, the function
-    that builds a class's profile from its key, and the key space. A
-    profile holds the ids of the solutions under the interventions, or of
-    their tau-images, in intervention order, each `ids.get(state, -1)`.
-
-    Called on each block of contexts in turn, as `_blocks` does,
-    `column(block)` lazily gives the column's key entry at each context of
-    the block. A key holds one fused id per distinct cone, in order of
+    Each column of the keys is an iterator, read on in step with the
+    contexts, so the rows are lazy: reading a row builds its context and
+    no later one. A key holds one fused id per distinct cone, in order of
     first appearance, then one id per column by context, in intervention
     order. The key space is (groups, loose): for each cone, the positions
     of its interventions and its dict from their tuple of ids to the
     fused id; and the positions of the columns by context.
 
-    By context, a column calls solve_under and tau.apply once per context.
-    By cone, the cone, its points and the generated solver are resolved
-    once per set of forced names, each intervention is solved with that
-    solver once per point of its cone, and tau applied once per distinct
-    state. The interventions with one cone share its points and its index
-    column: at each point their ids are fused into one id, by a dict over
-    id tuples, and the cone's column is one iterator that spreads the
-    fused ids over all contexts through the index column, which each block
-    reads on. An intervention whose cone solve raises gets a column by
-    context instead, which raises at its own first failing context; one
-    that does not raise cannot fail at any context, since a solution
-    depends only on its cone. Read row by row, the columns therefore raise
-    the context-major first error. A solver that cannot be generated (a
-    cyclic model) raises here, as it does at every solve of the model.
+    By context, a column calls solve_under and tau.apply once per context,
+    on its own `tee` copy of the contexts. By cone, the cone, its points
+    and the generated solver are resolved once per set of forced names,
+    each intervention is solved with that solver once per point of its
+    cone, and tau applied once per distinct state. The interventions with
+    one cone share its points and its index column: at each point their
+    ids are fused into one id, by a dict over id tuples, and the cone's
+    column maps the index column to the fused ids. An intervention whose
+    cone solve raises gets a column by context instead, which raises at
+    its own first failing context; one that does not raise cannot fail at
+    any context, since a solution depends only on its cone. Read row by
+    row, the columns therefore raise the context-major first error. A
+    solver that cannot be generated (a cyclic model) raises here, as it
+    does at every solve of the model.
     """
     groups: dict[tuple[str, ...], list[tuple[int, list[int]]]] = {}  # cone -> (position, ids per point)
     loose = [] if by_cone else list(range(len(interventions)))
@@ -418,11 +404,15 @@ def _columns(model, interventions, ids: dict, by_cone: bool, tau: StateMap | Non
     for cone, group in groups.items():
         fused: dict[tuple, int] = {}
         at = [fused.setdefault(t, len(fused)) for t in zip(*[at_points for _, at_points in group])]
-        columns.append(partial(_cone_column, map(at.__getitem__, shapes[cone][1])))
+        columns.append(map(at.__getitem__, shapes[cone][1]))
         fused_groups.append(([pos for pos, _ in group], fused))
-    columns += [partial(_context_column, model, interventions[pos], ids, tau) for pos in loose]
+    contexts, *copies = tee(contexts, len(loose) + 1)
+    for pos, copy in zip(loose, copies):
+        solved = map(solve_under, repeat(model), copy, repeat(interventions[pos]))
+        columns.append(map(ids.get, solved if tau is None else map(tau.apply, solved), repeat(-1)))
+    rows = zip(contexts, zip(*columns) if columns else repeat(()))
     if not fused_groups:
-        return columns, tuple, ([], loose)  # all by context: a key is its profile
+        return rows, tuple, ([], loose)  # all by context: a key is its profile
     parts = [list(fused) for _, fused in fused_groups]  # fused id -> the group's ids
     order = [*chain.from_iterable(positions for positions, _ in fused_groups), *loose]
     to_interventions = _to_name_order(order)  # a row in `order` into intervention order
@@ -431,7 +421,7 @@ def _columns(model, interventions, ids: dict, by_cone: bool, tau: StateMap | Non
     def profile(key: tuple) -> tuple:
         return to_interventions([*chain.from_iterable(map(list.__getitem__, parts, key)), *key[n_fused:]])
 
-    return columns, profile, (fused_groups, loose)
+    return rows, profile, (fused_groups, loose)
 
 
 class _SolutionIds(dict):
@@ -448,17 +438,6 @@ class _SolutionIds(dict):
         state = state_of(self.model, values)
         k = self[values] = self.ids.get(state if self.tau is None else self.tau.apply(state), -1)
         return k
-
-
-def _cone_column(ids_at: Iterator[int], block: list[Assignment]) -> Iterator[int]:
-    return ids_at
-
-
-def _context_column(
-    model: CausalModel, i: Assignment, ids: dict, tau: StateMap | None, block: list[Assignment]
-) -> Iterator[int]:
-    solved = map(solve_under, repeat(model), block, repeat(i))
-    return map(ids.get, solved if tau is None else map(tau.apply, solved), repeat(-1))
 
 
 def _columns_pay(

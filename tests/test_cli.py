@@ -562,6 +562,23 @@ def test_json_integer_past_the_digit_limit_exits_2(capsys, emitted, tmp_path):
     assert out["error"].startswith("bad JSON: ")
 
 
+@pytest.mark.parametrize("where", ["model", "context"])
+def test_json_nested_past_the_parser_depth_limit_exits_2(capsys, emitted, tmp_path, where):
+    # The parser raises RecursionError at about 1,000 levels; a traceback
+    # would exit 1, which means only that a check fails.
+    deep = "[" * 100_000 + "]" * 100_000
+    model, context = emitted("chain-vs-independent")["low"], '{"U1": 1, "U2": 0}'
+    if where == "model":
+        model = tmp_path / "deep.json"
+        model.write_text(deep)
+    else:
+        context = deep
+    code, out, _ = run(capsys, "solve", str(model), "--context", context)
+    assert code == 2
+    assert out["command"] == "solve"
+    assert out["error"].startswith("bad JSON: ")
+
+
 def _set(key, value, decl=None):
     """An edit setting `key` of the model, or of its exogenous
     declaration number `decl`, to `value`."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,9 @@ from cak import (
     InputError,
     Not,
     Or,
+    RationalDist,
     Signature,
+    StateMap,
     VariableDecl,
     apply_intervention,
     check_uev,
@@ -30,7 +33,9 @@ from cak import (
 )
 from cak.corpus import build_gated_extension
 from cak.expr import Table, to_source
-from cak.model import _supports, iter_contexts
+from cak.maps import tabulate
+from cak.model import _supports, check_context, check_intervention, iter_contexts
+from cak.prob import check_distribution
 
 from .util import (
     outcome,
@@ -109,6 +114,34 @@ def test_validate_bad_interventions():
     )
     kinds = [d.kind for d in validate(m)]
     assert kinds == ["bad-intervention", "bad-intervention"]
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["True", "1.0"])
+def test_values_that_only_equal_an_int_are_rejected_everywhere(value):
+    # True and 1.0 equal 1 and hash as it does, so a check by `in` took
+    # them, and a solution cached under one was returned for the other.
+    with pytest.raises(InputError, match="not an int"):
+        VariableDecl("X", (0, value))
+    with pytest.raises(InputError, match="not an int"):
+        VariableDecl("X", (0, 1.5))
+    m = model_of([("U", (0, 1))], [("X", (0, 1))], {"X": "U"}, allowed=(Assignment(X=value),))
+    outside = f"sets {{}} to {value}, outside its domain"
+    with pytest.raises(InputError, match=outside.format("U")):
+        check_context(m, Assignment(U=value))
+    for intervene in (check_intervention, apply_intervention):
+        with pytest.raises(InputError, match=outside.format("X")):
+            intervene(m, Assignment(X=value))
+    assert [(d.kind, d.message) for d in validate(m)] == [("bad-intervention", "intervention " + outside.format("X"))]
+    d = RationalDist(((Assignment(U=0), Fraction(1, 2)), (Assignment(U=value), Fraction(1, 2))))
+    with pytest.raises(InputError, match=outside.format("U")):
+        check_distribution(m, d)
+    tau = StateMap.from_table(((Assignment(X=0), Assignment(X=0)), (Assignment(X=1), Assignment(X=value))))
+    with pytest.raises(InputError, match=f"to out-of-domain value X={value}"):
+        tabulate(tau, m.signature, m.signature)
+    # Nothing was solved under the rejected value, so an int solve gives ints.
+    for u in (0, 1):
+        state = solve(m, Assignment(U=u))
+        assert state == Assignment(X=u) and type(state["X"]) is int
 
 
 def test_table_gap_reported_as_out_of_domain():

@@ -568,21 +568,23 @@ def test_a_failing_cone_column_falls_back_alone(monkeypatch):
 
 def _record_columns(monkeypatch):
     """Record, for the "low" and the "high" side of each profile pass from
-    now on, the number of columns and every key the pass builds a profile
-    from."""
+    now on, the number of columns, read from the key space as one per cone
+    group and one per column by context, and every key the pass builds a
+    profile from."""
     record = {"low": [], "high": []}
     columns = transform._columns
 
-    def recorded(model, interventions, ids, by_cone, tau=None):
-        built, profile, space = columns(model, interventions, ids, by_cone, tau)
+    def recorded(model, contexts, interventions, ids, by_cone, tau=None):
+        rows, profile, space = columns(model, contexts, interventions, ids, by_cone, tau)
         keys = []
-        record["high" if tau is None else "low"].append((len(built), keys))
+        groups, loose = space
+        record["high" if tau is None else "low"].append((len(groups) + len(loose), keys))
 
         def counted(key):
             keys.append(key)
             return profile(key)
 
-        return built, counted, space
+        return rows, counted, space
 
     monkeypatch.setattr(transform, "_columns", recorded)
     return record
@@ -833,27 +835,39 @@ def _count_built_contexts(monkeypatch, sig):
     return built
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_a_refutation_builds_the_low_contexts_up_to_its_first_miss(monkeypatch, seed):
-    # The pass reads blocks of 64, 128, 256, ... contexts: a miss at k
-    # lies in a block that ends before 2(k + 1) + 64. The parent built all
-    # 8,192 contexts before reading the first.
-    bundle = build_voting(6, 2, 1)
-    high = corrupt_one_table_entry(random.Random(seed), bundle.high)
+# By context: the uniform and tau-abstraction checks on voting-6-2-1. By
+# cone: the strong check on voting-4-2-1.
+@pytest.mark.parametrize(
+    "pass_taken,seed",
+    [("by context", seed) for seed in range(6)] + [("by cone", seed) for seed in range(8)],
+    ids=[str(seed) for seed in range(6)] + [f"by-cone-{seed}" for seed in range(8)],
+)
+def test_a_refutation_builds_the_low_contexts_up_to_its_first_miss(monkeypatch, pass_taken, seed):
+    # The pass reads the low contexts one at a time, by context or by
+    # cone, so a miss at k has built exactly k + 1 of them.
+    if pass_taken == "by context":
+        bundle = build_voting(6, 2, 1)
+        high = corrupt_one_table_entry(random.Random(seed), bundle.high)
+        checks = [
+            lambda: check_uniform(bundle.low, high, bundle.tau, bundle.omega),
+            lambda: check_tau_abstraction(bundle.low, high, bundle.tau),
+        ]
+    else:
+        bundle = build_voting(4, 2, 1)
+        high = corrupt_one_table_entry(random.Random(seed), bundle.high)
+        checks = [lambda: check_strong_abstraction(bundle.low, high, bundle.tau)]
+    taken = _passes_taken(monkeypatch)
     built = _count_built_contexts(monkeypatch, bundle.low.signature)
     counts, reports = [], []
-    for check in (
-        lambda: check_uniform(bundle.low, high, bundle.tau, bundle.omega),
-        lambda: check_tau_abstraction(bundle.low, high, bundle.tau),
-    ):
+    for check in checks:
         built[0] = 0
         reports.append(check())
         counts.append(built[0])
     monkeypatch.undo()
+    assert taken == [pass_taken] * len(checks)
     contexts = enumerate_contexts(bundle.low)
     for report, count in zip(reports, counts):
-        k = contexts.index(report.counterexample["context"])
-        assert k < count <= 2 * (k + 1) + 64
+        assert count == contexts.index(report.counterexample["context"]) + 1
 
 
 def test_a_passing_check_builds_each_low_context_once(monkeypatch):
@@ -863,9 +877,10 @@ def test_a_passing_check_builds_each_low_context_once(monkeypatch):
     assert report.verdict and len(report.witness.entries) == built[0] == 8192
 
 
-# Corruptions of voting-4-2-1 whose first miss is at context 0 (first
-# block), 64 (the first of the second block), 224 (third block) and 480
-# (last block) of 512.
+# Corruptions of voting-4-2-1 whose first miss is at context 0, 64, 224
+# and 480 of 512, spread over the low context stream. When the pass read
+# the contexts in blocks of 64, 128, 256, ..., each lay in another block,
+# as the test's name still says.
 @pytest.mark.parametrize("seed,miss", [(15, 0), (22, 64), (8, 224), (3, 480)])
 def test_refutations_in_every_block_give_the_reference_reports(monkeypatch, seed, miss):
     bundle = build_voting(4, 2, 1)
