@@ -10,7 +10,7 @@ from typing import Callable, ClassVar, Iterable, Mapping
 
 from .errors import InputError
 from .expr import Expr, Var, _tuple_kernel, variables
-from .model import Assignment, Signature, _enumerate_total, _ints_in, _shared, _to_name_order, enumerate_states
+from .model import Assignment, Signature, _enumerate_total, _shared, _to_name_order, enumerate_states
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,10 @@ class StateMap(FiniteMap):
             super().__post_init__()
         else:
             object.__setattr__(self, "exprs", tuple(self.exprs))
+            names = [name for name, _ in self.exprs]
+            if len(set(names)) != len(names):
+                twice = next(name for name in names if names.count(name) > 1)
+                raise InputError(f"state map has more than one expression for {twice}")
 
     @staticmethod
     def from_exprs(exprs: Mapping[str, Expr]) -> "StateMap":
@@ -189,7 +193,7 @@ def _problem(image: Assignment, high: Signature) -> str | None:
     """Why `image` is not a high state, or None when it is one."""
     if image._keys != high.endo_keyset:
         return f"{image!r}, which does not assign exactly the high endogenous variables"
-    bad = [f"{name}={value}" for name, value in image._items if not _ints_in((value,), high.domains[name])]
+    bad = [f"{name}={value}" for name, value in image._items if not (type(value) is int and value in high.domains[name])]
     return f"out-of-domain value {bad[0]}" if bad else None
 
 

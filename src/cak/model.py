@@ -40,7 +40,7 @@ class VariableDecl:
         if len(self.domain) == 0:
             raise InputError(f"variable {self.name} has an empty domain")
         for v in self.domain:
-            if type(v) is not int:  # True or 1.0 would stand for 1 (see _ints_in)
+            if type(v) is not int:  # True or 1.0 would stand for 1 (see check_context)
                 raise InputError(f"variable {self.name} has a domain value {v!r} that is not an int")
         if len(set(self.domain)) != len(self.domain):
             raise InputError(f"variable {self.name} has duplicate domain values")
@@ -279,29 +279,48 @@ class CausalModel:
         return self.allowed_interventions
 
     @cached_property
-    def _cones(self) -> dict[frozenset[str], tuple[str, ...]]:
+    def _reaches(self) -> dict[tuple[frozenset[str], tuple[str, ...] | None], tuple[frozenset[str], tuple[str, ...]]]:
         return {}
 
-    def cone(self, names: frozenset[str]) -> tuple[str, ...]:
-        """The exogenous variables, in declaration order, that a solution
-        under an intervention on `names` can depend on: those read by the
-        equation of an endogenous variable outside `names` (in the
-        submodel the others are constants). Every such variable is part
-        of the solution, so the endogenous ones it reads add nothing."""
-        cone = self._cones.get(names)
-        if cone is None:
-            read = set().union(*[variables(e) for n, e in self.equations if n not in names])
-            cone = self._cones[names] = tuple([n for n in self.signature.exo_names if n in read])
-        return cone
+    @cached_property
+    def _valid(self) -> bool:
+        """Whether `validate` accepts this model, so that no solve of it
+        raises. Computed on the first read only."""
+        return not validate(self)
 
-    def solver(self, names: frozenset[str]) -> Callable[[tuple, tuple], tuple]:
-        """Generated `solve(context_values, forced_values) -> state_values`
-        for interventions on `names`: context values, forced values and
-        state values all in name order, as in `Assignment._values`.
+    def _reach(self, names: frozenset[str], targets: tuple[str, ...] | None) -> tuple[frozenset[str], tuple[str, ...]]:
+        """What the values at `targets` (endogenous names; None for every
+        one) depend on under an intervention on `names`: the forced names
+        they read and their cone (see `cone`). Walking back from the
+        targets, the equation of each unforced variable reached adds the
+        names it reads; a forced, exogenous or undeclared name ends the
+        walk."""
+        found = self._reaches.get((names, targets))
+        if found is None:
+            seen = _reads_back(self.equation_map, names, self.signature.endo_names if targets is None else targets)
+            cone = tuple([n for n in self.signature.exo_names if n in seen])
+            found = self._reaches[(names, targets)] = (names.intersection(seen), cone)
+        return found
+
+    def cone(self, names: frozenset[str], targets: tuple[str, ...] | None = None) -> tuple[str, ...]:
+        """The exogenous variables, in declaration order, that the values at
+        `targets` (every endogenous variable by default) can depend on
+        under an intervention on `names`: those read by the equations of
+        the unforced variables that the targets depend on (in the
+        submodel the forced ones are constants)."""
+        return self._reach(names, targets)[1]
+
+    def solver(self, names: frozenset[str], targets: tuple[str, ...] | None = None) -> Callable[[tuple, tuple], tuple]:
+        """Generated `solve(context_values, forced_values) -> values` for
+        interventions on `names`: context values, forced values and
+        the values returned all in name order, as in `Assignment._values`.
+        It returns the state's values or, given `targets` in name order,
+        only theirs, and then evaluates only the equations they depend on.
         Forced values of names that are not endogenous are ignored."""
-        kernel = self._kernels.get(names)
+        key = names if targets is None else (names, targets)
+        kernel = self._kernels.get(key)
         if kernel is None:
-            kernel = self._kernels[names] = _kernel(self.signature, self.equations, self.order, names)
+            kernel = self._kernels[key] = _kernel(self.signature, self.equations, self.order, names, targets)
         return kernel
 
     def with_allowed(self, interventions) -> "CausalModel":
@@ -309,7 +328,7 @@ class CausalModel:
         solves as this model does, so the two share their generated solvers,
         cones and solutions."""
         copy = CausalModel(self.signature, self.equations, interventions)
-        copy.__dict__.update(_kernels=self._kernels, _cones=self._cones, _states=self._states)
+        copy.__dict__.update(_kernels=self._kernels, _reaches=self._reaches, _states=self._states)
         return copy
 
 
@@ -424,7 +443,7 @@ def validate(model: CausalModel) -> list[Diagnostic]:
                             witness=iv,
                         )
                     )
-                elif not _ints_in((value,), sig.domains[var]):
+                elif not (type(value) is int and value in sig.domains[var]):
                     diags.append(
                         Diagnostic(
                             "bad-intervention",
@@ -436,24 +455,19 @@ def validate(model: CausalModel) -> list[Diagnostic]:
     return diags
 
 
-def _ints_in(values: Collection, domain: tuple[int, ...]) -> bool:
-    """Whether each of `values` is a value of `domain`: an int in it.
-
-    True and 1.0 equal 1 and hash as it does, so `in` alone takes them,
-    and a cache keyed by values, such as a model's solutions, would then
-    give the solution of one for the other. Both tests run at C level
-    over a whole column of values."""
-    return set(map(type, values)) <= {int} and set(values).issubset(domain)
-
-
 def check_context(model: CausalModel, context: Assignment) -> None:
+    """Raise InputError unless `context` assigns each exogenous variable a
+    value of its domain. A value must be an int: True and 1.0 equal 1 and
+    hash as it does, so `in` alone takes them, and a cache keyed by
+    values, such as a model's solutions, would then give the solution of
+    one for the other."""
     sig = model.signature
     if set(context) != set(sig.exo_names):
         raise InputError(
             f"context must assign exactly the exogenous variables {sig.exo_names}, got {sorted(context)}"
         )
     for name, value in context.items_sorted:
-        if not _ints_in((value,), sig.domains[name]):
+        if not (type(value) is int and value in sig.domains[name]):
             raise InputError(f"context sets {name} to {value}, outside its domain")
 
 
@@ -462,7 +476,7 @@ def check_intervention(model: CausalModel, intervention: Assignment) -> None:
     for name, value in intervention.items_sorted:
         if name not in sig.endo_keyset:
             raise InputError(f"intervention sets non-endogenous variable {name}")
-        if not _ints_in((value,), sig.domains[name]):
+        if not (type(value) is int and value in sig.domains[name]):  # see check_context
             raise InputError(f"intervention sets {name} to {value}, outside its domain")
 
 
@@ -548,16 +562,34 @@ def _outside(name: str, value: int):
     raise EvaluationError(f"equation for {name} produced {value}, outside its domain")
 
 
+def _reads_back(equations: Mapping[str, Expr], forced: Collection[str], targets: Iterable[str]) -> set[str]:
+    """`targets` and every name they depend on under an intervention on
+    `forced`, walking back through the equations of unforced variables."""
+    seen: set[str] = set()
+    stack = list(targets)
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            if name in equations and name not in forced:
+                stack.extend(variables(equations[name]))
+    return seen
+
+
 @lru_cache(maxsize=1024)
-def _kernel(sig: Signature, equations, order: tuple[str, ...], forced: frozenset[str]) -> Callable:
-    """Straight-line solve for one model structure and one set of
-    intervened names; see CausalModel.solver. Each variable is a
-    positional local; names reach the code only as its globals' values."""
+def _kernel(sig: Signature, equations, order: tuple[str, ...], forced: frozenset[str], targets=None) -> Callable:
+    """Straight-line solve for one model structure, one set of intervened
+    names and one tuple of target names or None; see CausalModel.solver.
+    Each variable is a positional local; names reach the code only as its
+    globals' values."""
     local = {n: f"x{k}" for k, n in enumerate(sig.exo_names + sig.endo_names)}
     emitter = _positional(local)
     outside = emitter.const(_outside)
-    # Every equation is emitted, so a malformed one fails under any intervention.
-    sources = {name: emitter.value(expr) for name, expr in equations}
+    # Without targets every equation is emitted, so a malformed one fails
+    # under any intervention. With them only the equations they depend on
+    # are, which the profile pass uses for models that `validate` accepts.
+    needed = set(order) if targets is None else _reads_back(dict(equations), forced, targets)
+    sources = {name: emitter.value(expr) for name, expr in equations if name in needed}
     # A table read that succeeds returns one of the table's entries, so a
     # table whose entries all lie in the domain needs no domain test.
     in_domain = {
@@ -567,6 +599,8 @@ def _kernel(sig: Signature, equations, order: tuple[str, ...], forced: frozenset
     slot = {n: k for k, n in enumerate(sorted(forced))}
     lines = ["".join(local[n] + ", " for n in sorted(sig.exo_names)) + "= u"] if sig.exo_names else []
     for name in order:
+        if name not in needed:
+            continue
         x = local[name]
         if name in slot:
             lines.append(f"{x} = f[{slot[name]}]")
@@ -575,7 +609,8 @@ def _kernel(sig: Signature, equations, order: tuple[str, ...], forced: frozenset
         if name not in in_domain:
             domain, label = emitter.const(frozenset(sig.domains[name])), emitter.const(name)
             lines.append(f"if {x} not in {domain}: {outside}({label}, {x})")
-    lines.append("return (" + "".join(local[n] + ", " for n in sorted(sig.endo_names)) + ")")
+    returned = sorted(sig.endo_names) if targets is None else targets
+    lines.append("return (" + "".join(local[n] + ", " for n in returned) + ")")
     return generate("solve", "u, f", lines, emitter)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping
@@ -23,7 +23,6 @@ from .model import (
     CausalModel,
     Signature,
     VariableDecl,
-    _ints_in,
     _shared,
     check_context,
     check_intervention,
@@ -40,7 +39,9 @@ from .report import CheckReport
 class RationalDist:
     """Finite-support distribution with exact rational masses.
 
-    Keys are assignments (contexts or endogenous states). Entries with
+    Keys are assignments (contexts or endogenous states) whose values are
+    ints: True or 1.0 would equal 1 and hash as it does, so a solution
+    cached under one would be given for the other. Entries with
     zero mass are permitted and ignored by equality. Entries are sorted by
     key. Beside them the distribution keeps an integer view, in entry
     order: entry k's mass is `_nums[k] / _den`, where `_den` is the lcm
@@ -65,6 +66,9 @@ class RationalDist:
                 raise InputError(f"duplicate distribution entry for {key!r}")
             seen.add(key)
             rows.append((key._items, key, p))
+        if not {*map(type, chain.from_iterable([key._values for _, key, _ in rows]))} <= {int}:
+            key, value = next((key, v) for _, key, _ in rows for v in key._values if type(v) is not int)
+            raise InputError(f"distribution entry {key!r} has a value {value!r} that is not an int")
         # Keys are distinct, so the sort never compares past `_items`, the
         # order Assignment.__lt__ gives.
         rows.sort()
@@ -163,9 +167,10 @@ def check_distribution(model: CausalModel, d: RationalDist) -> None:
     ok = set(map(attrgetter("_keys"), contexts)) == {exo}
     if ok:
         domains = model.signature.domains
-        # One column of values per exogenous variable, in name order.
+        # One column of values per exogenous variable, in name order. The
+        # distribution holds only int values, so `in` takes no True or 1.0.
         columns = zip(*map(attrgetter("_values"), contexts))
-        ok = all(_ints_in(col, domains[n]) for n, col in zip(sorted(exo), columns))
+        ok = all(set(col).issubset(domains[n]) for n, col in zip(sorted(exo), columns))
     if not ok:
         for context in contexts:
             check_context(model, context)

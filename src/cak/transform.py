@@ -11,12 +11,14 @@ refutes all of them.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, product, repeat, tee
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
 from .errors import InputError
+from .expr import _tuple_kernel, variables
 from .interventions import check_omega, resolve_interventions
 from .maps import (
     ContextMap,
@@ -268,32 +270,55 @@ def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_con
     context at a time: a miss at context k has built exactly k + 1 low
     contexts.
 
-    A profile is a row of ids, one per distinct omega-image on the high
-    side (repeated per `slots`, the image index of each intervention) and
-    one per intervention on the low side. `ids` numbers tau's images, the
-    objects of its checked table (`_image_ids`), which are the objects
-    that an expression map's `apply` returns. The high side numbers the
-    high model's states with the same ids, keyed by the objects that its
-    solutions are, and gives a state outside tau's image -1, which no low
-    profile holds. So int profiles match exactly when the profiles of
-    states do, and an image is looked up by identity and checks nothing.
+    A profile holds, for each intervention on the low side and each
+    distinct omega-image on the high side (repeated per `slots`, the image
+    index of each intervention), the ids of the values of tau's
+    components (`_components`). By context there is one component, the
+    whole state, and its ids are those of tau's images, the objects of its
+    checked table (`_image_ids`), which are the objects that an expression
+    map's `apply` returns; the high side keys the same ids by the high
+    model's own states. By cone each component numbers the distinct
+    values that tau's images give its high variables, and both sides read
+    them. A value that no image has gets -1, which no low profile holds.
+    So int profiles match exactly when the profiles of states do, and an
+    image is looked up by identity and checks nothing.
 
-    Each context is read as the key of its profile class (see `_columns`):
-    contexts with equal keys have equal profiles. Each high class's row is
-    projected once into the low key space (`_projection`), and a class
-    that leaves it, which no low context can match, is dropped. A low
-    context is then matched by one lookup of its key, and all low contexts
-    of a class share its list of high contexts. Only the first miss's
-    diagnosis builds a full low profile.
+    Each context is read as the key of its profile class (see
+    `_columns_by_cone`): contexts with equal keys have equal profiles.
+    Each high class's row is projected once into the low key space
+    (`_projection`), and a class that leaves it, which no low context can
+    match, is dropped. A low context is then matched by one lookup of its
+    key, and all low contexts of a class share its list of high contexts.
+    Only the first miss's diagnosis builds a full low profile, from its
+    component ids, solving nothing again.
+
+    The columns go by cone when `_columns_pay` expects them to cost less
+    and `validate` accepts both models: a cone solve evaluates only the
+    equations that a component depends on, so on a model that `validate`
+    rejects it could miss an error that solving by context raises. A
+    model whose solves can raise therefore goes by context, and the rows,
+    read context by context, raise the first error that solving context
+    by context meets.
     """
-    by_cone = _columns_pay(m_low, m_high, interventions, distinct)
-    high_ids = {state_of(m_high, image._values): k for image, k in ids.items()}
-    high_rows, high_profile, _ = _columns(m_high, iter(high_contexts), distinct, high_ids, by_cone)
+    comps = _components(tau, m_low, m_high)
+    low = _Side(m_low, interventions, [support for _, support in comps])
+    high = _Side(m_high, distinct, [names for names, _ in comps])
+    by_cone = _columns_pay(low, high) and m_low._valid and m_high._valid
+    if by_cone:
+        known, images = _component_ids(comps, ids, m_high)
+        high_rows, high_profile, high_space = _columns_by_cone(high, iter(high_contexts), [_Ids(k, tuple) for k in known])
+    else:
+        high_ids = {state_of(m_high, image._values): k for image, k in ids.items()}
+        high_rows, high_profile, high_space = _columns_by_context(m_high, iter(high_contexts), distinct, high_ids)
     high_classes: dict[tuple, list[Assignment]] = {}
     for u_h, key in high_rows:
         high_classes.setdefault(key, []).append(u_h)
-    low_rows, low_profile, space = _columns(m_low, low_contexts, interventions, ids, by_cone, tau)
-    low_key = _projection(*space, slots)
+    if by_cone:
+        readers = [_Ids(k, evaluate) for k, evaluate in zip(known, _evaluators(comps, tau, m_low))]
+        low_rows, low_profile, (groups, loose, cells) = _columns_by_cone(low, low_contexts, readers)
+    else:
+        low_rows, low_profile, (groups, loose, cells) = _columns_by_context(m_low, low_contexts, interventions, ids, tau)
+    low_key = _projection(groups, loose, high_space[2], slots)
     classes: dict[tuple, list[Assignment]] = {}  # low class key -> its high contexts
     for key, found in high_classes.items():
         projected = low_key(high_profile(key))
@@ -307,28 +332,97 @@ def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_con
         if found is None:
             # The first context without a correspondent decides; the
             # rest are never read or built.
-            images = list(ids)
-            return None, (u_l, tuple([images[k] for k in low_profile(key)]))
+            row = low_profile(key)
+            if not by_cone:  # one component, the whole state, whose ids are the images'
+                images = {(k,): image for image, k in ids.items()}
+            return None, (u_l, tuple([images[tuple([row[k] for k in cell])] for cell in cells]))
         lows.append(u_l)
         founds.append(found)
     return (lows, founds), None
 
 
-def _projection(groups, loose, slots):
-    """The function from a high row, an id per distinct image, to the low
-    class key of the contexts with its profile, or None if no low context
-    can have it. `groups` and `loose` describe the low key space, as
-    `_columns` returns them; `slots` gives each intervention's image.
+def _components(tau: StateMap, m_low: CausalModel, m_high: CausalModel) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """tau's components, each as (its high variables, its support), both in
+    name order. The high variables whose expressions read the same low
+    variables (`expr.variables`) are one component, and those variables
+    are its support; components come in the order of their first high
+    variable's name. A table is one component over every low variable."""
+    if tau.exprs is None:
+        return [(m_high._endo_sorted, m_low._endo_sorted)]
+    by_support: dict[frozenset[str], list[str]] = {}
+    for name, expr in sorted(tau.exprs, key=itemgetter(0)):
+        by_support.setdefault(variables(expr), []).append(name)
+    return [(tuple(names), tuple(sorted(support))) for support, names in by_support.items()]
 
-    A cone group's entry is the fused id of the row's ids at the group's
-    interventions; where the group's cone points never give that tuple of
-    ids, no low context has the row's profile. A column by context's entry
-    is the row's id at its intervention.
+
+def _component_ids(comps, ids: dict[Assignment, int], m_high: CausalModel):
+    """For each component, an id for each distinct value tuple of its high
+    variables among tau's images, in order of first appearance; and tau's
+    images by the tuple of their component ids."""
+    names = m_high._endo_sorted
+    picks = [_picker([names.index(n) for n in high]) for high, _ in comps]
+    known: list[dict[tuple, int]] = [{} for _ in comps]
+    images = {}
+    for image in ids:
+        images[tuple([k.setdefault(pick(image._values), len(k)) for pick, k in zip(picks, known)])] = image
+    return known, images
+
+
+def _evaluators(comps, tau: StateMap, m_low: CausalModel) -> list:
+    """For each component, the function from the values of its support to
+    the values of its high variables, all in name order."""
+    if tau.exprs is None:
+        return [lambda values: tau.apply(state_of(m_low, values))._values]
+    exprs = dict(tau.exprs)
+    return [_tuple_kernel(tuple([exprs[n] for n in high]), support) for high, support in comps]
+
+
+class _Ids(dict):
+    """Values -> an id, `known.get(evaluate(values), -1)`, filled in on the
+    first read of the values."""
+
+    __slots__ = ("known", "evaluate")
+
+    def __init__(self, known: dict, evaluate):
+        super().__init__()
+        self.known, self.evaluate = known, evaluate
+
+    def __missing__(self, values: tuple) -> int:
+        k = self[values] = self.known.get(self.evaluate(values), -1)
+        return k
+
+
+def _projection(groups, loose, high_cells, slots):
+    """The function from a high row, a class's `profile`, to the low class
+    key of the contexts with its profile, or None if no low context can
+    have it. `groups` and `loose` describe the low key space, and
+    `high_cells` the high rows, as the columns return them; `slots` gives
+    each intervention's image.
+
+    A cone group's entry is the fused id of its members' ids. A member's
+    id is the row's id of its component under the image of each of its
+    interventions. Interventions that force different values of variables
+    that the component does not depend on share a member, as {T=1} and
+    {T=2} share the value of a component read from X1 and X2 alone, so
+    the row must give them all one id; where it does not, or where the
+    group's cone points never give that tuple of ids, no low context has
+    the row's profile. A column by context's entry is the row's id at its
+    intervention's image.
     """
-    picks = [(_picker([slots[pos] for pos in positions]), fused) for positions, fused in groups]
-    tail = _picker([slots[pos] for pos in loose])
+    picks, pairs = [], {}  # pairs of row positions that must hold one id
+    for members, fused in groups:
+        firsts = []
+        for (c, _, _), positions in members.items():
+            first, *rest = dict.fromkeys([high_cells[slots[pos]][c] for pos in positions])
+            pairs.update(dict.fromkeys([(first, k) for k in rest]))
+            firsts.append(first)
+        picks.append((_picker(firsts), fused))
+    tail = _picker([high_cells[slots[pos]][0] for pos in loose])
+    same, other = _picker([a for a, _ in pairs]), _picker([b for _, b in pairs])
 
     def low_key(row: tuple) -> tuple | None:
+        if same(row) != other(row):
+            return None
         key = []
         for pick, fused in picks:
             k = fused.get(pick(row))
@@ -341,166 +435,170 @@ def _projection(groups, loose, slots):
 
 
 def _picker(at: list[int]):
-    """The function from a row to its entries at `at`, as a tuple."""
-    return itemgetter(*at) if len(at) > 1 else lambda row: tuple([row[k] for k in at])
+    """The function from a tuple to its entries at `at`, as a tuple: one
+    C-level call, a slice where `at` has fewer than two entries."""
+    if len(at) > 1:
+        return itemgetter(*at)
+    return itemgetter(slice(at[0], at[0] + 1) if at else slice(0, 0))
 
 
-def _columns(
-    model, contexts: Iterator[Assignment], interventions, ids: dict, by_cone: bool, tau: StateMap | None = None
-):
+class _Side:
+    """One side of the profile pass: a model, the interventions that its
+    columns solve under (the low interventions, or the distinct high
+    images) and, for each of tau's components, the variables that its
+    values are read from: its support on the low side, its own high
+    variables on the high side. Targets that are every endogenous
+    variable are None, so that their solves share the model's solvers."""
+
+    def __init__(self, model: CausalModel, interventions: Sequence[Assignment], targets: list[tuple[str, ...]]):
+        self.model, self.interventions = model, interventions
+        self.targets = [None if t == model._endo_sorted else t for t in targets]
+
+    @cached_property
+    def groups(self) -> dict[tuple[str, ...], dict[tuple, list[int]]]:
+        """cone -> member -> the positions of its interventions.
+
+        Under an intervention, a component's values depend only on the
+        forced variables its targets read, through unforced equations, and
+        on its cone (`CausalModel._reach`). A member is a component with the
+        values of those forced variables, so interventions that force other
+        variables, or force them to other values, share it. The members
+        with one cone are one group, in order of first appearance.
+        """
+        by_names: dict[frozenset[str], list[int]] = {}
+        for pos, i in enumerate(self.interventions):
+            by_names.setdefault(i._keys, []).append(pos)
+        groups: dict[tuple[str, ...], dict[tuple, list[int]]] = {}
+        for names, positions in by_names.items():
+            order = sorted(names)
+            for c, targets in enumerate(self.targets):
+                read, cone = self.model._reach(names, targets)
+                pick = _picker([order.index(n) for n in sorted(read)])
+                members = groups.setdefault(cone, {})
+                for pos in positions:
+                    members.setdefault((c, read, pick(self.interventions[pos]._values)), []).append(pos)
+        return groups
+
+    @cached_property
+    def cone_work(self) -> int:
+        """The number of member solves at cone points."""
+        domains = self.model.signature.domains
+        return sum([len(members) * prod([len(domains[n]) for n in cone]) for cone, members in self.groups.items()])
+
+
+def _columns_by_context(model, contexts: Iterator[Assignment], interventions, ids: dict, tau: StateMap | None = None):
     """The rows (context, class key) of `contexts` over `interventions`,
-    the function that builds a class's profile from its key, and the key
-    space. A profile holds the ids of the solutions under the
-    interventions, or of their tau-images, in intervention order, each
-    `ids.get(state, -1)`.
+    the function that builds a class's row from its key, and the key space
+    (groups, loose, cells), as `_columns_by_cone` gives them. A column
+    calls solve_under, and tau.apply on the low side, once per context, on
+    its own `tee` copy of the contexts, and holds the id of each solution
+    or its tau-image, `ids.get(state, -1)`. A key is its row: one id per
+    column, in intervention order, each the whole state's one component."""
+    contexts, *copies = tee(contexts, len(interventions) + 1)
+    columns = []
+    for i, copy in zip(interventions, copies):
+        solved = map(solve_under, repeat(model), copy, repeat(i))
+        columns.append(map(ids.get, solved if tau is None else map(tau.apply, solved), repeat(-1)))
+    rows = zip(contexts, zip(*columns) if columns else repeat(()))
+    positions = list(range(len(interventions)))
+    return rows, tuple, ([], positions, [(pos,) for pos in positions])
+
+
+def _columns_by_cone(side: _Side, contexts: Iterator[Assignment], readers: list[_Ids]):
+    """The rows (context, class key) of `contexts` over the side's
+    interventions, the function that builds a class's row from its key,
+    and the key space (groups, loose, cells).
 
     Each column of the keys is an iterator, read on in step with the
     contexts, so the rows are lazy: reading a row builds its context and
-    no later one. A key holds one fused id per distinct cone, in order of
-    first appearance, then one id per column by context, in intervention
-    order. The key space is (groups, loose): for each cone, the positions
-    of its interventions and its dict from their tuple of ids to the
-    fused id; and the positions of the columns by context.
+    no later one. There is one column per cone group (`_Side.groups`).
+    Each member of a group is solved once per point of its cone, with the
+    generated solver for its forced names and its component's targets,
+    and `readers[c]` gives the id of component c's values. At each point
+    the group's member ids are fused into one id, by a dict over id
+    tuples, and the group's column is the fused ids spread over every
+    context (`_spread`). A key holds one fused id per group, in order of
+    first appearance.
 
-    By context, a column calls solve_under and tau.apply once per context,
-    on its own `tee` copy of the contexts. By cone, the cone, its points
-    and the generated solver are resolved once per set of forced names,
-    each intervention is solved with that solver once per point of its
-    cone, and tau applied once per distinct state. The interventions with
-    one cone share its points and its index column: at each point their
-    ids are fused into one id, by a dict over id tuples, and the cone's
-    column maps the index column to the fused ids. An intervention whose
-    cone solve raises gets a column by context instead, which raises at
-    its own first failing context; one that does not raise cannot fail at
-    any context, since a solution depends only on its cone. Read row by
-    row, the columns therefore raise the context-major first error. A
-    solver that cannot be generated (a cyclic model) raises here, as it
-    does at every solve of the model.
+    A row is the concatenation of the key's member ids, group by group;
+    `cells` gives, for each intervention and each component, the position
+    of its member's id in a row. The key space is (groups, [], cells):
+    for each group its members, each with the positions of its
+    interventions, and its dict from id tuples to fused ids.
     """
-    groups: dict[tuple[str, ...], list[tuple[int, list[int]]]] = {}  # cone -> (position, ids per point)
-    loose = [] if by_cone else list(range(len(interventions)))
-    shapes: dict[tuple[str, ...], tuple[list[tuple], list[int]]] = {}
-    if by_cone:
-        sig = model.signature
-        pick = _to_name_order(list(sig.exo_names))
-        known = _SolutionIds(model, ids, tau)
-        by_names: dict[frozenset[str], list[int]] = {}
-        for pos, i in enumerate(interventions):
-            by_names.setdefault(i._keys, []).append(pos)
-        for names, positions in by_names.items():
-            cone = model.cone(names)
-            if cone not in shapes:
-                shapes[cone] = _cone_shape(sig, cone, pick)
-            points, solve = shapes[cone][0], model.solver(names)
+    sig = side.model.signature
+    pick = _to_name_order(list(sig.exo_names))
+    cells = [[0] * len(side.targets) for _ in side.interventions]
+    columns, groups = [], []
+    offset = 0
+    for cone, members in side.groups.items():
+        at_points = []
+        for (c, read, forced), positions in members.items():
             for pos in positions:
-                try:
-                    at_points = list(map(known.__getitem__, map(solve, points, repeat(interventions[pos]._values))))
-                except Exception:  # by context, it raises again if the pass reads that far
-                    loose.append(pos)
-                else:
-                    groups.setdefault(cone, []).append((pos, at_points))
-        loose.sort()
-    columns, fused_groups = [], []
-    for cone, group in groups.items():
-        fused: dict[tuple, int] = {}
-        at = [fused.setdefault(t, len(fused)) for t in zip(*[at_points for _, at_points in group])]
-        columns.append(map(at.__getitem__, shapes[cone][1]))
-        fused_groups.append(([pos for pos, _ in group], fused))
-    contexts, *copies = tee(contexts, len(loose) + 1)
-    for pos, copy in zip(loose, copies):
-        solved = map(solve_under, repeat(model), copy, repeat(interventions[pos]))
-        columns.append(map(ids.get, solved if tau is None else map(tau.apply, solved), repeat(-1)))
+                cells[pos][c] = offset + len(at_points)
+            solve = side.model.solver(read, side.targets[c])
+            points = _cone_points(sig, cone, pick)
+            at_points.append(list(map(readers[c].__getitem__, map(solve, points, repeat(forced)))))
+        # The id tuples are built twice rather than kept: a kept tuple per
+        # point lengthens every garbage collection of the pass.
+        fused = {t: k for k, t in enumerate(dict.fromkeys(zip(*at_points)))}
+        columns.append(iter(_spread(list(map(fused.__getitem__, zip(*at_points))), sig, cone)))
+        groups.append((members, fused))
+        offset += len(members)
     rows = zip(contexts, zip(*columns) if columns else repeat(()))
-    if not fused_groups:
-        return rows, tuple, ([], loose)  # all by context: a key is its profile
-    parts = [list(fused) for _, fused in fused_groups]  # fused id -> the group's ids
-    order = [*chain.from_iterable(positions for positions, _ in fused_groups), *loose]
-    to_interventions = _to_name_order(order)  # a row in `order` into intervention order
-    n_fused = len(parts)
+    parts = [list(fused) for _, fused in groups]  # fused id -> the group's member ids
 
     def profile(key: tuple) -> tuple:
-        return to_interventions([*chain.from_iterable(map(list.__getitem__, parts, key)), *key[n_fused:]])
+        return tuple(chain.from_iterable(map(list.__getitem__, parts, key)))
 
-    return rows, profile, (fused_groups, loose)
-
-
-class _SolutionIds(dict):
-    """Solution values -> the id of the state, or of its tau-image, each
-    `ids.get(state, -1)`, filled in on the first read of the values."""
-
-    __slots__ = ("model", "ids", "tau")
-
-    def __init__(self, model: CausalModel, ids: dict, tau: StateMap | None):
-        super().__init__()
-        self.model, self.ids, self.tau = model, ids, tau
-
-    def __missing__(self, values: tuple) -> int:
-        state = state_of(self.model, values)
-        k = self[values] = self.ids.get(state if self.tau is None else self.tau.apply(state), -1)
-        return k
+    return rows, profile, (groups, [], cells)
 
 
-def _columns_pay(
-    m_low: CausalModel,
-    m_high: CausalModel,
-    interventions: Sequence[Assignment],
-    distinct: Sequence[Assignment],
-) -> bool:
+def _columns_pay(low: _Side, high: _Side) -> bool:
     """Whether columns built by cone are expected to cost less than
     columns built by context, counting work in solves.
 
-    By cone, an intervention (or a distinct image) solves at its cone
-    points and costs about four solves more in lookups and fusing, which
-    decides on small inputs; the pass then reads one fused id per distinct
-    cone at each context, which is not counted. A column by context solves
-    every context, but the pass stops at the first unmatched low context,
-    halfway through on average, so the cones pay only below half the full
-    work by context.
+    By cone, each member of a cone group solves at its cone's points
+    (`_Side.cone_work`), and each intervention (or distinct image) costs
+    about four solves more in lookups and fusing, which decides on small
+    inputs; the pass then reads one fused id per group at each context,
+    which is not counted. A column by context solves every context, but
+    the pass stops at the first unmatched low context, halfway through on
+    average, so the cones pay only below half the full work by context.
     """
-    context_work = _n_contexts(m_low) * len(interventions) + _n_contexts(m_high) * len(distinct)
-    fixed = 4 * (len(interventions) + len(distinct))
+    context_work = _n_contexts(low.model) * len(low.interventions) + _n_contexts(high.model) * len(high.interventions)
+    fixed = 4 * (len(low.interventions) + len(high.interventions))
     if 2 * fixed > context_work:
         return False  # decided without computing a cone
-    cone_work = _cone_work(m_low, interventions) + _cone_work(m_high, distinct)
-    return 2 * (fixed + cone_work) <= context_work
+    return 2 * (fixed + low.cone_work + high.cone_work) <= context_work
 
 
 def _n_contexts(model: CausalModel) -> int:
     return prod([len(d.domain) for d in model.signature.exogenous])
 
 
-def _cone_work(model: CausalModel, interventions: Sequence[Assignment]) -> int:
-    """The number of cone points over `interventions`."""
-    domains = model.signature.domains
-    sizes: dict[frozenset[str], int] = {}
-    for i in interventions:
-        if i._keys not in sizes:
-            sizes[i._keys] = prod([len(domains[n]) for n in model.cone(i._keys)])
-    return sum([sizes[i._keys] for i in interventions])
-
-
-def _cone_shape(sig: Signature, cone: tuple[str, ...], pick) -> tuple[list[tuple], list[int]]:
-    """The cone's points and its index column.
-
-    The points run over the cone's product in declaration-order
+def _cone_points(sig: Signature, cone: tuple[str, ...], pick) -> Iterator[tuple]:
+    """The cone's points, lazily: its product in declaration-order
     lexicographic order, with the exogenous variables outside the cone at
-    their first domain value; each is a context's values, put in name order
-    by `pick`. The index column gives every context's point, in enumeration
-    order. It is built from the last declared variable up by block
-    replication: a variable outside the cone repeats the block, one inside
-    it also shifts each copy.
-    """
-    choices = [d.domain if d.name in cone else d.domain[:1] for d in sig.exogenous]
-    points = list(map(pick, product(*choices)))
-    index, stride = [0], 1
+    their first domain value, each a context's values put in name order by
+    `pick`."""
+    return map(pick, product(*[d.domain if d.name in cone else d.domain[:1] for d in sig.exogenous]))
+
+
+def _spread(at: list, sig: Signature, cone: tuple[str, ...]) -> list:
+    """The column that gives every context, in enumeration order, the entry
+    of `at` at its point among `_cone_points`. Built from the last declared
+    variable up: the list holds one block per assignment of the cone
+    variables declared before the current one, so a variable in the cone
+    only lengthens the blocks, and one outside it repeats each block, in
+    C-level passes."""
+    size = 1
     for d in reversed(sig.exogenous):
         n = len(d.domain)
-        if d.name in cone:
-            index = [k + shift for shift in range(0, n * stride, stride) for k in index]
-            stride *= n
-        else:
-            index = index * n
-    return points, index
+        if d.name not in cone and n > 1:
+            at = list(chain.from_iterable(map(mul, zip(*[iter(at)] * size), repeat(n))))
+        size *= n
+    return at
 
 
 def _match_high_side(high_contexts: Sequence[Assignment], founds: Sequence[list[Assignment]]):

@@ -847,6 +847,37 @@ def test_tau_taking_checks_match_their_references(columns, seed):
         assert got == [_outcome_bytes(check, low, high, tau) for check in tau_level]
 
 
+def test_tau_oracle_draws_reach_the_component_path(monkeypatch):
+    # The by-cone run of the oracle above holds the columns per tau
+    # component to the references only on draws whose two models validate
+    # and whose tau tabulates: the others go by context, or raise before
+    # any pass. Of the first 200 draws, 59 build the cone columns, each of
+    # the four shapes of tau's components (one or more components, each of
+    # one or more high variables) among them, with both verdicts.
+    built = []
+    by_cone = transform._columns_by_cone
+    monkeypatch.setattr(transform, "_columns_by_cone", lambda *args: (built.append(1), by_cone(*args))[1])
+    monkeypatch.setattr(transform, "_columns_pay", lambda *args: True)
+    reached, shapes, verdicts = 0, set(), set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        low, high, _, omega = random_transformation_case(rng)
+        tau = random_expr_state_map(rng, low, high)
+        built.clear()
+        kind, report = outcome(find_compatible_tau_u, low, high, tau, omega)
+        if built:
+            assert low._valid and high._valid and kind == "value"
+            reached += 1
+            comps = transform._components(tau, low, high)
+            shapes.add((len(comps) > 1, max(len(names) for names, _ in comps) > 1))
+            verdicts.add(report.verdict)
+        else:
+            assert kind != "value" or not (low._valid and high._valid)
+    assert reached / 200 >= 0.25
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
+    assert verdicts == {True, False}
+
+
 @pytest.mark.parametrize("bundle", all_bundles(), ids=lambda b: b.name)
 def test_tau_level_checks_agree_on_expressions_and_their_table(bundle):
     # The checks apply the caller's map after materializing it, so a table

@@ -130,6 +130,14 @@ def test_state_map_needs_exactly_one_backing():
         StateMap(entries=(), exprs=())
 
 
+def test_a_state_map_has_one_expression_per_high_variable():
+    # The profile pass reads each high variable's value from its one
+    # expression, so a second one for a name is refused.
+    x, one = parse_expr("X"), parse_expr("1")
+    with pytest.raises(InputError, match="^state map has more than one expression for Y$"):
+        StateMap(exprs=(("Y", x), ("Z", x), ("Y", one)))
+
+
 @pytest.mark.parametrize(
     "cls, kind, from_obj",
     [

@@ -24,6 +24,7 @@ from cak import (
     check_uev,
     dependency_order,
     enumerate_contexts,
+    enumerate_interventions,
     enumerate_states,
     eval_formula,
     parse_expr,
@@ -132,9 +133,10 @@ def test_values_that_only_equal_an_int_are_rejected_everywhere(value):
         with pytest.raises(InputError, match=outside.format("X")):
             intervene(m, Assignment(X=value))
     assert [(d.kind, d.message) for d in validate(m)] == [("bad-intervention", "intervention " + outside.format("X"))]
-    d = RationalDist(((Assignment(U=0), Fraction(1, 2)), (Assignment(U=value), Fraction(1, 2))))
-    with pytest.raises(InputError, match=outside.format("U")):
-        check_distribution(m, d)
+    # A distribution refuses the value itself, so check_distribution never
+    # meets it.
+    with pytest.raises(InputError, match="not an int"):
+        RationalDist(((Assignment(U=0), Fraction(1, 2)), (Assignment(U=value), Fraction(1, 2))))
     tau = StateMap.from_table(((Assignment(X=0), Assignment(X=0)), (Assignment(X=1), Assignment(X=value))))
     with pytest.raises(InputError, match=f"to out-of-domain value X={value}"):
         tabulate(tau, m.signature, m.signature)
@@ -591,3 +593,41 @@ def test_contexts_that_agree_on_the_cone_solve_alike(seed):
             result = outcome(solve_under, model, u, i)
             by_point.setdefault(tuple(u[n] for n in cone), set()).add(result)
         assert all(len(results) == 1 for results in by_point.values())
+
+
+def test_a_cone_of_targets_keeps_only_what_they_depend_on():
+    def reach(names, targets):
+        return CHAIN3._reach(frozenset(names), targets)
+
+    assert reach((), ("X1",)) == (frozenset(), ("U1",))
+    assert reach((), ("X3",)) == (frozenset(), ("U1", "U2", "U3"))
+    assert reach(("X2",), ("X3",)) == (frozenset({"X2"}), ("U3",))
+    assert reach(("X2",), ("X1",)) == (frozenset(), ("U1",))  # the forced X2 is not read
+    assert reach(("X3",), ("X3",)) == (frozenset({"X3"}), ())
+    assert reach(("X1", "X3"), ("X2",)) == (frozenset({"X1"}), ("U2",))
+    assert reach((), ()) == (frozenset(), ())
+    assert CHAIN3.cone(frozenset({"X2"})) == CHAIN3.cone(frozenset({"X2"}), ("X1", "X2", "X3")) == ("U1", "U3")
+
+
+@given(st.integers(0, 2**32))
+def test_a_solver_for_targets_gives_their_values_in_the_whole_solution(seed):
+    # On a model that validate accepts, a solver for some target names,
+    # given only the forced names they read, returns their values in the
+    # solution of every context under every intervention, and contexts
+    # that agree on the targets' cone give the same values.
+    rng = random.Random(seed)
+    model = random_expr_model(rng) if seed % 2 else random_model(rng, max_exo=3)
+    if validate(model):
+        return
+    endo = model.signature.endo_names
+    for i in rng.sample(enumerate_interventions(model), 3):
+        targets = tuple(sorted(rng.sample(endo, rng.randint(0, len(endo)))))
+        read, cone = model._reach(i._keys, targets)
+        solve = model.solver(read, targets)
+        forced = tuple(i[n] for n in sorted(read))
+        by_point: dict[tuple, tuple] = {}
+        for u in enumerate_contexts(model):
+            values = solve(u._values, forced)
+            whole = solve_under(model, u, i)
+            assert values == tuple(whole[n] for n in targets)
+            assert by_point.setdefault(tuple(u[n] for n in cone), values) == values

@@ -442,3 +442,15 @@ def test_bad_contexts_with_zero_mass_are_skipped():
     got = interventional_dist(LEAVES_DOMAIN, d, EMPTY)
     assert got.entries == reference_interventional_dist(LEAVES_DOMAIN, d, EMPTY).entries
     assert got.entries == ((Assignment(X=1), Fraction(1)),)
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["True", "1.0"])
+def test_a_distribution_refuses_values_that_only_equal_an_int(value):
+    # interventional_dist solves its contexts' values as given, so a
+    # context U=True gave X=True and was cached under the values of U=1:
+    # a later solve of U=1 then gave X=True too.
+    m = model_of([("U", (0, 1))], [("X", (0, 1))], {"X": "U"})
+    with pytest.raises(InputError, match=f"distribution entry Assignment\\(U={value}\\) has a value {value} that is not an int"):
+        interventional_dist(m, RationalDist(((Assignment(U=value), Fraction(1)),)), EMPTY)
+    state = solve(m, Assignment(U=1))
+    assert state == Assignment(X=1) and type(state["X"]) is int

@@ -421,9 +421,9 @@ def _differential_case(rng: random.Random):
 @pytest.mark.parametrize("seed", range(5))
 def test_cone_pass_matches_the_reference(monkeypatch, seed):
     # Random expression models read the undeclared Z now and then, leave
-    # their domains and have partial tables; a cone column then raises and
-    # is built by context. Every case reports or raises as the pass by
-    # context does, and as the reference does unless the reference,
+    # their domains and have partial tables; validate then rejects them,
+    # and the pass goes by context. Every case reports or raises as the
+    # pass by context does, and as the reference does unless the reference,
     # which solves every low context before looking for a miss, raises at a
     # context past the first miss.
     rng = random.Random(seed)
@@ -480,7 +480,8 @@ def test_cone_shape_places_every_context_at_its_cone_point(seed):
     decls = tuple(VariableDecl(n, tuple(rng.sample(range(-1, 4), rng.randint(1, 3)))) for n in names)
     sig = Signature(decls, ())
     cone = tuple(n for n in names if rng.random() < 0.5)
-    points, index = transform._cone_shape(sig, cone, _to_name_order(names))
+    points = list(transform._cone_points(sig, cone, _to_name_order(names)))
+    index = transform._spread(list(range(len(points))), sig, cone)
     first = {d.name: d.domain[0] for d in decls}
     contexts = enumerate_contexts(sig)
     assert len(index) == len(contexts)
@@ -534,23 +535,26 @@ def _count_kernel_calls(monkeypatch):
 
 def test_strong_check_on_voting_takes_the_cone_pass(monkeypatch):
     # Every solve runs a kernel the patched factory made, on fresh models:
-    # 9,600 low and 1,728 high cone points, where by context the pass solves
-    # 512 contexts under 450 interventions and 162 under 144 images, 253,728.
+    # 1,697 low and 633 high member points, where by context the pass
+    # solves 512 contexts under 450 interventions and 162 under 144 images,
+    # 253,728. Solving the whole state at each intervention's cone made
+    # 9,600 low and 1,728 high solves, 11,328.
     solves = _count_kernel_calls(monkeypatch)
     bundle = build_voting(4, 2, 1)
     taken = _passes_taken(monkeypatch)
     assert check_strong_abstraction(bundle.low, bundle.high, bundle.tau).verdict
     assert taken == ["by cone"]
-    assert 0 < solves[0] <= 11_328
+    assert solves[0] == 1_697 + 633
 
 
-def test_a_failing_cone_column_falls_back_alone(monkeypatch):
-    # X's table misses U = 2, so the 5 of the 15 interventions that leave X
-    # unforced raise at a cone point, after 37 cone solves in all. Only
-    # those 5 columns are built by context; read row by row, they solve the
-    # 8 contexts before U = 2 and then the first of them raises at U = 2:
-    # 37 + 8 * 5 + 1. Rerunning the whole pass by context once the first
-    # column (the empty intervention) raised made 9 + 8 * 15 + 1 = 130.
+def test_a_model_that_validate_rejects_goes_by_context(monkeypatch):
+    # X's table misses U = 2, so validate rejects the model, and the pass
+    # goes by context even where the cone columns are selected: a cone
+    # solve skips the equations its component does not read, so it could
+    # miss an error. The high side, the same model, is read first: it
+    # solves the 8 contexts before U = 2 under the 15 distinct images, and
+    # the first image, the empty intervention, raises at U = 2: 8 * 15 + 1.
+    # When a raising cone column fell back alone, the pass made 78 solves.
     model = model_of(
         [("U", (0, 1, 2)), ("V", (0, 1, 2, 3))],
         [("X", (0, 1)), ("Y", (0, 1, 2, 3))],
@@ -559,9 +563,10 @@ def test_a_failing_cone_column_falls_back_alone(monkeypatch):
     solves = _count_kernel_calls(monkeypatch)
     _, tau, omega = _identity_setup(model)
     args = (model.with_allowed(enumerate_interventions(model)), model, tau, omega)
-    _with_cone_pass(monkeypatch)
+    ends = _with_cone_pass(monkeypatch)
     got = outcome(find_compatible_tau_u, *args)
-    assert solves[0] == 78
+    assert ends == ["raised"]
+    assert solves[0] == 121
     assert got == outcome(reference_find_compatible_tau_u, *args)
     assert got == (EvaluationError, "table over ('U',) has no entry for (2,)")
 
@@ -572,21 +577,30 @@ def _record_columns(monkeypatch):
     group and one per column by context, and every key the pass builds a
     profile from."""
     record = {"low": [], "high": []}
-    columns = transform._columns
 
-    def recorded(model, contexts, interventions, ids, by_cone, tau=None):
-        rows, profile, space = columns(model, contexts, interventions, ids, by_cone, tau)
-        keys = []
-        groups, loose = space
-        record["high" if tau is None else "low"].append((len(groups) + len(loose), keys))
+    def recording(columns, low):
+        def recorded(*args):
+            rows, profile, space = columns(*args)
+            keys = []
+            groups, loose, _ = space
+            record["low" if low(*args) else "high"].append((len(groups) + len(loose), keys))
 
-        def counted(key):
-            keys.append(key)
-            return profile(key)
+            def counted(key):
+                keys.append(key)
+                return profile(key)
 
-        return rows, counted, space
+            return rows, counted, space
 
-    monkeypatch.setattr(transform, "_columns", recorded)
+        return recorded
+
+    # By context, the low side applies tau. By cone, the low side's readers
+    # evaluate tau's components, and the high side's take the values of
+    # the high variables as they are.
+    by_context, by_cone = transform._columns_by_context, transform._columns_by_cone
+    monkeypatch.setattr(transform, "_columns_by_context", recording(by_context, lambda *args: len(args) > 4))
+    monkeypatch.setattr(
+        transform, "_columns_by_cone", recording(by_cone, lambda side, contexts, readers: readers[0].evaluate is not tuple)
+    )
     return record
 
 
@@ -614,12 +628,14 @@ def _record_projections(monkeypatch):
 
 
 def test_the_strong_check_on_voting_matches_each_class_by_its_low_key(monkeypatch):
-    # The 512 low contexts are keyed by one fused id per distinct cone of
-    # the 450 interventions, 8 ids where a row by intervention has 450. The
-    # high side builds the row of each class of its 162 contexts once,
-    # from keys of 8 ids for the 144 distinct images, and projects it once
-    # into the low key space. Every low context then finds its class by its
-    # key, so the passing check builds no low profile.
+    # tau has four components, A1, G1, G2 and W, each read from its own
+    # low variables. The 512 low contexts are keyed by one fused id per
+    # distinct cone of a component under the 450 interventions, 8 ids where
+    # a row by intervention has 450. The high side builds the row of each
+    # class of its 162 contexts once, from keys of 8 ids for the 144
+    # distinct images, and projects it once into the low key space. Every
+    # low context then finds its class by its key, so the passing check
+    # builds no low profile.
     bundle = build_voting(4, 2, 1)
     record = _record_columns(monkeypatch)
     projections = _record_projections(monkeypatch)
@@ -636,9 +652,11 @@ def test_the_strong_check_on_voting_matches_each_class_by_its_low_key(monkeypatc
     [(interventions, distinct, (lows, founds))] = passes
     [(low_width, low_keys)], [(high_width, high_keys)] = record["low"], record["high"]
     [projected] = projections
+    comps = transform._components(bundle.tau, bundle.low, bundle.high)
+    assert [high for high, _ in comps] == [("A1",), ("G1",), ("G2",), ("W",)]
     assert len(interventions) == 450
-    assert low_width == len({bundle.low.cone(i._keys) for i in interventions}) == 8
-    assert high_width == len({bundle.high.cone(j._keys) for j in distinct}) < len(distinct)
+    assert low_width == len({bundle.low.cone(i._keys, low) for i in interventions for _, low in comps}) == 8
+    assert high_width == len({bundle.high.cone(j._keys, high) for j in distinct for high, _ in comps}) == 8
     assert low_keys == []
     assert len(high_keys) == len(set(high_keys)) == 162
     assert len(projected) == len(set(projected)) == 162
@@ -674,6 +692,62 @@ def test_a_high_class_outside_the_low_key_space_is_dropped(monkeypatch, check):
     assert got[1].counterexample["context"] == enumerate_contexts(low)[0]
 
 
+@pytest.mark.parametrize("surjective", [False, True], ids=["any", "surjective"])
+def test_a_high_class_whose_ids_differ_within_a_shared_member_is_dropped(monkeypatch, surjective):
+    # Low X reads only U, so {T=0} and {T=1} share X's member: one column
+    # of X's values. In the high model X = T where W = 1, so the class of
+    # the four high contexts with W = 1 gives X the values 0 and 1 under
+    # the two images. It must be dropped, although its first value alone
+    # is one that the low cone gives: kept, it would take the key of the
+    # low contexts with U = 0 from the class of W = 0 and U = 0, and the
+    # witness would differ. Every low context still has a correspondent,
+    # with W = 0, and the contexts with W = 1 are left unreachable.
+    low = model_of([("U", (0, 1)), ("V", (0, 1))], [("X", (0, 1)), ("T", (0, 1))], {"X": "U", "T": "V"})
+    high = model_of(
+        [("U", (0, 1)), ("V", (0, 1)), ("W", (0, 1))],
+        [("X", (0, 1)), ("T", (0, 1))],
+        {"X": "ite(W == 1, T, U)", "T": "V"},
+    )
+    allowed = (Assignment(T=0), Assignment(T=1))
+    low, high = low.with_allowed(allowed), high.with_allowed(allowed)
+
+    def run():
+        args = (low, high, StateMap.identity(low.signature), InterventionMap.identity(allowed), surjective)
+        return _report_bytes(outcome(find_compatible_tau_u, *args))
+
+    _with_cone_pass(monkeypatch)
+    projections = _record_projections(monkeypatch)
+    got = run()
+    [projected] = projections
+    assert projected.count(None) == 1 and len(projected) == 3
+    monkeypatch.undo()
+    monkeypatch.setattr(transform, "_find_compatible", reference_find_compatible)
+    assert got == run()
+    assert ('"verdict": false' in got[1]) == surjective
+
+
+def test_a_model_whose_marginalized_equation_misses_goes_by_context(monkeypatch):
+    # tau reads only X, so the components' solves never evaluate M, whose
+    # table misses U = 2: by cone, the pass would report where solving
+    # context by context raises. validate rejects the low model, so the
+    # pass goes by context and raises the reference's error, even with the
+    # cone columns selected.
+    low = model_of(
+        [("U", (0, 1, 2))], [("X", (0, 1, 2)), ("M", (0, 1))], {"X": "U", "M": "table(U)[(0) -> 0, (1) -> 1]"}
+    )
+    high = model_of([("U", (0, 1, 2))], [("X", (0, 1, 2))], {"X": "U"})
+    i_low = enumerate_interventions(low)
+    omega = InterventionMap.from_pairs([(i, Assignment({k: v for k, v in i.items() if k == "X"})) for i in i_low])
+    tau = StateMap.from_exprs({"X": parse_expr("X")})
+    args = (low.with_allowed(i_low), high, tau, omega)
+    _with_cone_pass(monkeypatch)
+    record = _record_columns(monkeypatch)
+    got = outcome(find_compatible_tau_u, *args)
+    assert [width for width, _ in record["low"]] == [len(i_low)]
+    assert got == outcome(reference_find_compatible_tau_u, *args)
+    assert got == (EvaluationError, "table over ('U',) has no entry for (2,)")
+
+
 def _three_cones(x3: dict[tuple[int, int], int]):
     """X1 = U1, X2 = U2 with 1 sent to 2, and X3 = x3[(U3, X2)], with U3
     declared first, so that U3 = 1 first at context 9 and U3 = 2 at 18.
@@ -702,17 +776,19 @@ def _bad_image(state: str, problem: str):
 # identity, tau as a table of its images, the cone pass's outcome: a
 # verdict and the index of its counterexample context, or an error; the
 # reference's error when it differs, and the cone pass's low key width: a
-# fused id per cone with a column that does not raise, and one id per
-# column by context, or None where tau's table raises before any pass)
+# fused id per cone group, 5 (the members of X1, X2 and X3 have the cones
+# (), (U1,), (U2,), (U3,) and (U3, U2)), or one id per intervention, 9,
+# where validate rejects the low model, which then goes by context, or
+# None where tau's table raises before any pass)
 _MIXED_CASES = {
-    "passes": (_SHIFT, _SHIFT, None, False, (True, None), None, 3),
-    "misses at 0": (_SHIFT, {**_SHIFT, (0, 0): 1}, None, False, (False, 0), None, 3),
-    "misses at 18": (_SHIFT, {**_SHIFT, (2, 0): 1}, None, False, (False, 18), None, 3),
+    "passes": (_SHIFT, _SHIFT, None, False, (True, None), None, 5),
+    "misses at 0": (_SHIFT, {**_SHIFT, (0, 0): 1}, None, False, (False, 0), None, 5),
+    "misses at 18": (_SHIFT, {**_SHIFT, (2, 0): 1}, None, False, (False, 18), None, 5),
     "falls back, misses before": (
-        _WITHOUT_1_1, {**_SHIFT, (0, 0): 1}, None, False, (False, 0), _MISSING_1_1, 4
+        _WITHOUT_1_1, {**_SHIFT, (0, 0): 1}, None, False, (False, 0), _MISSING_1_1, 9
     ),
-    "falls back, misses after": (_WITHOUT_1_1, {**_SHIFT, (2, 0): 1}, None, False, _MISSING_1_1, None, 4),
-    "falls back, no miss": (_WITHOUT_1_1, _SHIFT, None, False, _MISSING_1_1, None, 4),
+    "falls back, misses after": (_WITHOUT_1_1, {**_SHIFT, (2, 0): 1}, None, False, _MISSING_1_1, None, 9),
+    "falls back, no miss": (_WITHOUT_1_1, _SHIFT, None, False, _MISSING_1_1, None, 9),
     # tau is tabulated before any pass, so a bad image names the first low
     # state in enumeration order (X3's domain starts at 1) that tau sends
     # to it, wherever the pass would meet it.
@@ -742,10 +818,11 @@ _MIXED_CASES = {
 
 @pytest.mark.parametrize("case", _MIXED_CASES)
 def test_fused_groups_and_fallback_columns_give_the_by_context_reports(monkeypatch, case):
-    # At least 3 cones of at least 2 interventions each, read by both passes:
-    # where a cone column raises, the fused groups and a column by context
-    # share one key. The reference solves every low context before it looks
-    # for a miss, so it raises where a miss comes before the first error.
+    # Cone groups of several members, read by both passes; where X3's low
+    # table misses an entry, validate rejects the low model and the pass
+    # goes by context even with the cone columns selected. The reference
+    # solves every low context before it looks for a miss, so it raises
+    # where a miss comes before the first error.
     low_x3, high_x3, exprs, by_table, expected, reference_error, key_width = _MIXED_CASES[case]
     low, high = _three_cones(low_x3), _three_cones(high_x3)
     contexts = enumerate_contexts(low)
