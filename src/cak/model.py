@@ -302,13 +302,12 @@ class CausalModel:
             found = self._reaches[(names, targets)] = (names.intersection(seen), cone)
         return found
 
-    def cone(self, names: frozenset[str], targets: tuple[str, ...] | None = None) -> tuple[str, ...]:
-        """The exogenous variables, in declaration order, that the values at
-        `targets` (every endogenous variable by default) can depend on
-        under an intervention on `names`: those read by the equations of
-        the unforced variables that the targets depend on (in the
-        submodel the forced ones are constants)."""
-        return self._reach(names, targets)[1]
+    def cone(self, names: frozenset[str]) -> tuple[str, ...]:
+        """The exogenous variables, in declaration order, that a solution
+        under an intervention on `names` can depend on: those read by the
+        equation of an endogenous variable outside `names` (in the
+        submodel the others are constants)."""
+        return self._reach(names, None)[1]
 
     def solver(self, names: frozenset[str], targets: tuple[str, ...] | None = None) -> Callable[[tuple, tuple], tuple]:
         """Generated `solve(context_values, forced_values) -> values` for

@@ -279,7 +279,8 @@ def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_con
     map's `apply` returns; the high side keys the same ids by the high
     model's own states. By cone each component numbers the distinct
     values that tau's images give its high variables, and both sides read
-    them. A value that no image has gets -1, which no low profile holds.
+    them. A value that no image has gets the id None, which no low
+    profile holds, since every low state's image is one of tau's.
     So int profiles match exactly when the profiles of states do, and an
     image is looked up by identity and checks nothing.
 
@@ -306,7 +307,7 @@ def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_con
     by_cone = _columns_pay(low, high) and m_low._valid and m_high._valid
     if by_cone:
         known, images = _component_ids(comps, ids, m_high)
-        high_rows, high_profile, high_space = _columns_by_cone(high, iter(high_contexts), [_Ids(k, tuple) for k in known])
+        high_rows, high_profile, high_space = _columns_by_cone(high, iter(high_contexts), [k.get for k in known])
     else:
         high_ids = {state_of(m_high, image._values): k for image, k in ids.items()}
         high_rows, high_profile, high_space = _columns_by_context(m_high, iter(high_contexts), distinct, high_ids)
@@ -314,7 +315,7 @@ def _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_con
     for u_h, key in high_rows:
         high_classes.setdefault(key, []).append(u_h)
     if by_cone:
-        readers = [_Ids(k, evaluate) for k, evaluate in zip(known, _evaluators(comps, tau, m_low))]
+        readers = [_Ids(k, evaluate).__getitem__ for k, evaluate in zip(known, _evaluators(comps, tau, m_low))]
         low_rows, low_profile, (groups, loose, cells) = _columns_by_cone(low, low_contexts, readers)
     else:
         low_rows, low_profile, (groups, loose, cells) = _columns_by_context(m_low, low_contexts, interventions, ids, tau)
@@ -378,8 +379,8 @@ def _evaluators(comps, tau: StateMap, m_low: CausalModel) -> list:
 
 
 class _Ids(dict):
-    """Values -> an id, `known.get(evaluate(values), -1)`, filled in on the
-    first read of the values."""
+    """Values -> an id, `known.get(evaluate(values))`, filled in on the
+    first read of the values, so each distinct value is evaluated once."""
 
     __slots__ = ("known", "evaluate")
 
@@ -388,7 +389,7 @@ class _Ids(dict):
         self.known, self.evaluate = known, evaluate
 
     def __missing__(self, values: tuple) -> int:
-        k = self[values] = self.known.get(self.evaluate(values), -1)
+        k = self[values] = self.known.get(self.evaluate(values))
         return k
 
 
@@ -492,19 +493,19 @@ def _columns_by_context(model, contexts: Iterator[Assignment], interventions, id
     (groups, loose, cells), as `_columns_by_cone` gives them. A column
     calls solve_under, and tau.apply on the low side, once per context, on
     its own `tee` copy of the contexts, and holds the id of each solution
-    or its tau-image, `ids.get(state, -1)`. A key is its row: one id per
+    or its tau-image, `ids.get(state)`. A key is its row: one id per
     column, in intervention order, each the whole state's one component."""
     contexts, *copies = tee(contexts, len(interventions) + 1)
     columns = []
     for i, copy in zip(interventions, copies):
         solved = map(solve_under, repeat(model), copy, repeat(i))
-        columns.append(map(ids.get, solved if tau is None else map(tau.apply, solved), repeat(-1)))
+        columns.append(map(ids.get, solved if tau is None else map(tau.apply, solved)))
     rows = zip(contexts, zip(*columns) if columns else repeat(()))
     positions = list(range(len(interventions)))
     return rows, tuple, ([], positions, [(pos,) for pos in positions])
 
 
-def _columns_by_cone(side: _Side, contexts: Iterator[Assignment], readers: list[_Ids]):
+def _columns_by_cone(side: _Side, contexts: Iterator[Assignment], readers: list):
     """The rows (context, class key) of `contexts` over the side's
     interventions, the function that builds a class's row from its key,
     and the key space (groups, loose, cells).
@@ -538,7 +539,7 @@ def _columns_by_cone(side: _Side, contexts: Iterator[Assignment], readers: list[
                 cells[pos][c] = offset + len(at_points)
             solve = side.model.solver(read, side.targets[c])
             points = _cone_points(sig, cone, pick)
-            at_points.append(list(map(readers[c].__getitem__, map(solve, points, repeat(forced)))))
+            at_points.append(list(map(readers[c], map(solve, points, repeat(forced)))))
         # The id tuples are built twice rather than kept: a kept tuple per
         # point lengthens every garbage collection of the pass.
         fused = {t: k for k, t in enumerate(dict.fromkeys(zip(*at_points)))}

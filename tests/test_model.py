@@ -606,7 +606,7 @@ def test_a_cone_of_targets_keeps_only_what_they_depend_on():
     assert reach(("X3",), ("X3",)) == (frozenset({"X3"}), ())
     assert reach(("X1", "X3"), ("X2",)) == (frozenset({"X1"}), ("U2",))
     assert reach((), ()) == (frozenset(), ())
-    assert CHAIN3.cone(frozenset({"X2"})) == CHAIN3.cone(frozenset({"X2"}), ("X1", "X2", "X3")) == ("U1", "U3")
+    assert CHAIN3.cone(frozenset({"X2"})) == reach(("X2",), ("X1", "X2", "X3"))[1] == ("U1", "U3")
 
 
 @given(st.integers(0, 2**32))

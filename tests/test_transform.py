@@ -599,7 +599,7 @@ def _record_columns(monkeypatch):
     by_context, by_cone = transform._columns_by_context, transform._columns_by_cone
     monkeypatch.setattr(transform, "_columns_by_context", recording(by_context, lambda *args: len(args) > 4))
     monkeypatch.setattr(
-        transform, "_columns_by_cone", recording(by_cone, lambda side, contexts, readers: readers[0].evaluate is not tuple)
+        transform, "_columns_by_cone", recording(by_cone, lambda side, contexts, readers: isinstance(readers[0].__self__, transform._Ids))
     )
     return record
 
@@ -655,8 +655,8 @@ def test_the_strong_check_on_voting_matches_each_class_by_its_low_key(monkeypatc
     comps = transform._components(bundle.tau, bundle.low, bundle.high)
     assert [high for high, _ in comps] == [("A1",), ("G1",), ("G2",), ("W",)]
     assert len(interventions) == 450
-    assert low_width == len({bundle.low.cone(i._keys, low) for i in interventions for _, low in comps}) == 8
-    assert high_width == len({bundle.high.cone(j._keys, high) for j in distinct for high, _ in comps}) == 8
+    assert low_width == len({bundle.low._reach(i._keys, low)[1] for i in interventions for _, low in comps}) == 8
+    assert high_width == len({bundle.high._reach(j._keys, high)[1] for j in distinct for high, _ in comps}) == 8
     assert low_keys == []
     assert len(high_keys) == len(set(high_keys)) == 162
     assert len(projected) == len(set(projected)) == 162
