@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product, repeat
+from math import prod
 from operator import attrgetter, is_not, or_
 from typing import Iterable, Sequence
 
@@ -66,12 +67,12 @@ class _TauTable:
     `ids` numbers the distinct images in order of first appearance. The
     profile pass reads it, and for the induced map a set of images is an
     int mask no wider than the low state space, whatever the size of the
-    high one. `value_masks`
-    holds, for each high variable with more than one value, its domain
-    size and each value that some image takes, with the mask of those
-    images; a variable whose whole domain is one value is constant in
-    every restriction set, and leaving it out keeps the candidate minimal
-    and the empty intervention's image empty.
+    high one. `value_masks` holds, for each high variable with more than
+    one value, its domain size, the value of each image in id order, and
+    the mask of the images that take each value some image takes; a
+    variable whose whole domain is one value is constant in every
+    restriction set, and leaving it out keeps the candidate minimal and
+    the empty intervention's image empty.
     """
 
     def __init__(self, m_low: CausalModel, m_high: CausalModel, tau: StateMap):
@@ -81,33 +82,37 @@ class _TauTable:
         self.value_masks = []
         for d in self.high.endogenous:
             if len(d.domain) > 1:
+                values = [image[d.name] for image in self.ids]
                 taking: dict[int, list[int]] = {}
-                for image, k in self.ids.items():
-                    taking.setdefault(image[d.name], []).append(k)
-                masks = [(v, _mask(taking[v], len(self.ids))) for v in d.domain if v in taking]
-                self.value_masks.append((d.name, len(d.domain), masks))
+                for k, v in enumerate(values):
+                    taking.setdefault(v, []).append(k)
+                masks = {v: _mask(at, len(self.ids)) for v, at in taking.items()}
+                self.value_masks.append((d.name, len(d.domain), values, masks))
         self._images: dict[int, Assignment | None] = {}  # decoded masks
 
     def _image(self, mask: int) -> Assignment | None:
         """The high intervention whose restriction set is the set of
         images in `mask`, or None.
 
-        Any such intervention fixes exactly the variables that one value
-        mask meets (up to one-value domains), so the candidate is unique.
-        Every image in `mask` agrees with it on those variables, so `mask`
+        Any such intervention fixes exactly the variables on which every
+        image in `mask` takes one value (up to one-value domains), so the
+        candidate is unique. That value is the lowest image's, and the
+        images agree on it exactly when the mask of its takers holds
+        `mask`. Every image in `mask` agrees with the candidate, so `mask`
         is a subset of its restriction set, and equal to it exactly when
         the sizes match.
         """
         if mask not in self._images:
+            first = (mask & -mask).bit_length() - 1  # the lowest image's id
             fixed: dict[str, int] = {}
             size = 1
-            for name, n, masks in self.value_masks:
-                meet = [v for v, m in masks if mask & m]
-                if len(meet) == 1:
-                    fixed[name] = meet[0]
+            for name, n, values, masks in self.value_masks:
+                v = values[first]
+                if mask & masks[v] == mask:
+                    fixed[name] = v
                 else:
                     size *= n
-            self._images[mask] = Assignment(fixed) if mask.bit_count() == size else None
+            self._images[mask] = Assignment(fixed) if mask and mask.bit_count() == size else None
         return self._images[mask]
 
     def induced(self, intervention: Assignment) -> Assignment | None:
@@ -216,13 +221,16 @@ def _tau_abstraction(
     """Parts (a) to (c) of check_tau_abstraction over the low interventions
     of `pairs`, each paired with its induced image: the low allowed set,
     or for the strong check the induced set."""
-    for state in enumerate_states(m_high):
-        if state not in table.ids:
-            return CheckReport(
-                False,
-                detail="(a) tau is not surjective",
-                counterexample={"unreached_high_state": state},
-            )
+    # tau's distinct images are high states, so they are all of them
+    # exactly when there are as many: the states are enumerated, under the
+    # cap, only to name the first one missed.
+    if len(table.ids) < prod([len(d.domain) for d in table.high.endogenous]):
+        unreached = next(state for state in enumerate_states(m_high) if state not in table.ids)
+        return CheckReport(
+            False,
+            detail="(a) tau is not surjective",
+            counterexample={"unreached_high_state": unreached},
+        )
 
     i_low, images = [i for i, _ in pairs], [img for _, img in pairs]
     inner = _find_compatible(m_low, m_high, table.tau, table.ids, i_low, images, require_surjective=True)
@@ -259,10 +267,13 @@ def check_strong_abstraction(m_low: CausalModel, m_high: CausalModel, tau: State
 def _strong(m_low: CausalModel, m_high: CausalModel, table: _TauTable) -> CheckReport:
     """check_strong_abstraction on a table its caller already built."""
     defined, i_high_tau = table.induced_sets()
-    all_high = enumerate_interventions(m_high)
-    induced = set(i_high_tau)
-    missing = [h for h in all_high if h not in induced]
-    if missing:
+    # The images are distinct high interventions, so they are all of them
+    # exactly when there are as many: the space is enumerated, under the
+    # cap, only to name the missing ones.
+    _, options = intervention_options(m_high)
+    if len(i_high_tau) < prod(map(len, options)):
+        induced = set(i_high_tau)
+        missing = [h for h in enumerate_interventions(m_high) if h not in induced]
         first_single = next((h for h in missing if len(h) == 1), None)
         named = first_single if first_single is not None else missing[0]
         return CheckReport(

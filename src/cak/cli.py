@@ -30,7 +30,7 @@ from .corpus import all_bundles, get_bundle
 from .errors import ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS, CakError, InputError
 from .errors import contexts_cap, interventions_cap
 from .maps import tabulate
-from .model import EMPTY, _enumerate_total, check_context, check_intervention, solve_under, validate
+from .model import EMPTY, _enumerate_total, check_context, check_intervention, solve_under
 from .prob import equivalent, to_uev
 from .report import CheckReport
 from .transform import check_exact, check_uniform
@@ -49,7 +49,7 @@ def _load(path: str):
 
 def _load_model(path: str):
     model = serialize.model_from_obj(_load(path))
-    diagnostics = validate(model)
+    diagnostics = model._diagnostics  # kept on the model, so no check validates it again
     if diagnostics:
         # One per offending value can run to millions; the first few say it.
         shown = "; ".join(d.message for d in diagnostics[:MAX_DIAGNOSTICS])

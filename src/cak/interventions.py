@@ -3,7 +3,7 @@ intervention maps."""
 
 from __future__ import annotations
 
-import itertools
+from itertools import product
 from typing import Iterable
 
 from .errors import InputError, SizeCapExceeded, interventions_cap
@@ -41,8 +41,10 @@ def intervention_options(model_or_sig) -> tuple[list[str], list[tuple[int | None
 
 def interventions_from(names: list[str], combos: Iterable[tuple[int | None, ...]]) -> list[Assignment]:
     """The interventions that `combos`, tuples of options over `names`,
-    stand for."""
-    return [Assignment({n: v for n, v in zip(names, combo) if v is not None}) for combo in combos]
+    stand for. What the interventions that set the same positions share is
+    built once for all of them, and each one's dict and hash on first use
+    (`Assignment._partial`)."""
+    return list(Assignment._partial(names, combos))
 
 
 def enumerate_interventions(model_or_sig) -> list[Assignment]:
@@ -52,7 +54,7 @@ def enumerate_interventions(model_or_sig) -> list[Assignment]:
     order of their `intervention_options`.
     """
     names, options = intervention_options(model_or_sig)
-    return interventions_from(names, itertools.product(*options))
+    return interventions_from(names, product(*options))
 
 
 def resolve_interventions(model: CausalModel) -> tuple[Assignment, ...]:
@@ -76,22 +78,47 @@ def check_omega(
     map may collapse comparable interventions onto one image. The map
     must be total on `low_allowed` and land inside `high_allowed`;
     violating either is an input error, not a verdict.
+
+    The pairs i1 < i2 are found by lookup, not by comparing every pair:
+    the low list is indexed by each intervention's name-sorted items, and
+    each distinct i2 looks up its proper sub-assignments. They are grown
+    one item of i2 at a time, in name order, and only while they start
+    the items of some low intervention, so the work for i2 is at most
+    |i2| times the fewer of 2^|i2| and the number of such starts, rather
+    than n per i2. Only the pairs found have their images compared. A
+    duplicate counts at each of its positions, and the violations come in
+    the order of a double loop over the list, i1 outer.
     """
     low = list(low_allowed)
     high = list(high_allowed)
     high_set = set(high)
+    images: dict[tuple, Assignment] = {}  # by the low intervention's items
     for i in low:
         img = omega.apply(i)
         if img not in high_set:
             raise InputError(f"omega maps {i!r} to {img!r}, outside the high intervention set")
+        images[i._items] = img
 
-    image = {omega.apply(i) for i in low}
+    image = set(images.values())
     missing = [h for h in high if h not in image]
-    bad_pairs = []
-    for i1 in low:
-        for i2 in low:
-            if natural_lt(i1, i2) and not natural_leq(omega.apply(i1), omega.apply(i2)):
-                bad_pairs.append((i1, i2))
+    positions: dict[tuple, list[int]] = {}
+    for k, i in enumerate(low):
+        positions.setdefault(i._items, []).append(k)
+    prefixes = {items[:r] for items in positions for r in range(len(items) + 1)}
+    bad: list[tuple[int, int]] = []
+    for items, at in positions.items():
+        # The sub-assignments of i2 that start some low intervention's
+        # items, grown one item at a time in name order.
+        below = [()]
+        for item in items:
+            below += [longer for sub in below if (longer := sub + (item,)) in prefixes]
+        top = images[items]
+        for sub in below:
+            at_sub = positions.get(sub)
+            if at_sub is not None and len(sub) < len(items) and not natural_leq(images[sub], top):
+                bad.extend(product(at_sub, at))
+    bad.sort()
+    bad_pairs = [(low[k1], low[k2]) for k1, k2 in bad]
     surjective = not missing
     order_preserving = not bad_pairs
     verdict = surjective and order_preserving

@@ -30,13 +30,11 @@ class FiniteMap:
         canon = tuple(self.entries)
         if not _in_canonical_order(canon):
             # Sorted by the keys' name-sorted items, the order Assignments
-            # compare in, so equal keys end up next to each other.
-            canon = tuple(
-                sorted(
-                    ((_shared(a), _shared(b)) for a, b in canon),
-                    key=lambda pair: pair[0]._items,
-                )
-            )
+            # compare in, so equal keys end up next to each other. The
+            # positions are sorted, keyed by a C-level lookup of the items.
+            pairs = [(_shared(a), _shared(b)) for a, b in canon]
+            items = [key._items for key, _ in pairs]
+            canon = tuple(map(pairs.__getitem__, sorted(range(len(pairs)), key=items.__getitem__)))
             for (key, _), (before, _) in zip(canon[1:], canon):
                 if key._items == before._items:
                     raise InputError(f"duplicate {self.kind} entry for {key!r}")

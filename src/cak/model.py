@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter, ne
+from operator import is_not, itemgetter, ne
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -91,9 +91,9 @@ class Assignment(Mapping[str, int]):
     checked by the operations that require it. Iteration follows insertion
     order; `_items` and `_values` follow name order.
 
-    An enumerated context or state (`_product`) holds only its items,
-    values and key set; its dict and hash are built on first use, which
-    the profile pass never makes.
+    An enumerated context, state (`_product`) or intervention (`_partial`)
+    holds only its items, values and key set; its dict and hash are built
+    on first use, which the profile pass never makes.
     """
 
     __slots__ = ("_items", "_values", "_dict", "_hash", "_keys", "_order")
@@ -143,8 +143,35 @@ class Assignment(Mapping[str, int]):
             self._dict = self._hash = None
             yield self
 
+    @classmethod
+    def _partial(cls, names: list[str], combos: Iterable[tuple]) -> "Iterator[Assignment]":
+        # The partial assignments that `combos`, tuples over `names` of a
+        # value or None (unset), stand for, lazily, built as `_product`
+        # builds its own. What a pattern of set positions shares is worked
+        # out once per pattern: its key set, its names in name order, the
+        # pick of its values in name order and the reordering of its items
+        # into declaration order.
+        patterns: dict[tuple[bool, ...], tuple] = {}
+        unset = itertools.repeat(None)
+        new = object.__new__
+        for combo in combos:
+            pattern = tuple(map(is_not, combo, unset))
+            shared = patterns.get(pattern)
+            if shared is None:
+                at = sorted(itertools.compress(range(len(names)), pattern), key=names.__getitem__)
+                named = tuple([names[k] for k in at])
+                shared = patterns[pattern] = (frozenset(named), named, _picker(at), _to_name_order(at))
+            keys, named, pick, order = shared
+            self = new(cls)
+            self._values = values = pick(combo)
+            self._items = tuple(zip(named, values))
+            self._keys = keys
+            self._order = order
+            self._dict = self._hash = None
+            yield self
+
     def _filled(self) -> dict:
-        # The dict of a `_product` assignment, built on its first read.
+        # The dict of a lazily built assignment, built on its first read.
         self._dict = pairs = dict(self._order(self._items))
         return pairs
 
@@ -204,6 +231,14 @@ def _to_name_order(names: list) -> Callable[[tuple], tuple]:
     # `tuple` returns a tuple as it is.
     order = sorted(range(len(names)), key=names.__getitem__)
     return itemgetter(*order) if names != sorted(names) else tuple
+
+
+def _picker(at: list[int]) -> Callable[[tuple], tuple]:
+    """The function from a tuple to its entries at `at`, as a tuple: one
+    C-level call, a slice where `at` has fewer than two entries."""
+    if len(at) > 1:
+        return itemgetter(*at)
+    return itemgetter(slice(at[0], at[0] + 1) if at else slice(0, 0))
 
 
 def _shared(mapping) -> Assignment:
@@ -283,10 +318,16 @@ class CausalModel:
         return {}
 
     @cached_property
+    def _diagnostics(self) -> list["Diagnostic"]:
+        """`validate(self)`, computed on the first read only. Read, not
+        changed: every reader shares the list."""
+        return validate(self)
+
+    @property
     def _valid(self) -> bool:
         """Whether `validate` accepts this model, so that no solve of it
-        raises. Computed on the first read only."""
-        return not validate(self)
+        raises."""
+        return not self._diagnostics
 
     def _reach(self, names: frozenset[str], targets: tuple[str, ...] | None) -> tuple[frozenset[str], tuple[str, ...]]:
         """What the values at `targets` (endogenous names; None for every

@@ -32,6 +32,7 @@ from .model import (
     Assignment,
     CausalModel,
     Signature,
+    _picker,
     _to_name_order,
     check_context,
     check_intervention,
@@ -184,9 +185,13 @@ def find_compatible_tau_u(
     report. omega is applied to every allowed intervention first, and tau
     is tabulated once the low context space is within the cap, so a
     tau-image of any low state that is not a high state is an input error.
+    Each distinct omega-image is checked against the high model before
+    either.
     """
     interventions = resolve_interventions(m_low)
     images = [omega.apply(i) for i in interventions]
+    for j in dict.fromkeys(images):
+        check_intervention(m_high, j)
     return _find_compatible(m_low, m_high, tau, None, interventions, images, require_surjective)
 
 
@@ -201,8 +206,10 @@ def _find_compatible(
 ) -> CheckReport:
     """find_compatible_tau_u over `interventions`, the low allowed set its
     caller has resolved, each with its high image at the same position in
-    `images`. `ids` numbers the images of tau's checked table
-    (`_image_ids`); None tabulates tau here, after the low context cap."""
+    `images`, a high intervention its caller has admitted: one of the
+    checked high allowed set, or decoded from tau's table. `ids` numbers
+    the images of tau's checked table (`_image_ids`); None tabulates tau
+    here, after the low context cap."""
     low_contexts = iter_contexts(m_low)  # checks the cap; builds nothing yet
     if ids is None:
         ids = _image_ids(tabulate(tau, m_low.signature, m_high.signature))
@@ -212,8 +219,6 @@ def _find_compatible(
     slot_of: dict[Assignment, int] = {}
     slots = [slot_of.setdefault(j, len(slot_of)) for j in images]
     distinct = list(slot_of)
-    for j in distinct:
-        check_intervention(m_high, j)
     passed, miss = _profile_pass(m_low, m_high, tau, ids, interventions, low_contexts, high_contexts, distinct, slots)
     if miss is not None:
         u_l, profile = miss
@@ -435,14 +440,6 @@ def _projection(groups, loose, high_cells, slots):
     return low_key
 
 
-def _picker(at: list[int]):
-    """The function from a tuple to its entries at `at`, as a tuple: one
-    C-level call, a slice where `at` has fewer than two entries."""
-    if len(at) > 1:
-        return itemgetter(*at)
-    return itemgetter(slice(at[0], at[0] + 1) if at else slice(0, 0))
-
-
 class _Side:
     """One side of the profile pass: a model, the interventions that its
     columns solve under (the low interventions, or the distinct high
@@ -472,12 +469,20 @@ class _Side:
         groups: dict[tuple[str, ...], dict[tuple, list[int]]] = {}
         for names, positions in by_names.items():
             order = sorted(names)
+            values = [self.interventions[pos]._values for pos in positions]
             for c, targets in enumerate(self.targets):
                 read, cone = self.model._reach(names, targets)
-                pick = _picker([order.index(n) for n in sorted(read)])
                 members = groups.setdefault(cone, {})
-                for pos in positions:
-                    members.setdefault((c, read, pick(self.interventions[pos]._values)), []).append(pos)
+                if not read:  # one member for the whole pattern
+                    members.setdefault((c, read, ()), []).extend(positions)
+                    continue
+                pick = _picker([order.index(n) for n in sorted(read)])
+                for pos, member in zip(positions, zip(repeat(c), repeat(read), map(pick, values))):
+                    at = members.get(member)
+                    if at is None:
+                        members[member] = [pos]
+                    else:
+                        at.append(pos)
         return groups
 
     @cached_property
@@ -617,7 +622,10 @@ def _match_high_side(high_contexts: Sequence[Assignment], founds: Sequence[list[
     """
     blocks: dict[int, tuple[list[Assignment], list[int]]] = {}  # by the class list's identity
     for u_l, found in enumerate(founds):
-        blocks.setdefault(id(found), (found, []))[1].append(u_l)
+        block = blocks.get(id(found))
+        if block is None:
+            block = blocks[id(found)] = (found, [])
+        block[1].append(u_l)
     if sum([len(found) for found, _ in blocks.values()]) < len(high_contexts):
         return None  # a high context no low context reaches
     matched: dict[int, Assignment] = {}

@@ -48,7 +48,7 @@ from cak.corpus import (
 )
 from cak import abstraction, transform
 from cak.abstraction import MAX_SEARCH_LOW_VARS, _TauTable
-from cak.errors import DEFAULT_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS
+from cak.errors import DEFAULT_MAX_CONTEXTS, ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS
 from cak.expr import Lit, Var
 from cak.maps import materialize_state_map
 from cak.serialize import dumps, to_jsonable
@@ -305,6 +305,22 @@ def test_allowed_sets_are_checked_against_their_models(check, side, intervention
     }[check]
     with pytest.raises(InputError, match=reason):
         run()
+
+
+def test_the_search_checks_omega_images_before_the_cap_and_tau(monkeypatch):
+    # find_compatible_tau_u checks each omega-image against the high model
+    # before the low context cap and tau's table, since the checks that
+    # hand the search their admitted images no longer have it check them;
+    # its reference checks them first too. It checked them after both.
+    b = LINEAR
+    omega = InterventionMap.from_pairs(
+        tuple((i, Assignment(XS=7) if k == 0 else image) for k, (i, image) in enumerate(b.omega.entries))
+    )
+    tau = StateMap.from_exprs({"XS": parse_expr("X1 + Q"), "YS": parse_expr("Y")})
+    monkeypatch.setenv(ENV_MAX_CONTEXTS, "1")
+    for search in (find_compatible_tau_u, reference_find_compatible_tau_u):
+        with pytest.raises(InputError, match="intervention sets XS to 7, outside its domain"):
+            search(b.low, b.high, tau, omega)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cak import InterventionMap, StateMap, enumerate_interventions, enumerate_states
+from cak import InterventionMap, StateMap, enumerate_interventions, enumerate_states, model, transform
+from cak import cli
 from cak.cli import main
 from cak.corpus import all_bundles, get_bundle
 from cak.errors import ENV_MAX_INTERVENTIONS
@@ -188,6 +189,27 @@ def test_check_strong_pixel_counterexample(capsys, emitted):
     assert code == 1
     single = out["counterexample"]["first_missing_single"]
     assert set(single) in ({"TH"}, {"LH"})
+
+
+def test_check_strong_validates_each_model_once(capsys, emitted, monkeypatch):
+    # The loader validated each model, and the profile pass, which builds
+    # its columns by cone on pixel2-merged only for models that validate,
+    # ran validate on both again. The diagnostics are now kept on the model.
+    validated, by_cone = [], []
+    validate, columns_by_cone = model.validate, transform._columns_by_cone
+
+    def counted(m):
+        validated.append(m)
+        return validate(m)
+
+    monkeypatch.setattr(model, "validate", counted)
+    monkeypatch.setattr(cli, "validate", counted, raising=False)  # a loader binding it by name counts too
+    monkeypatch.setattr(transform, "_columns_by_cone", lambda *args: (by_cone.append(1), columns_by_cone(*args))[1])
+    paths = emitted("pixel2-merged")
+    code, out, _ = run(capsys, "check", "strong", paths["low"], paths["high"], "--tau", paths["tau"])
+    assert code == 0 and out["verdict"] is True
+    assert by_cone
+    assert len(validated) == 2 and validated[0] is not validated[1]
 
 
 def test_check_constructive_with_searched_partition_and_witness(capsys, emitted):

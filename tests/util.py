@@ -29,12 +29,13 @@ from cak import (
     VariableDecl,
     check_constructive,
     check_exact,
-    check_omega,
     derive_component_maps,
     derive_omega_tau,
     enumerate_contexts,
     enumerate_interventions,
     enumerate_states,
+    natural_leq,
+    natural_lt,
     rst,
     solve_under,
     tau_pushforward,
@@ -393,10 +394,13 @@ def reference_find_compatible_tau_u(m_low, m_high, tau, omega, require_surjectiv
     context's matching high contexts are computed up front, with one solve
     per high context and intervention, and the first context without a
     match is diagnosed by solving it again. omega is applied to every
-    allowed intervention first, then tau is checked on every low state,
-    once the low context space is within the cap."""
+    allowed intervention and each image checked against the high model
+    first, then tau is checked on every low state, once the low context
+    space is within the cap."""
     interventions = resolve_interventions(m_low)
     images = [omega.apply(i) for i in interventions]
+    for j in images:
+        check_intervention(m_high, j)
     return reference_find_compatible(m_low, m_high, tau, None, interventions, images, require_surjective)
 
 
@@ -404,7 +408,8 @@ def reference_find_compatible(m_low, m_high, tau, ids, interventions, images, re
     """reference_find_compatible_tau_u over a resolved low allowed set, each
     intervention with its high image at the same position in `images`: the
     form of transform._find_compatible, which the checks call. It checks
-    tau itself, whatever `ids` holds."""
+    tau itself, whatever `ids` holds, and, as the library, not the images,
+    which its callers have admitted."""
     low_contexts = enumerate_contexts(m_low)
     reference_tau_table(tau, m_low.signature, m_high.signature)
     high_contexts = enumerate_contexts(m_high)
@@ -451,11 +456,52 @@ def reference_find_compatible(m_low, m_high, tau, ids, interventions, images, re
     )
 
 
+def reference_check_omega(omega: InterventionMap, low_allowed, high_allowed) -> CheckReport:
+    """interventions.check_omega by comparing every ordered pair of the low
+    list: omega is applied to each low intervention and its image looked
+    up in the high set, in list order, then every pair i1 < i2 has its
+    images compared, i1 outer."""
+    low = list(low_allowed)
+    high = list(high_allowed)
+    high_set = set(high)
+    for i in low:
+        img = omega.apply(i)
+        if img not in high_set:
+            raise InputError(f"omega maps {i!r} to {img!r}, outside the high intervention set")
+
+    image = {omega.apply(i) for i in low}
+    missing = [h for h in high if h not in image]
+    bad_pairs = []
+    for i1 in low:
+        for i2 in low:
+            if natural_lt(i1, i2) and not natural_leq(omega.apply(i1), omega.apply(i2)):
+                bad_pairs.append((i1, i2))
+    surjective = not missing
+    order_preserving = not bad_pairs
+    verdict = surjective and order_preserving
+    detail_bits = []
+    if not surjective:
+        detail_bits.append("not surjective")
+    if not order_preserving:
+        detail_bits.append("not order-preserving")
+    counterexample = None
+    if not verdict:
+        counterexample = {
+            "unreached": tuple(missing),
+            "order_violations": tuple(bad_pairs),
+        }
+    return CheckReport(
+        verdict,
+        detail="; ".join(detail_bits) if detail_bits else "surjective and order-preserving",
+        counterexample=counterexample,
+    )
+
+
 def _reference_admissible(m_low, m_high, omega) -> tuple[Assignment, ...]:
     """The low allowed set, once omega is admissible between the models'
     allowed sets; an inadmissible omega is an InputError."""
     i_low = resolve_interventions(m_low)
-    gate = check_omega(omega, i_low, resolve_interventions(m_high))
+    gate = reference_check_omega(omega, i_low, resolve_interventions(m_high))
     if not gate.verdict:
         raise InputError(f"omega is not admissible: {gate.detail}")
     return i_low
