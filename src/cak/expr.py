@@ -1,6 +1,7 @@
 """Expression trees for structural equations, plus a small text grammar.
 
-Grammar (binding weakest to tightest):
+Grammar (binding weakest to tightest; the binary levels are the ranks of
+`_PRECEDENCE`, which the parser and the writer share):
 
     expr    := or
     or      := and ("||" and)*
@@ -9,7 +10,7 @@ Grammar (binding weakest to tightest):
     add     := mul (("+" | "-") mul)*
     mul     := unary ("*" unary)*
     unary   := ("!" | "-") unary | atom
-    atom    := INT | IDENT | "(" expr ")"
+    atom    := INT | "(" "-" INT ")" | IDENT | "(" expr ")"
              | "ite" "(" expr "," expr "," expr ")"
              | "table" "(" IDENT ("," IDENT)* ")"
                "[" entry ("," entry)* "]"
@@ -331,6 +332,11 @@ _TOKEN_RE = re.compile(
 
 _KEYWORDS = {"ite", "table"}
 
+# Binding strength of each binary operator, 1 the weakest. The parser reads
+# by this table and to_source writes by it; unary operators bind tighter.
+_PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "<": 3, "<=": 3, "+": 4, "-": 4, "*": 5}
+_TIGHTEST = max(_PRECEDENCE.values())
+
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens = []
@@ -342,12 +348,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
                 break
             raise ParseError(f"unexpected character {text[pos]!r} at offset {pos}")
         pos = m.end()
-        if m.lastgroup == "int":
-            tokens.append(("int", m.group("int")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident")))
-        else:
-            tokens.append(("op", m.group("op")))
+        tokens.append((m.lastgroup, m.group(m.lastgroup)))
     tokens.append(("end", ""))
     return tokens
 
@@ -372,44 +373,20 @@ class _Parser:
             raise ParseError(f"expected {value!r}, got {text or 'end of input'!r} in {self.text!r}")
 
     def parse(self) -> Expr:
-        expr = self.or_expr()
+        expr = self.binary()
         if self.peek() != ("end", ""):
             raise ParseError(f"trailing input at token {self.peek()[1]!r} in {self.text!r}")
         return expr
 
-    def or_expr(self) -> Expr:
-        node = self.and_expr()
-        while self.peek() == ("op", "||"):
-            self.next()
-            node = Binary("||", node, self.and_expr())
-        return node
-
-    def and_expr(self) -> Expr:
-        node = self.cmp_expr()
-        while self.peek() == ("op", "&&"):
-            self.next()
-            node = Binary("&&", node, self.cmp_expr())
-        return node
-
-    def cmp_expr(self) -> Expr:
-        node = self.add_expr()
-        while self.peek()[0] == "op" and self.peek()[1] in ("==", "<", "<="):
+    def binary(self, level: int = 1) -> Expr:
+        """A left-associative chain of the operators that `_PRECEDENCE`
+        ranks at `level`. Its operands bind more tightly; each is parsed
+        by a direct call, so every level costs one frame."""
+        tighter = level < _TIGHTEST
+        node = self.binary(level + 1) if tighter else self.unary_expr()
+        while _PRECEDENCE.get(self.peek()[1]) == level:
             op = self.next()[1]
-            node = Binary(op, node, self.add_expr())
-        return node
-
-    def add_expr(self) -> Expr:
-        node = self.mul_expr()
-        while self.peek()[0] == "op" and self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = Binary(op, node, self.mul_expr())
-        return node
-
-    def mul_expr(self) -> Expr:
-        node = self.unary_expr()
-        while self.peek() == ("op", "*"):
-            self.next()
-            node = Binary("*", node, self.unary_expr())
+            node = Binary(op, node, self.binary(level + 1) if tighter else self.unary_expr())
         return node
 
     def unary_expr(self) -> Expr:
@@ -426,18 +403,22 @@ class _Parser:
         if kind == "ident":
             if text == "ite":
                 self.expect("(")
-                cond = self.or_expr()
+                cond = self.binary()
                 self.expect(",")
-                then = self.or_expr()
+                then = self.binary()
                 self.expect(",")
-                other = self.or_expr()
+                other = self.binary()
                 self.expect(")")
                 return Ite(cond, then, other)
             if text == "table":
                 return self.table()
             return Var(text)
         if (kind, text) == ("op", "("):
-            node = self.or_expr()
+            sign, number, close = (self.tokens[self.pos : self.pos + 3] + [None] * 3)[:3]
+            if sign == ("op", "-") and number[0] == "int" and close == ("op", ")"):
+                self.pos += 3  # a negative literal, as to_source writes one
+                return Lit(-int(number[1]))
+            node = self.binary()
             self.expect(")")
             return node
         raise ParseError(f"unexpected token {text or 'end of input'!r} in {self.text!r}")
@@ -529,9 +510,6 @@ def parse_expr(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # Writing
 
-_PRECEDENCE = {"||": 1, "&&": 2, "==": 3, "<": 3, "<=": 3, "+": 4, "-": 4, "*": 5}
-
-
 def to_source(expr: Expr) -> str:
     """Render an expression back to grammar text. parse_expr inverts this."""
     return _render(expr, 0)
@@ -543,7 +521,7 @@ def _render(expr: Expr, parent_prec: int) -> str:
     if isinstance(expr, Var):
         return expr.name
     if isinstance(expr, Unary):
-        return f"{expr.op}{_render(expr.arg, 6)}"
+        return f"{expr.op}{_render(expr.arg, _TIGHTEST + 1)}"
     if isinstance(expr, Binary):
         prec = _PRECEDENCE[expr.op]
         text = f"{_render(expr.left, prec)} {expr.op} {_render(expr.right, prec + 1)}"

@@ -332,23 +332,17 @@ class CausalModel:
     def _reach(self, names: frozenset[str], targets: tuple[str, ...] | None) -> tuple[frozenset[str], tuple[str, ...]]:
         """What the values at `targets` (endogenous names; None for every
         one) depend on under an intervention on `names`: the forced names
-        they read and their cone (see `cone`). Walking back from the
-        targets, the equation of each unforced variable reached adds the
-        names it reads; a forced, exogenous or undeclared name ends the
-        walk."""
+        and the exogenous variables (their cone, in declaration order) that
+        they read. Walking back from the targets, the equation of each
+        unforced variable reached adds the names it reads; a forced,
+        exogenous or undeclared name ends the walk (in the submodel the
+        forced variables are constants)."""
         found = self._reaches.get((names, targets))
         if found is None:
             seen = _reads_back(self.equation_map, names, self.signature.endo_names if targets is None else targets)
             cone = tuple([n for n in self.signature.exo_names if n in seen])
             found = self._reaches[(names, targets)] = (names.intersection(seen), cone)
         return found
-
-    def cone(self, names: frozenset[str]) -> tuple[str, ...]:
-        """The exogenous variables, in declaration order, that a solution
-        under an intervention on `names` can depend on: those read by the
-        equation of an endogenous variable outside `names` (in the
-        submodel the others are constants)."""
-        return self._reach(names, None)[1]
 
     def solver(self, names: frozenset[str], targets: tuple[str, ...] | None = None) -> Callable[[tuple, tuple], tuple]:
         """Generated `solve(context_values, forced_values) -> values` for
@@ -700,7 +694,7 @@ class CausalFormula:
 
 def _holds(body: Formula, state: Assignment, model: CausalModel) -> bool:
     if isinstance(body, Event):
-        if body.var not in set(model.signature.endo_names):
+        if body.var not in model.signature.endo_keyset:
             raise InputError(f"formula references unknown endogenous variable {body.var}")
         return state[body.var] == body.value
     if isinstance(body, Not):

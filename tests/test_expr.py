@@ -100,8 +100,9 @@ def test_a_literal_is_exactly_an_int(value):
         (lambda n: " + ".join(["A"] * n), MAX_DEPTH),
         (lambda n: "ite(" * (n - 1) + "A" + ", 1, 0)" * (n - 1), 1),
         (lambda n: "-" * (n - 1) + "A", (-1) ** (MAX_DEPTH - 1)),
+        (lambda n: "A + (" * (n - 1) + "A" + ")" * (n - 1), MAX_DEPTH),
     ],
-    ids=["comparison chain", "sum", "ite in the cond position", "negations"],
+    ids=["comparison chain", "sum", "ite in the cond position", "negations", "parenthesized sum"],
 )
 def test_parse_accepts_trees_up_to_the_depth_bound(nest, value):
     assert evaluate(parse_expr(nest(MAX_DEPTH)), {"A": 1}) == value
@@ -114,8 +115,10 @@ def test_variables_collects_all_references():
     assert variables(e) == {"A", "B", "C", "D"}
 
 
+# Negative literals too: to_source writes one as "(-3)", which must read
+# back as the literal, not as a negation of 3.
 _LEAVES = st.one_of(
-    st.integers(min_value=0, max_value=9).map(Lit),
+    st.integers(min_value=-9, max_value=9).map(Lit),
     st.sampled_from(["A", "B", "C"]).map(Var),
 )
 

@@ -59,7 +59,7 @@ def test_model_round_trip_for_every_bundle():
 def test_model_round_trip_random_models():
     import random
 
-    from .util import random_model
+    from .util import random_expr_model, random_model
 
     rng = random.Random(77)
     for _ in range(15):
@@ -68,6 +68,12 @@ def test_model_round_trip_random_models():
         assert again.equations == model.equations
         for u in enumerate_contexts(model):
             assert solve(again, u) == solve(model, u)
+    # Every node kind, negative literals included, reads back as the tree
+    # that was written.
+    for _ in range(300):
+        model = random_expr_model(rng)
+        again = model_from_obj(loads(dumps(model_to_obj(model))))
+        assert again.equations == model.equations
 
 
 def test_state_map_round_trip_both_backings():
