@@ -20,10 +20,10 @@ from math import prod
 from operator import attrgetter, is_not, or_
 from typing import Iterable, Sequence
 
-from .errors import InputError, SizeCapExceeded
+from .errors import InputError
 from .interventions import enumerate_interventions, intervention_options, interventions_from, resolve_interventions
 from .maps import InterventionMap, StateMap, tabulate
-from .model import Assignment, CausalModel, VariableDecl, _supports, check_intervention, enumerate_states
+from .model import Assignment, CausalModel, VariableDecl, _check_space, _supports, check_intervention, enumerate_states
 from .report import CheckReport
 from .transform import _find_compatible, _image_ids
 
@@ -36,7 +36,7 @@ def _product(decls: Sequence[VariableDecl], partial: Assignment) -> Iterable[tup
 
 def rst(decls: Sequence[VariableDecl], partial: Assignment) -> list[Assignment]:
     """All total states over `decls` that agree with `partial`, in
-    declaration-order lexicographic order."""
+    declaration-order lexicographic order, under the contexts cap."""
     names = [d.name for d in decls]
     unknown = [v for v in partial if v not in names]
     if unknown:
@@ -44,6 +44,7 @@ def rst(decls: Sequence[VariableDecl], partial: Assignment) -> list[Assignment]:
     for d in decls:
         if d.name in partial and partial[d.name] not in d.domain:
             raise InputError(f"{d.name}={partial[d.name]} is outside the declared domain")
+    _check_space([d.domain for d in decls if d.name not in partial], "restriction set")
     return [Assignment(zip(names, combo)) for combo in _product(decls, partial)]
 
 
@@ -428,11 +429,6 @@ def check_constructive(
     )
 
 
-# The constructive search refuses a low model with more endogenous variables
-# than this before any tau work. Unlike the enumeration caps it is fixed.
-MAX_SEARCH_LOW_VARS = 10
-
-
 def search_constructive_partition(m_low: CausalModel, m_high: CausalModel, tau: StateMap):
     """Find a partition and component maps certifying constructiveness, or
     None.
@@ -445,11 +441,11 @@ def search_constructive_partition(m_low: CausalModel, m_high: CausalModel, tau: 
     only value, is induced by no low intervention, so the strong check
     fails whatever the cells. The candidate is well formed by
     construction, and its component maps are the projections of tau, so
-    what remains is the strong check.
+    what remains is the strong check. The caps bound it as they bound
+    every check: tau's table the contexts cap, the strong check the
+    intervention cap.
     """
     low_names = m_low.signature.endo_names
-    if len(low_names) > MAX_SEARCH_LOW_VARS:
-        raise SizeCapExceeded("low variable set", len(low_names), MAX_SEARCH_LOW_VARS)
     table = _TauTable(m_low, m_high, tau)
     images = map(attrgetter("_values"), table.by_values.values())
     reads = _supports(dict(zip(table.by_values, images)))

@@ -27,7 +27,7 @@ class FiniteMap:
     entries: tuple[tuple[Assignment, Assignment], ...]
 
     def __post_init__(self):
-        canon = tuple(self.entries)
+        canon = tuple(self.entries.items() if isinstance(self.entries, Mapping) else self.entries)
         if not _in_canonical_order(canon):
             # Sorted by the keys' name-sorted items, the order Assignments
             # compare in, so equal keys end up next to each other. The
@@ -112,7 +112,7 @@ class StateMap(FiniteMap):
         if self.entries is not None:
             super().__post_init__()
         else:
-            object.__setattr__(self, "exprs", tuple(self.exprs))
+            object.__setattr__(self, "exprs", tuple(self.exprs.items() if isinstance(self.exprs, Mapping) else self.exprs))
             names = [name for name, _ in self.exprs]
             if len(set(names)) != len(names):
                 twice = next(name for name in names if names.count(name) > 1)
@@ -120,7 +120,7 @@ class StateMap(FiniteMap):
 
     @staticmethod
     def from_exprs(exprs: Mapping[str, Expr]) -> "StateMap":
-        return StateMap(exprs=tuple(exprs.items()))
+        return StateMap(exprs=exprs)
 
     @staticmethod
     def identity(signature: Signature) -> "StateMap":
@@ -170,6 +170,11 @@ class StateMap(FiniteMap):
                 return FiniteMap.apply(self, state)  # raises: not in the table
             image = self._images[state._items] = self._image(self._kernel(state._keys)(state._values))
         return image
+
+    def image(self) -> tuple[Assignment, ...]:
+        if self.exprs is not None:
+            raise InputError("an expression-backed state map's image depends on the low states: tabulate it")
+        return super().image()
 
     @cached_property
     def _reads(self) -> frozenset[str]:

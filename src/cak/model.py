@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import prod
 from operator import is_not, itemgetter, ne
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Union
 
@@ -465,27 +466,9 @@ def validate(model: CausalModel) -> list[Diagnostic]:
                 )
 
     if not isinstance(model.allowed_interventions, str):
-        endo = set(sig.endo_names)
         for iv in model.allowed_interventions:
-            for var, value in iv.items_sorted:
-                if var not in endo:
-                    diags.append(
-                        Diagnostic(
-                            "bad-intervention",
-                            f"intervention sets non-endogenous variable {var}",
-                            subject=var,
-                            witness=iv,
-                        )
-                    )
-                elif not (type(value) is int and value in sig.domains[var]):
-                    diags.append(
-                        Diagnostic(
-                            "bad-intervention",
-                            f"intervention sets {var} to {value}, outside its domain",
-                            subject=var,
-                            witness=iv,
-                        )
-                    )
+            for var, message in _bad_items(sig, iv):
+                diags.append(Diagnostic("bad-intervention", message, subject=var, witness=iv))
     return diags
 
 
@@ -506,12 +489,21 @@ def check_context(model: CausalModel, context: Assignment) -> None:
 
 
 def check_intervention(model: CausalModel, intervention: Assignment) -> None:
-    sig = model.signature
+    """Raise InputError on the first item `_bad_items` names."""
+    for _, message in _bad_items(model.signature, intervention):
+        raise InputError(message)
+
+
+def _bad_items(sig: Signature, intervention: Assignment) -> Iterator[tuple[str, str]]:
+    """Each variable of `intervention`, in name order, that is not
+    endogenous or is set outside its domain, with the reason. A value must
+    be an int (see check_context)."""
+    endo, domains = sig.endo_keyset, sig.domains
     for name, value in intervention.items_sorted:
-        if name not in sig.endo_keyset:
-            raise InputError(f"intervention sets non-endogenous variable {name}")
-        if not (type(value) is int and value in sig.domains[name]):  # see check_context
-            raise InputError(f"intervention sets {name} to {value}, outside its domain")
+        if name not in endo:
+            yield name, f"intervention sets non-endogenous variable {name}"
+        elif not (type(value) is int and value in domains[name]):
+            yield name, f"intervention sets {name} to {value}, outside its domain"
 
 
 def apply_intervention(model: CausalModel, intervention: Assignment) -> CausalModel:
@@ -734,13 +726,16 @@ def enumerate_states(model_or_sig) -> list[Assignment]:
 
 
 def _enumerate_total(decls: tuple[VariableDecl, ...], keys: frozenset[str], what: str) -> Iterator[Assignment]:
-    size = 1
-    for d in decls:
-        size *= len(d.domain)
+    _check_space([d.domain for d in decls], what)
+    return Assignment._product(decls, keys)
+
+
+def _check_space(domains: Iterable[Collection[int]], what: str) -> None:
+    """Raise SizeCapExceeded when the product of `domains` passes the contexts cap."""
+    size = prod(map(len, domains))
     limit = contexts_cap()
     if size > limit:
         raise SizeCapExceeded(what, size, limit)
-    return Assignment._product(decls, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -783,9 +778,9 @@ def check_uev(model: CausalModel) -> CheckReport:
     variables remain to serve the equations with empty support.
 
     Each equation is evaluated at every combination of its referenced
-    values. A model that `validate` rejects, say for a table read that
-    misses or an undeclared name, is an InputError naming its first
-    diagnostic.
+    values, under the contexts cap. A model that `validate` rejects, say
+    for a table read that misses or an undeclared name, is an InputError
+    naming its first diagnostic.
     """
     sig = model.signature
     exo = set(sig.exo_names)
@@ -793,7 +788,9 @@ def check_uev(model: CausalModel) -> CheckReport:
     try:
         for name, expr in model.equations:
             refs = tuple(sorted(variables(expr)))
-            combos = list(itertools.product(*(sig.domains[r] for r in refs)))
+            domains = [sig.domains[r] for r in refs]
+            _check_space(domains, f"input space of the equation for {name}")
+            combos = list(itertools.product(*domains))
             (reads,) = _supports(dict(zip(combos, map(_tuple_kernel((expr,), refs), combos))))
             supports[name] = [refs[k] for k in sorted(reads) if refs[k] in exo]
     except (KeyError, EvaluationError):

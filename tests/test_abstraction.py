@@ -47,7 +47,7 @@ from cak.corpus import (
     build_voting,
 )
 from cak import abstraction, transform
-from cak.abstraction import MAX_SEARCH_LOW_VARS, _TauTable
+from cak.abstraction import _TauTable
 from cak.errors import DEFAULT_MAX_CONTEXTS, ENV_MAX_CONTEXTS, ENV_MAX_INTERVENTIONS
 from cak.expr import Lit, Var
 from cak.maps import materialize_state_map
@@ -72,6 +72,7 @@ from .util import (
     reference_induced_sets,
     reference_tau_table,
     sample_rational_dist,
+    two_sums,
     voting_natural_partition,
 )
 
@@ -100,6 +101,16 @@ def test_rst_partial_product_count():
 def test_rst_rejects_foreign_variables():
     with pytest.raises(InputError):
         rst(THREE_BITS.signature.endogenous, Assignment(Q=0))
+
+
+def test_rst_refuses_a_restriction_set_past_the_contexts_cap(monkeypatch):
+    decls = THREE_BITS.signature.endogenous
+    monkeypatch.setenv(ENV_MAX_CONTEXTS, "7")
+    with pytest.raises(SizeCapExceeded, match="^restriction set has 8 elements, exceeding the cap of 7$"):
+        rst(decls, EMPTY)
+    assert len(rst(decls, Assignment(X3=0))) == 4
+    monkeypatch.setenv(ENV_MAX_CONTEXTS, "8")
+    assert len(rst(decls, EMPTY)) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -481,22 +492,44 @@ def test_search_with_a_constant_component_finds_a_partition_exactly_when_brute_f
     assert kinds == {"one-value", "multi-value"}
 
 
-def test_search_respects_low_variable_cap():
-    # The guard comes before any tau work: the empty tau table below is
-    # never read past the limit, and raises its own error at the limit.
+def test_search_has_no_low_variable_limit():
+    # Only the two enumeration caps bound the search: an empty tau table
+    # raises its own error on a chain of 11 variables as on one of 10.
     def chain(n):
         names = [f"X{k}" for k in range(n)]
         eqs = {name: prev for prev, name in zip(["U", *names], names)}
         return model_of([("U", (0, 1))], [(name, (0, 1)) for name in names], eqs)
 
-    assert MAX_SEARCH_LOW_VARS == 10
     high = chain(1)
     untouched = StateMap.from_table(())
-    with pytest.raises(SizeCapExceeded, match="^low variable set has 11 elements, exceeding the cap of 10$"):
-        search_constructive_partition(chain(11), high, untouched)
-    with pytest.raises(InputError, match="undefined") as info:
-        search_constructive_partition(chain(10), high, untouched)
-    assert not isinstance(info.value, SizeCapExceeded)
+    for n in (10, 11):
+        with pytest.raises(InputError, match="undefined") as info:
+            search_constructive_partition(chain(n), high, untouched)
+        assert not isinstance(info.value, SizeCapExceeded)
+
+
+def test_search_finds_the_two_cells_of_an_eleven_pixel_sum_model():
+    b = two_sums(11, 6)
+    found = search_constructive_partition(b.low, b.high, b.tau)
+    assert found is not None
+    partition, comps = found
+    assert partition.cells == (("S1", ("X0", "X1", "X2", "X3", "X4", "X5")), ("S2", ("X6", "X7", "X8", "X9", "X10")))
+    assert partition.marginal == ()
+    report = check_constructive(b.low, b.high, b.tau, partition)
+    assert report.verdict and report.witness["components"] == comps
+
+
+@pytest.mark.parametrize("env, size", [(ENV_MAX_CONTEXTS, 2**11), (ENV_MAX_INTERVENTIONS, 3**11)])
+def test_search_raises_the_strong_checks_cap_error(monkeypatch, env, size):
+    # The search's tau table falls under the contexts cap and its strong
+    # step under the intervention cap, as in check_strong_abstraction.
+    b = two_sums(11, 6)
+    monkeypatch.setenv(env, str(size - 1))
+    with pytest.raises(SizeCapExceeded, match=f"has {size} elements, exceeding the cap of {size - 1}$") as strong:
+        check_strong_abstraction(b.low, b.high, b.tau)
+    with pytest.raises(SizeCapExceeded) as search:
+        search_constructive_partition(b.low, b.high, b.tau)
+    assert str(search.value) == str(strong.value)
 
 
 def test_each_check_materializes_tau_once(monkeypatch):

@@ -18,10 +18,11 @@ from cak.serialize import (
     intervention_map_to_obj,
     loads,
     model_from_obj,
+    model_to_obj,
     state_map_to_obj,
 )
 
-from .util import reference_induced_sets
+from .util import reference_induced_sets, two_sums
 
 
 @pytest.fixture()
@@ -220,6 +221,19 @@ def test_check_constructive_with_searched_partition_and_witness(capsys, emitted)
     assert code == 0
     assert out["witness"]["partition"]["cells"]["TLH"] == ["X11", "X12", "X21"]
     assert out["witness"]["partition"]["marginal"] == ["X22"]
+
+
+def test_check_constructive_searches_an_eleven_variable_low_model(capsys, tmp_path):
+    b = two_sums(11, 6)
+    paths = {}
+    for stem, obj in (("low", model_to_obj(b.low)), ("high", model_to_obj(b.high)), ("tau", state_map_to_obj(b.tau))):
+        paths[stem] = tmp_path / f"{stem}.json"
+        paths[stem].write_text(dumps(obj), encoding="utf-8")
+    code, out, _ = run(
+        capsys, "check", "constructive", str(paths["low"]), str(paths["high"]), "--tau", str(paths["tau"]), "--witness"
+    )
+    assert code == 0 and out["verdict"] is True
+    assert out["witness"]["partition"]["cells"] == {"S1": ["X0", "X1", "X2", "X3", "X4", "X5"], "S2": ["X6", "X7", "X8", "X9", "X10"]}
 
 
 def test_check_constructive_with_explicit_partition(capsys, emitted, tmp_path):

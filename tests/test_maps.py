@@ -138,6 +138,31 @@ def test_a_state_map_has_one_expression_per_high_variable():
         StateMap(exprs=(("Y", x), ("Z", x), ("Y", one)))
 
 
+@pytest.mark.parametrize("name", ["TH", "H"])
+def test_a_state_map_reads_a_dict_of_expressions_as_its_items(name):
+    tau = StateMap(exprs={name: parse_expr("X")})
+    assert tau == StateMap.from_exprs({name: parse_expr("X")})
+    assert tau.exprs == ((name, parse_expr("X")),)
+    assert tau.apply(Assignment(X=1)) == Assignment({name: 1})
+
+
+@pytest.mark.parametrize("cls", [ContextMap, InterventionMap, StateMap])
+def test_a_finite_map_reads_a_dict_as_its_entries(cls):
+    pairs = {Assignment(U=1): Assignment(V=0), Assignment(U=0): Assignment(V=1)}
+    table = cls(pairs)
+    assert table == cls.from_pairs(pairs.items())
+    assert table.apply(Assignment(U=1)) == Assignment(V=0)
+
+
+def test_the_image_of_an_expression_map_is_an_input_error():
+    tau = StateMap.from_exprs({"N": parse_expr("X1 + X2")})
+    with pytest.raises(InputError, match="^an expression-backed state map's image depends on the low states"):
+        tau.image()
+    counter = model_of([("W", (0, 1, 2))], [("N", (0, 1, 2))], {"N": "W"})
+    table = StateMap(materialize_state_map(tau, CHAIN.signature, counter.signature))
+    assert table.image() == (Assignment(N=0), Assignment(N=1), Assignment(N=2))
+
+
 @pytest.mark.parametrize(
     "cls, kind, from_obj",
     [

@@ -18,6 +18,7 @@ from cak import (
     Or,
     RationalDist,
     Signature,
+    SizeCapExceeded,
     StateMap,
     VariableDecl,
     apply_intervention,
@@ -33,6 +34,7 @@ from cak import (
     validate,
 )
 from cak.corpus import build_gated_extension
+from cak.errors import ENV_MAX_CONTEXTS
 from cak.expr import Table, to_source
 from cak.maps import tabulate
 from cak.model import _supports, check_context, check_intervention, iter_contexts
@@ -368,6 +370,22 @@ def test_uev_ignores_vacuous_reference():
         {"X1": "U", "X2": "U * 0"},
     )
     assert check_uev(m).verdict
+
+
+def test_uev_refuses_an_equation_input_space_past_the_contexts_cap(monkeypatch):
+    # Each equation is evaluated at every combination of the values it
+    # reads, so the cap is checked on that space before any is built.
+    m = model_of(
+        [(f"U{k}", (0, 1)) for k in range(5)],
+        [("X", (0, 1)), ("Y", tuple(range(7)))],
+        {"X": "U0", "Y": "X + U0 + U1 + U2 + U3 + U4"},
+    )
+    monkeypatch.setenv(ENV_MAX_CONTEXTS, "63")
+    with pytest.raises(SizeCapExceeded, match="^input space of the equation for Y has 64 elements, exceeding the cap of 63$"):
+        check_uev(m)
+    assert validate(m) == []  # validate stays uncapped: the profile pass reads it
+    monkeypatch.setenv(ENV_MAX_CONTEXTS, "64")
+    assert check_uev(m).counterexample == {"variable": "Y", "exogenous": ("U0", "U1", "U2", "U3", "U4")}
 
 
 def test_uev_tabulates_each_equation_so_a_table_miss_raises():

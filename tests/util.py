@@ -36,6 +36,7 @@ from cak import (
     enumerate_states,
     natural_leq,
     natural_lt,
+    parse_expr,
     rst,
     solve_under,
     tau_pushforward,
@@ -318,6 +319,29 @@ def voting_natural_partition(bundle: ExampleBundle):
     if comps is None:
         raise AssertionError(f"natural voting partition does not factor: {failure}")
     return partition, comps
+
+
+def two_sums(n_pixels: int = 11, split: int = 6) -> ExampleBundle:
+    """Binary pixels X0..X{n-1}, each copying its own exogenous input,
+    abstracted to two sums: S1 of the first `split` pixels and S2 of the
+    rest. Strong and constructive, with the partition {S1: the first
+    pixels, S2: the rest}."""
+    pixels = [f"X{k}" for k in range(n_pixels)]
+    groups = {"S1": pixels[:split], "S2": pixels[split:]}
+
+    def model(exo, endo, eqs):
+        sig = Signature(tuple(VariableDecl(n, d) for n, d in exo), tuple(VariableDecl(n, d) for n, d in endo))
+        return CausalModel(sig, tuple((n, Var(e)) for n, e in eqs))
+
+    low = model(
+        [(f"U{k}", (0, 1)) for k in range(n_pixels)],
+        [(x, (0, 1)) for x in pixels],
+        [(x, f"U{k}") for k, x in enumerate(pixels)],
+    )
+    sums = [(s, tuple(range(len(members) + 1))) for s, members in groups.items()]
+    high = model([(f"H{s}", d) for s, d in sums], sums, [(s, f"H{s}") for s, _ in sums])
+    tau = StateMap.from_exprs({s: parse_expr(" + ".join(members)) for s, members in groups.items()})
+    return ExampleBundle(f"two-sums-{n_pixels}-{split}", "two sums of binary pixels", low, high, tau)
 
 
 def walk_omega_tau(low: CausalModel, high: CausalModel, tau: StateMap, intervention) -> Assignment | None:
